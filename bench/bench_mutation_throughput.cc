@@ -117,27 +117,6 @@ struct WriterStats {
   bool transport_failed = false;
 };
 
-/// Untimed net-zero write (insert + delete + flush) so the measured window
-/// does not pay the one-time lazy shadow seed — a full incremental build —
-/// on its first mutation.
-bool Warmup(int port, int64_t domain, size_t initial_size) {
-  LineConn conn;
-  conn.fd = DialServer(port);
-  if (conn.fd < 0) return false;
-  const std::string lines =
-      "{\"cmd\":\"insert\",\"x\":" + std::to_string(domain - 1) +
-      ",\"y\":" + std::to_string(domain - 1) +
-      "}\n{\"cmd\":\"delete\",\"point\":" + std::to_string(initial_size) +
-      "}\n{\"cmd\":\"flush\"}\n";
-  bool ok = SendAll(conn.fd, lines);
-  for (int i = 0; ok && i < 3; ++i) {
-    const std::string reply = conn.ReadLine();
-    ok = !reply.empty() && reply.find("\"error\"") == std::string::npos;
-  }
-  ::close(conn.fd);
-  return ok;
-}
-
 /// One closed-loop writer: alternating insert/delete so the live point
 /// count oscillates around the fixture size instead of drifting.
 void RunWriter(int port, int64_t domain, size_t initial_size,
@@ -441,11 +420,6 @@ int Main(int argc, char** argv) {
   std::cout << "self-hosted fixture: n=" << n << " domain=" << domain
             << " window_ms=" << window_ms << "\n";
 
-  if (!Warmup(port, domain, n)) {
-    std::cerr << "warmup mutation failed\n";
-    server.Stop();
-    return 1;
-  }
   const serve::ServerMetrics& metrics = server.metrics();
   const uint64_t base_mutations = metrics.mutation_inserts.load() +
                                   metrics.mutation_deletes.load();

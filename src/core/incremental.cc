@@ -75,6 +75,20 @@ uint64_t RefillChangedCells(CellDiagram* next, uint32_t rect_x,
 
 namespace internal {
 
+Status CheckSeedDataset(const Dataset& dataset,
+                        const IncrementalOptions& options) {
+  if (dataset.empty()) {
+    return Status::InvalidArgument("cannot build a diagram of zero points");
+  }
+  if (options.require_distinct_coordinates &&
+      !dataset.HasDistinctCoordinates()) {
+    return Status::InvalidArgument(
+        "require_distinct_coordinates was set but the seed dataset has "
+        "duplicated coordinate values");
+  }
+  return Status::OK();
+}
+
 StatusOr<Dataset> DatasetWithPoint(const Dataset& dataset, const Point2D& p,
                                    std::optional<std::string> label,
                                    bool require_distinct_coordinates) {
@@ -132,20 +146,27 @@ StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id,
 
 StatusOr<IncrementalQuadrantDiagram> IncrementalQuadrantDiagram::Create(
     Dataset dataset, const IncrementalOptions& options) {
-  if (dataset.empty()) {
-    return Status::InvalidArgument("cannot build a diagram of zero points");
+  // Checked before the build, not only by Adopt: the build is the cost.
+  if (Status seed = internal::CheckSeedDataset(dataset, options); !seed.ok()) {
+    return seed;
   }
-  if (options.require_distinct_coordinates &&
-      !dataset.HasDistinctCoordinates()) {
-    return Status::InvalidArgument(
-        "require_distinct_coordinates was set but the seed dataset has "
-        "duplicated coordinate values");
-  }
-  auto diagram = std::make_shared<CellDiagram>(
+  auto diagram = std::make_shared<const CellDiagram>(
       BuildQuadrantScanning(dataset, options.diagram));
-  return IncrementalQuadrantDiagram(
-      std::make_shared<const Dataset>(std::move(dataset)), std::move(diagram),
-      options);
+  return Adopt(std::make_shared<const Dataset>(std::move(dataset)),
+               std::move(diagram), options);
+}
+
+StatusOr<IncrementalQuadrantDiagram> IncrementalQuadrantDiagram::Adopt(
+    std::shared_ptr<const Dataset> dataset,
+    std::shared_ptr<const CellDiagram> diagram,
+    const IncrementalOptions& options) {
+  SKYDIA_CHECK(dataset != nullptr && diagram != nullptr);
+  if (Status seed = internal::CheckSeedDataset(*dataset, options);
+      !seed.ok()) {
+    return seed;
+  }
+  return IncrementalQuadrantDiagram(std::move(dataset), std::move(diagram),
+                                    options);
 }
 
 StatusOr<PointId> IncrementalQuadrantDiagram::Insert(
@@ -186,12 +207,12 @@ StatusOr<PointId> IncrementalQuadrantDiagram::Insert(
 
   // Phase 1: every unchanged cell — p not a candidate, or dominated there —
   // keeps its previous result. The fast path adopts the old pool wholesale
-  // (one arena copy; old SetIds stay valid in the new pool), so an unchanged
-  // cell copies a single integer instead of re-interning its set — with
-  // millions of cells the per-set hashing would otherwise dominate the
-  // mutation's wall time. Adoption carries no-longer-referenced sets
-  // forward; once the pool doubles past the last compaction watermark the
-  // slow path re-interns only referenced sets (memoized per old SetId),
+  // (the mutation's one arena copy; old SetIds stay valid in the new pool),
+  // so an unchanged cell copies a single integer instead of re-interning
+  // its set — with millions of cells the per-set hashing would otherwise
+  // dominate the mutation's wall time. Adoption carries no-longer-referenced
+  // sets forward; once the pool doubles past the last compaction watermark
+  // the slow path re-interns only referenced sets (memoized per old SetId),
   // garbage-collecting the pool.
   const SkylineSetPool& old_pool = diagram_->pool();
   const bool compact = old_pool.size() > 2 * pool_compaction_watermark_;
@@ -226,8 +247,13 @@ StatusOr<PointId> IncrementalQuadrantDiagram::Insert(
   // Phase 2: refill the changed staircase with the Theorem 1 scan.
   last_insert_recomputed_cells_ = RefillChangedCells(next.get(), r, ry, m);
 
-  next->pool().Freeze();
-  if (compact) pool_compaction_watermark_ = next->pool().size();
+  // A compacted pool was built set by set and sheds its growth slack; an
+  // adopted one was sized by AdoptFrom, and shrinking it would copy the
+  // arena a second time.
+  if (compact) {
+    next->pool().Freeze();
+    pool_compaction_watermark_ = next->pool().size();
+  }
   dataset_ =
       std::make_shared<const Dataset>(std::move(new_dataset).value());
   diagram_ = std::move(next);
@@ -336,8 +362,10 @@ Status IncrementalQuadrantDiagram::Delete(PointId id) {
                                static_cast<uint32_t>(rect_y), m)
           : 0;
 
-  next->pool().Freeze();
-  if (compact) pool_compaction_watermark_ = next->pool().size();
+  if (compact) {  // see Insert
+    next->pool().Freeze();
+    pool_compaction_watermark_ = next->pool().size();
+  }
   dataset_ =
       std::make_shared<const Dataset>(std::move(new_dataset).value());
   diagram_ = std::move(next);

@@ -25,6 +25,13 @@
 // (src/serve/mutation_pipeline.h) can hand read-only snapshots to concurrent
 // readers at zero copy cost; mutations swap in fresh objects and never touch
 // a previously shared one.
+//
+// Adopt contract: the same sharing runs the other way. Adopt() starts from
+// a diagram that already exists — one being served, typically loaded from a
+// blob — and shares its objects instead of building or copying anything.
+// Each mutation copies the pool's arena once into its successor and leaves
+// the objects it replaces to their other holders untouched. Create() is
+// a scanning build followed by Adopt(), so every instance starts this way.
 #ifndef SKYDIA_SRC_CORE_INCREMENTAL_H_
 #define SKYDIA_SRC_CORE_INCREMENTAL_H_
 
@@ -51,6 +58,12 @@ struct IncrementalOptions {
 
 namespace internal {
 
+/// The seed checks Create and Adopt share: InvalidArgument for an empty
+/// dataset, or for duplicated coordinate values under
+/// `options.require_distinct_coordinates`.
+Status CheckSeedDataset(const Dataset& dataset,
+                        const IncrementalOptions& options);
+
 /// Extended copy of `dataset` with `p` appended as the new last point.
 /// Rejects points outside the domain and forwards validation failures from
 /// Dataset::Create (InvalidArgument, never an abort). `label` names the new
@@ -71,9 +84,19 @@ StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id,
 /// A quadrant skyline diagram that supports inserting and deleting points.
 class IncrementalQuadrantDiagram {
  public:
-  /// Builds the initial diagram (scanning construction).
+  /// Builds the initial diagram (scanning construction) and adopts it.
   static StatusOr<IncrementalQuadrantDiagram> Create(
       Dataset dataset, const IncrementalOptions& options = {});
+
+  /// Adopts `diagram`, the quadrant diagram of `dataset`, as the initial
+  /// state without rebuilding or copying it (see the adopt contract above).
+  /// Any construction of it qualifies: every BuildAlgorithm, sequential or
+  /// parallel, and a blob loaded back from disk. Both pointers must be
+  /// non-null. Same checks as Create (internal::CheckSeedDataset).
+  static StatusOr<IncrementalQuadrantDiagram> Adopt(
+      std::shared_ptr<const Dataset> dataset,
+      std::shared_ptr<const CellDiagram> diagram,
+      const IncrementalOptions& options = {});
 
   IncrementalQuadrantDiagram(IncrementalQuadrantDiagram&&) = default;
   IncrementalQuadrantDiagram& operator=(IncrementalQuadrantDiagram&&) =
@@ -135,7 +158,7 @@ class IncrementalQuadrantDiagram {
   IncrementalOptions options_;
   uint64_t last_insert_recomputed_cells_ = 0;
   uint64_t last_delete_recomputed_cells_ = 0;
-  /// Pool size after the last compacting mutation (or Create). Mutations
+  /// Pool size after the last compacting mutation (or Adopt). Mutations
   /// adopt the previous pool wholesale — carrying some no-longer-referenced
   /// sets forward — until the pool doubles past this watermark, then re-intern
   /// only referenced sets (see the copy-phase comments in incremental.cc).

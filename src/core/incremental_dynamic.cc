@@ -42,20 +42,27 @@ bool IsOnAxisLine(const SubcellAxis& axis, uint32_t slab, int64_t rep4) {
 
 StatusOr<IncrementalDynamicDiagram> IncrementalDynamicDiagram::Create(
     Dataset dataset, const IncrementalOptions& options) {
-  if (dataset.empty()) {
-    return Status::InvalidArgument("cannot build a diagram of zero points");
+  // Checked before the build, not only by Adopt: the build is the cost.
+  if (Status seed = internal::CheckSeedDataset(dataset, options); !seed.ok()) {
+    return seed;
   }
-  if (options.require_distinct_coordinates &&
-      !dataset.HasDistinctCoordinates()) {
-    return Status::InvalidArgument(
-        "require_distinct_coordinates was set but the seed dataset has "
-        "duplicated coordinate values");
-  }
-  auto diagram = std::make_shared<SubcellDiagram>(
+  auto diagram = std::make_shared<const SubcellDiagram>(
       BuildDynamicScanning(dataset, options.diagram));
-  return IncrementalDynamicDiagram(
-      std::make_shared<const Dataset>(std::move(dataset)), std::move(diagram),
-      options);
+  return Adopt(std::make_shared<const Dataset>(std::move(dataset)),
+               std::move(diagram), options);
+}
+
+StatusOr<IncrementalDynamicDiagram> IncrementalDynamicDiagram::Adopt(
+    std::shared_ptr<const Dataset> dataset,
+    std::shared_ptr<const SubcellDiagram> diagram,
+    const IncrementalOptions& options) {
+  SKYDIA_CHECK(dataset != nullptr && diagram != nullptr);
+  if (Status seed = internal::CheckSeedDataset(*dataset, options);
+      !seed.ok()) {
+    return seed;
+  }
+  return IncrementalDynamicDiagram(std::move(dataset), std::move(diagram),
+                                   options);
 }
 
 StatusOr<PointId> IncrementalDynamicDiagram::Insert(
@@ -74,10 +81,11 @@ StatusOr<PointId> IncrementalDynamicDiagram::Insert(
   // subcell and its representative is strictly interior to it — the old
   // result there is exact for the old point set.
   // Unchanged subcells keep their previous result. The fast path adopts the
-  // old pool wholesale (one arena copy; old SetIds stay valid), so an
-  // unchanged subcell copies a single integer; once the pool doubles past
-  // the last compaction watermark, the slow path re-interns only referenced
-  // sets (memoized per old SetId), garbage-collecting the pool.
+  // old pool wholesale (the mutation's one arena copy; old SetIds stay
+  // valid), so an unchanged subcell copies a single integer; once the pool
+  // doubles past the last compaction watermark, the slow path re-interns
+  // only referenced sets (memoized per old SetId), garbage-collecting the
+  // pool.
   const SkylineSetPool& old_pool = diagram_->pool();
   const bool compact = old_pool.size() > 2 * pool_compaction_watermark_;
   constexpr SetId kUnmapped = ~SetId{0};
@@ -132,8 +140,12 @@ StatusOr<PointId> IncrementalDynamicDiagram::Insert(
     }
   }
 
-  next->pool().Freeze();
-  if (compact) pool_compaction_watermark_ = next->pool().size();
+  // A compacted pool sheds its growth slack; an adopted one was sized by
+  // AdoptFrom (see IncrementalQuadrantDiagram::Insert).
+  if (compact) {
+    next->pool().Freeze();
+    pool_compaction_watermark_ = next->pool().size();
+  }
   last_insert_recomputed_subcells_ = recomputed;
   dataset_ =
       std::make_shared<const Dataset>(std::move(new_dataset).value());
@@ -212,8 +224,10 @@ Status IncrementalDynamicDiagram::Delete(PointId id) {
     }
   }
 
-  next->pool().Freeze();
-  if (compact) pool_compaction_watermark_ = next->pool().size();
+  if (compact) {  // see Insert
+    next->pool().Freeze();
+    pool_compaction_watermark_ = next->pool().size();
+  }
   last_delete_recomputed_subcells_ = recomputed;
   dataset_ =
       std::make_shared<const Dataset>(std::move(new_dataset).value());

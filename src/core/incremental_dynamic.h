@@ -20,7 +20,10 @@
 //    recomputed from scratch.
 //
 // Ids renumber on Delete exactly like IncrementalQuadrantDiagram
-// (new_id = old_id - 1 for every old_id > deleted; labels follow).
+// (new_id = old_id - 1 for every old_id > deleted; labels follow), and the
+// adopt contract is the same too (see src/core/incremental.h): Adopt()
+// shares an existing diagram's objects as the initial state, and Create()
+// is a scanning build followed by Adopt().
 #ifndef SKYDIA_SRC_CORE_INCREMENTAL_DYNAMIC_H_
 #define SKYDIA_SRC_CORE_INCREMENTAL_DYNAMIC_H_
 
@@ -39,9 +42,17 @@ namespace skydia {
 /// points.
 class IncrementalDynamicDiagram {
  public:
-  /// Builds the initial diagram (scanning construction).
+  /// Builds the initial diagram (scanning construction) and adopts it.
   static StatusOr<IncrementalDynamicDiagram> Create(
       Dataset dataset, const IncrementalOptions& options = {});
+
+  /// Adopts `diagram`, the subcell diagram of `dataset`, without rebuilding
+  /// or copying it; same contract as IncrementalQuadrantDiagram::Adopt (any
+  /// construction of the diagram, non-null pointers, Create's checks).
+  static StatusOr<IncrementalDynamicDiagram> Adopt(
+      std::shared_ptr<const Dataset> dataset,
+      std::shared_ptr<const SubcellDiagram> diagram,
+      const IncrementalOptions& options = {});
 
   IncrementalDynamicDiagram(IncrementalDynamicDiagram&&) = default;
   IncrementalDynamicDiagram& operator=(IncrementalDynamicDiagram&&) = default;
@@ -93,7 +104,7 @@ class IncrementalDynamicDiagram {
   IncrementalOptions options_;
   uint64_t last_insert_recomputed_subcells_ = 0;
   uint64_t last_delete_recomputed_subcells_ = 0;
-  /// Pool size after the last compacting mutation (or Create); see
+  /// Pool size after the last compacting mutation (or Adopt); see
   /// IncrementalQuadrantDiagram::pool_compaction_watermark_.
   size_t pool_compaction_watermark_ = 0;
 };

@@ -116,8 +116,10 @@ CellDiagram BuildQuadrantDsgParallel(const Dataset& dataset, int num_threads,
   {
     PhaseScope phase("merge");
     // Deterministic merge: stripes in order, remapping each private pool
-    // into the diagram's pool.
-    for (const StripeResult& result : results) {
+    // into the diagram's pool. A merged stripe is released here, so the
+    // teardown of its private pool (several percent of a small build) is
+    // charged to this phase rather than to no phase at all.
+    for (StripeResult& result : results) {
       const std::vector<SetId> remap =
           RemapPool(*result.pool, &diagram.pool());
       for (uint32_t cy = result.rows.begin; cy < result.rows.end; ++cy) {
@@ -129,6 +131,7 @@ CellDiagram BuildQuadrantDsgParallel(const Dataset& dataset, int num_threads,
                                  cx]]);
         }
       }
+      result = StripeResult{};
     }
   }
   {
@@ -190,8 +193,9 @@ SubcellDiagram BuildDynamicScanningParallel(const Dataset& dataset,
 
   {
     PhaseScope phase("merge");
-    // Deterministic merge in stripe order (mirrors BuildQuadrantDsgParallel).
-    for (const StripeResult& result : results) {
+    // Deterministic merge in stripe order, releasing each merged stripe
+    // (mirrors BuildQuadrantDsgParallel).
+    for (StripeResult& result : results) {
       const std::vector<SetId> remap =
           RemapPool(*result.pool, &diagram.pool());
       for (uint32_t sy = result.rows.begin; sy < result.rows.end; ++sy) {
@@ -203,6 +207,7 @@ SubcellDiagram BuildDynamicScanningParallel(const Dataset& dataset,
                                  sx]]);
         }
       }
+      result = StripeResult{};
     }
   }
   {

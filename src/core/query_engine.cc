@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <utility>
+#include <variant>
 
 #include "src/common/logging.h"
 #include "src/common/trace.h"
@@ -277,34 +278,22 @@ StatusOr<ServableDiagram> ServableDiagram::Load(
         "cell_semantics must be kQuadrant or kGlobal; dynamic semantics are "
         "inferred from subcell blobs");
   }
-  ServableDiagram servable;
   SKYDIA_TRACE_SPAN("load");
-  auto as_cell = [&] {
+  StatusOr<LoadedDiagram> loaded = [&] {
     SKYDIA_TRACE_SPAN("load.blob");
-    return LoadCellDiagram(path);
+    return LoadDiagram(path);
   }();
-  if (as_cell.ok()) {
-    servable.cell_ =
-        std::make_unique<LoadedCellDiagram>(std::move(as_cell).value());
-    SKYDIA_TRACE_SPAN("index.build");
-    servable.engine_ = std::make_unique<QueryEngine>(
-        servable.cell_->dataset, servable.cell_->diagram, cell_semantics,
-        options);
-    return servable;
+  if (!loaded.ok()) return loaded.status();
+  if (auto* cell = std::get_if<LoadedCellDiagram>(&*loaded)) {
+    return Wrap(std::make_shared<const Dataset>(std::move(cell->dataset)),
+                std::make_shared<const CellDiagram>(std::move(cell->diagram)),
+                cell_semantics, options);
   }
-  auto as_subcell = [&] {
-    SKYDIA_TRACE_SPAN("load.blob");
-    return LoadSubcellDiagram(path);
-  }();
-  if (as_subcell.ok()) {
-    servable.subcell_ =
-        std::make_unique<LoadedSubcellDiagram>(std::move(as_subcell).value());
-    SKYDIA_TRACE_SPAN("index.build");
-    servable.engine_ = std::make_unique<QueryEngine>(
-        servable.subcell_->dataset, servable.subcell_->diagram, options);
-    return servable;
-  }
-  return as_cell.status();
+  auto& subcell = std::get<LoadedSubcellDiagram>(*loaded);
+  return Wrap(std::make_shared<const Dataset>(std::move(subcell.dataset)),
+              std::make_shared<const SubcellDiagram>(
+                  std::move(subcell.diagram)),
+              options);
 }
 
 ServableDiagram ServableDiagram::Wrap(
@@ -313,12 +302,11 @@ ServableDiagram ServableDiagram::Wrap(
     SkylineQueryType cell_semantics, const QueryEngineOptions& options) {
   SKYDIA_CHECK(cell_semantics != SkylineQueryType::kDynamic);
   ServableDiagram servable;
-  servable.shared_dataset_ = std::move(dataset);
-  servable.shared_cell_ = std::move(diagram);
+  servable.dataset_ = std::move(dataset);
+  servable.cell_ = std::move(diagram);
   SKYDIA_TRACE_SPAN("index.build");
   servable.engine_ = std::make_unique<QueryEngine>(
-      *servable.shared_dataset_, *servable.shared_cell_, cell_semantics,
-      options);
+      *servable.dataset_, *servable.cell_, cell_semantics, options);
   return servable;
 }
 
@@ -327,11 +315,11 @@ ServableDiagram ServableDiagram::Wrap(
     std::shared_ptr<const SubcellDiagram> diagram,
     const QueryEngineOptions& options) {
   ServableDiagram servable;
-  servable.shared_dataset_ = std::move(dataset);
-  servable.shared_subcell_ = std::move(diagram);
+  servable.dataset_ = std::move(dataset);
+  servable.subcell_ = std::move(diagram);
   SKYDIA_TRACE_SPAN("index.build");
   servable.engine_ = std::make_unique<QueryEngine>(
-      *servable.shared_dataset_, *servable.shared_subcell_, options);
+      *servable.dataset_, *servable.subcell_, options);
   return servable;
 }
 

@@ -25,7 +25,10 @@
 //
 // ServableDiagram closes the deployment loop: it loads a serialized blob
 // (v1 or v2) and rebuilds the index immediately, so a frozen file is
-// servable right after Load() returns.
+// servable right after Load() returns. It owns what it serves through
+// shared_ptr<const ...> whether the diagram came from a blob or from memory,
+// so a producer (the mutation pipeline) can adopt the served objects
+// without a copy.
 #ifndef SKYDIA_SRC_CORE_QUERY_ENGINE_H_
 #define SKYDIA_SRC_CORE_QUERY_ENGINE_H_
 
@@ -236,24 +239,26 @@ class Servable {
 
 /// A diagram loaded from disk — or wrapped from memory — together with
 /// everything needed to serve it: dataset, diagram, and a ready QueryEngine.
+/// One ownership model for both origins: the dataset and diagram are held
+/// as shared_ptr<const ...>, which pins the addresses the engine's index
+/// references and lets others share them read-only (the publish path wraps
+/// the mutation shadow's objects; the shadow adopts a served snapshot's).
 /// Movable, not copyable.
 class ServableDiagram : public Servable {
  public:
-  /// Loads a serialized cell or subcell diagram (tries cell first, exactly
-  /// like the CLI) and builds the serving index. `cell_semantics` tells the
-  /// engine which exact-answer oracle a cell blob encodes — the file format
-  /// does not record quadrant vs global (kDynamic is inferred from subcell
-  /// blobs and must not be passed here).
+  /// Loads a serialized cell or subcell diagram (LoadDiagram: the blob's
+  /// kind byte decides) and wraps it. `cell_semantics` tells the engine
+  /// which exact-answer oracle a cell blob encodes — the file format does
+  /// not record quadrant vs global (kDynamic is inferred from subcell blobs
+  /// and must not be passed here).
   static StatusOr<ServableDiagram> Load(
       const std::string& path, const QueryEngineOptions& options = {},
       SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant);
 
-  /// Wraps an already-built diagram for serving, without a round trip
-  /// through the serializer. The shared_ptrs pin the dataset/diagram
-  /// addresses the engine's index references and allow sharing structure
-  /// with a live producer (the mutation publish path wraps the shadow
-  /// diagram's snapshots at zero copy cost). `cell_semantics` must be
-  /// kQuadrant or kGlobal, exactly like Load.
+  /// Wraps a diagram for serving and builds the index. Load ends here too;
+  /// in-memory callers skip the serializer round trip (the mutation publish
+  /// path wraps the shadow diagram's snapshots at zero copy cost).
+  /// `cell_semantics` must be kQuadrant or kGlobal, exactly like Load.
   static ServableDiagram Wrap(std::shared_ptr<const Dataset> dataset,
                               std::shared_ptr<const CellDiagram> diagram,
                               SkylineQueryType cell_semantics,
@@ -274,23 +279,29 @@ class ServableDiagram : public Servable {
   SkylineQueryType type() const { return engine_->semantics(); }
 
   /// Underlying diagrams (null for the other kind).
-  const CellDiagram* cell_diagram() const {
-    return cell_ ? &cell_->diagram : shared_cell_.get();
+  const CellDiagram* cell_diagram() const { return cell_.get(); }
+  const SubcellDiagram* subcell_diagram() const { return subcell_.get(); }
+
+  /// The served objects themselves, for a producer that adopts them (the
+  /// mutation pipeline seeds its shadow here). Null for the other kind.
+  const std::shared_ptr<const Dataset>& shared_dataset() const {
+    return dataset_;
   }
-  const SubcellDiagram* subcell_diagram() const {
-    return subcell_ ? &subcell_->diagram : shared_subcell_.get();
+  const std::shared_ptr<const CellDiagram>& shared_cell_diagram() const {
+    return cell_;
+  }
+  const std::shared_ptr<const SubcellDiagram>& shared_subcell_diagram()
+      const {
+    return subcell_;
   }
 
  private:
   ServableDiagram() = default;
 
-  // unique_ptrs pin the addresses the engine's index references (Load);
-  // Wrap pins through the shared_ptrs instead.
-  std::unique_ptr<LoadedCellDiagram> cell_;
-  std::unique_ptr<LoadedSubcellDiagram> subcell_;
-  std::shared_ptr<const Dataset> shared_dataset_;
-  std::shared_ptr<const CellDiagram> shared_cell_;
-  std::shared_ptr<const SubcellDiagram> shared_subcell_;
+  std::shared_ptr<const Dataset> dataset_;
+  std::shared_ptr<const CellDiagram> cell_;
+  std::shared_ptr<const SubcellDiagram> subcell_;
+  // Declared last so it is destroyed first: its index references the above.
   std::unique_ptr<QueryEngine> engine_;
 };
 

@@ -1,8 +1,9 @@
 #include "src/core/serialize.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 #include "src/common/sha256.h"
 
@@ -19,6 +20,7 @@ constexpr uint8_t kVersion1 = 1;
 constexpr uint8_t kVersion2 = 2;
 constexpr uint8_t kKindCell = 1;
 constexpr uint8_t kKindSubcell = 2;
+constexpr size_t kHeaderLen = sizeof(kMagicPrefix) + 1 + 1;  // magic|ver|kind
 
 // --- little-endian emit helpers ---------------------------------------------
 
@@ -150,8 +152,8 @@ StatusOr<Dataset> ReadDataset(Reader* reader) {
 
 // v2 pool block: the interning arena emitted flat — num_sets, then the
 // length-prefixed member buffer in one run, then the {offset, length} record
-// table. Loading is one buffer read plus an index rebuild instead of
-// num_sets separate allocations.
+// table. Loading is one buffer read instead of num_sets separate
+// allocations (AdoptArena defers the dedup index to the first intern).
 void EmitPool(const SkylineSetPool& pool, std::string* out) {
   PutU64(out, pool.size());
   PutU64(out, pool.total_elements());
@@ -184,7 +186,8 @@ Status ValidateSet(std::span<const PointId> ids, size_t num_points) {
 }
 
 // v1 pool section: one length-prefixed id list per set, reproduced via
-// Append. Kept so pre-v2 diagram files stay loadable.
+// Append (set by set, like a builder, so it ends with Freeze). Kept so
+// pre-v2 diagram files stay loadable.
 Status ReadPoolV1(Reader* reader, size_t num_points, SkylineSetPool* pool) {
   uint64_t num_sets = 0;
   if (!reader->ReadU64(&num_sets)) {
@@ -218,6 +221,7 @@ Status ReadPoolV1(Reader* reader, size_t num_points, SkylineSetPool* pool) {
     }
     pool->Append(std::move(ids));
   }
+  pool->Freeze();
   return Status::OK();
 }
 
@@ -278,10 +282,8 @@ Status ReadPoolV2(Reader* reader, size_t num_points, SkylineSetPool* pool) {
 
 Status ReadPool(Reader* reader, uint8_t version, size_t num_points,
                 SkylineSetPool* pool) {
-  Status status = version == kVersion1 ? ReadPoolV1(reader, num_points, pool)
-                                       : ReadPoolV2(reader, num_points, pool);
-  if (status.ok()) pool->Freeze();
-  return status;
+  return version == kVersion1 ? ReadPoolV1(reader, num_points, pool)
+                              : ReadPoolV2(reader, num_points, pool);
 }
 
 Status ReadCells(Reader* reader, uint64_t expected_count, size_t pool_size,
@@ -312,7 +314,6 @@ void AppendChecksum(std::string* out) {
 
 Status CheckEnvelope(const std::string& bytes, uint8_t expected_kind,
                      std::string_view* payload, uint8_t* version) {
-  constexpr size_t kHeaderLen = sizeof(kMagicPrefix) + 1 + 1;  // magic|ver|kind
   if (bytes.size() < kHeaderLen + 32) {
     return Status::Corruption("file too short");
   }
@@ -359,9 +360,16 @@ Status WriteFile(const std::string& path, const std::string& bytes) {
 StatusOr<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  // One read into a buffer sized from the file: streaming a blob of hundreds
+  // of megabytes through a string stream regrows and copies it repeatedly.
+  // A path with no size (a directory) reads as empty and fails the envelope
+  // check as too short.
+  std::error_code error;
+  const uintmax_t size = std::filesystem::file_size(path, error);
+  std::string bytes(error ? 0 : size, '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<size_t>(in.gcount()));
+  return bytes;
 }
 
 }  // namespace
@@ -502,6 +510,23 @@ StatusOr<LoadedSubcellDiagram> LoadSubcellDiagram(const std::string& path,
   StatusOr<std::string> bytes = ReadFile(path);
   if (!bytes.ok()) return bytes.status();
   return ParseSubcellDiagram(*bytes, options);
+}
+
+StatusOr<LoadedDiagram> LoadDiagram(const std::string& path) {
+  StatusOr<std::string> bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  // Dispatch on the kind byte so the body is parsed, and hashed, once.
+  // Anything that is not a subcell envelope goes to the cell parser, whose
+  // envelope check names the corruption (short file, bad magic, ...).
+  if (bytes->size() >= kHeaderLen &&
+      static_cast<uint8_t>((*bytes)[kHeaderLen - 1]) == kKindSubcell) {
+    StatusOr<LoadedSubcellDiagram> subcell = ParseSubcellDiagram(*bytes);
+    if (!subcell.ok()) return subcell.status();
+    return LoadedDiagram(std::move(subcell).value());
+  }
+  StatusOr<LoadedCellDiagram> cell = ParseCellDiagram(*bytes);
+  if (!cell.ok()) return cell.status();
+  return LoadedDiagram(std::move(cell).value());
 }
 
 }  // namespace skydia

@@ -23,6 +23,7 @@
 #define SKYDIA_SRC_CORE_SERIALIZE_H_
 
 #include <string>
+#include <variant>
 
 #include "src/common/status.h"
 #include "src/core/diagram.h"
@@ -42,6 +43,8 @@ struct LoadedSubcellDiagram {
   Dataset dataset;
   SubcellDiagram diagram;
 };
+/// A diagram blob of either kind.
+using LoadedDiagram = std::variant<LoadedCellDiagram, LoadedSubcellDiagram>;
 
 /// Options for the Parse/Load functions.
 struct ParseOptions {
@@ -79,6 +82,13 @@ StatusOr<LoadedSubcellDiagram> ParseSubcellDiagram(
     const std::string& bytes, const ParseOptions& options = {});
 StatusOr<LoadedSubcellDiagram> LoadSubcellDiagram(
     const std::string& path, const ParseOptions& options = {});
+
+/// Loads a blob of either kind: reads the file once and parses it as the
+/// kind its envelope names, so the body is hashed once. The loader for
+/// callers that serve or inspect whatever a file holds. NotFound when the
+/// file cannot be opened; Corruption on malformed/damaged input, exactly
+/// like the per-kind loaders.
+StatusOr<LoadedDiagram> LoadDiagram(const std::string& path);
 
 }  // namespace skydia
 

@@ -36,19 +36,24 @@ Status MutationPipeline::EnsureShadowLocked() {
   }
   IncrementalOptions options;
   options.require_distinct_coordinates = options_.require_distinct;
-  if (snapshot->diagram->subcell_diagram() != nullptr) {
-    auto shadow = IncrementalDynamicDiagram::Create(
-        snapshot->diagram->dataset(), options);
+  // The shadow adopts the served objects: it starts as the very diagram
+  // readers see, with nothing rebuilt or copied. Mutations replace the
+  // shadow's pointers and never write through them, so the snapshot keeps
+  // serving what it served.
+  const ServableDiagram& served = *snapshot->diagram;
+  if (served.subcell_diagram() != nullptr) {
+    auto shadow = IncrementalDynamicDiagram::Adopt(
+        served.shared_dataset(), served.shared_subcell_diagram(), options);
     if (!shadow.ok()) return shadow.status();
     dynamic_ =
         std::make_unique<IncrementalDynamicDiagram>(std::move(*shadow));
   } else {
-    if (snapshot->diagram->type() == SkylineQueryType::kGlobal) {
+    if (served.type() == SkylineQueryType::kGlobal) {
       return Status::InvalidArgument(
           "mutations are not supported for global semantics");
     }
-    auto shadow = IncrementalQuadrantDiagram::Create(
-        snapshot->diagram->dataset(), options);
+    auto shadow = IncrementalQuadrantDiagram::Adopt(
+        served.shared_dataset(), served.shared_cell_diagram(), options);
     if (!shadow.ok()) return shadow.status();
     quadrant_ =
         std::make_unique<IncrementalQuadrantDiagram>(std::move(*shadow));

@@ -2,10 +2,13 @@
 //
 // Mutations ({"cmd":"insert"}, {"cmd":"delete"}) apply synchronously to a
 // private *shadow* diagram — an IncrementalQuadrantDiagram or
-// IncrementalDynamicDiagram seeded lazily from the currently served
-// snapshot — under one mutex, so writers are serialized and each request
-// gets its own success/error reply. Readers never see the shadow: they keep
-// serving the registry's current immutable snapshot.
+// IncrementalDynamicDiagram — under one mutex, so writers are serialized and
+// each request gets its own success/error reply. The first mutation after a
+// start or reload seeds the shadow by adopting the currently served
+// snapshot's dataset and diagram (Incremental*Diagram::Adopt): nothing is
+// rebuilt and nothing is copied, so that first write costs what any other
+// write costs. Readers never see the shadow's later states until a publish:
+// they keep serving the registry's current immutable snapshot.
 //
 // Publishing is what makes a mutation visible, and it is decoupled from
 // applying: the shadow's dataset/diagram are immutable snapshots behind
@@ -170,7 +173,8 @@ class MutationPipeline {
   void Stop() SKYDIA_EXCLUDES(mu_);
 
  private:
-  /// Seeds the shadow from the registry's current snapshot when absent.
+  /// Seeds the shadow when absent by adopting the registry's current
+  /// snapshot (no build, no copy); global snapshots are rejected.
   Status EnsureShadowLocked() SKYDIA_REQUIRES(mu_);
   /// Reset()'s body, for callers already holding the locks.
   void ResetLocked() SKYDIA_REQUIRES(mu_);

@@ -26,13 +26,20 @@ uint64_t SnapshotRegistry::Install(ServableDiagram diagram,
   }
   snapshot->cache = std::make_shared<ResultCache>(cache_options);
   snapshot->source_path = std::move(source_path);
-  MutexLock lock(mu_);
-  snapshot->generation = generation_.load(std::memory_order_relaxed) + 1;
-  // The old snapshot's last reference may be held by an in-flight batch; it
-  // is destroyed whenever that batch finishes, never under this mutex.
-  current_ = std::move(snapshot);
-  generation_.store(current_->generation, std::memory_order_release);
-  return current_->generation;
+  std::shared_ptr<const ServingSnapshot> replaced;
+  uint64_t generation = 0;
+  {
+    MutexLock lock(mu_);
+    generation = generation_.load(std::memory_order_relaxed) + 1;
+    snapshot->generation = generation;
+    replaced = std::exchange(current_, std::move(snapshot));
+    generation_.store(generation, std::memory_order_release);
+  }
+  // Dropped after unlocking. When no in-flight batch still pins the
+  // replaced snapshot, this frees its whole diagram (hundreds of megabytes
+  // for a large blob), which must not hold readers in Current() meanwhile.
+  replaced.reset();
+  return generation;
 }
 
 Status SnapshotRegistry::Reload(const std::string& path,

@@ -70,7 +70,8 @@ class SnapshotRegistry {
   /// Installs an already-loaded diagram as the new current snapshot with a
   /// fresh cache (and, when `sharding.num_shards > 1`, a sharded view built
   /// before the swap so all stripes publish atomically). Returns the new
-  /// generation.
+  /// generation. The replaced snapshot is released after the swap's lock is
+  /// dropped, so freeing it never stalls Current().
   uint64_t Install(ServableDiagram diagram, std::string source_path,
                    const ResultCacheOptions& cache_options = {},
                    const ShardingOptions& sharding = {}) SKYDIA_EXCLUDES(mu_);

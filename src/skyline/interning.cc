@@ -21,6 +21,14 @@ uint64_t HashSpan(std::span<const PointId> ids) {
   return true;
 }
 
+/// Replaces `to` with a copy of `from`, in storage that keeps as much room
+/// again for appends (see SkylineSetPool::AdoptFrom).
+template <typename T>
+void CopyWithRoom(const std::vector<T>& from, std::vector<T>* to) {
+  to->reserve(2 * from.size());
+  to->assign(from.begin(), from.end());
+}
+
 }  // namespace
 
 SkylineSetPool::SkylineSetPool(bool deduplicate) : deduplicate_(deduplicate) {
@@ -46,6 +54,11 @@ SetId SkylineSetPool::PushSet(std::span<const PointId> ids, uint64_t hash) {
     arena_.insert(arena_.end(), ids.begin(), ids.end());
   }
   records_.push_back(SetRecord{offset, static_cast<uint32_t>(ids.size())});
+  IndexSet(id, hash);
+  return id;
+}
+
+void SkylineSetPool::IndexSet(SetId id, uint64_t hash) {
   // Head insertion into the hash chain.
   const auto [it, inserted] = index_.emplace(hash, id);
   if (inserted) {
@@ -54,11 +67,21 @@ SetId SkylineSetPool::PushSet(std::span<const PointId> ids, uint64_t hash) {
     chain_.push_back(it->second);
     it->second = id;
   }
-  return id;
+}
+
+void SkylineSetPool::EnsureIndexed() {
+  if (!index_pending_) return;
+  SKYDIA_TRACE_SPAN("pool.index");
+  index_pending_ = false;
+  chain_.reserve(records_.size());
+  for (SetId id = 0; id < static_cast<SetId>(records_.size()); ++id) {
+    IndexSet(id, HashSpan(Get(id)));
+  }
 }
 
 SetId SkylineSetPool::LookupOrInsert(std::span<const PointId> ids) {
   assert(SortedUnique(ids));
+  EnsureIndexed();
   const uint64_t h = HashSpan(ids);
   if (deduplicate_ || ids.empty()) {
     const auto it = index_.find(h);
@@ -86,6 +109,7 @@ SetId SkylineSetPool::InternCopy(std::span<const PointId> ids) {
 
 SetId SkylineSetPool::Append(std::vector<PointId> ids) {
   assert(SortedUnique(std::span<const PointId>(ids)));
+  EnsureIndexed();
   return PushSet(ids, HashSpan(ids));
 }
 
@@ -98,35 +122,27 @@ void SkylineSetPool::AdoptArena(std::vector<PointId> buffer,
   chain_.clear();
   index_.clear();
   records_.reserve(lengths.size());
-  chain_.reserve(lengths.size());
   uint64_t offset = 0;
-  for (size_t s = 0; s < lengths.size(); ++s) {
-    const auto id = static_cast<SetId>(s);
-    records_.push_back(SetRecord{offset, lengths[s]});
-    offset += lengths[s];
-    const uint64_t h = HashSpan(Get(id));
-    const auto [it, inserted] = index_.emplace(h, id);
-    if (inserted) {
-      chain_.push_back(kNoSet);
-    } else {
-      chain_.push_back(it->second);
-      it->second = id;
-    }
+  for (const uint32_t length : lengths) {
+    records_.push_back(SetRecord{offset, length});
+    offset += length;
   }
   assert(offset == arena_.size());
+  index_pending_ = true;
 }
 
 void SkylineSetPool::AdoptFrom(const SkylineSetPool& base,
                                std::optional<PointId> shift_above) {
   assert(records_.size() == 1 && arena_.empty());
-  records_ = base.records_;
+  CopyWithRoom(base.records_, &records_);
   // No dedup index for the adopted sets: chains stay empty except the empty
   // set, which keeps id 0 findable so kEmptySetId stays canonical.
+  chain_.reserve(2 * records_.size());
   chain_.assign(records_.size(), kNoSet);
   index_.clear();
   index_.emplace(HashSpan({}), kEmptySetId);
   if (!shift_above.has_value()) {
-    arena_ = base.arena_;
+    CopyWithRoom(base.arena_, &arena_);
     return;
   }
   // Deletion renumbering: members above the pivot shift down by one. Sets
@@ -135,7 +151,7 @@ void SkylineSetPool::AdoptFrom(const SkylineSetPool& base,
   // recomputed); shifted they would stop being sorted/unique, so they are
   // emptied in place — ids and record count stay stable, offsets rebuild.
   const PointId pivot = *shift_above;
-  arena_.reserve(base.arena_.size());
+  arena_.reserve(2 * base.arena_.size());
   for (SetId id = 0; id < static_cast<SetId>(records_.size()); ++id) {
     const std::span<const PointId> members = base.Get(id);
     const uint64_t offset = arena_.size();

@@ -20,6 +20,11 @@
 // invalidated by any subsequent Intern/InternCopy/Append that grows the
 // buffer — consume them before interning again, or copy. (Freeze() also
 // reallocates; existing SetIds stay valid, outstanding spans do not.)
+//
+// The dedup index is only paid for where interning happens: a pool that
+// adopts a loaded arena (AdoptArena) hashes its sets on its first
+// Intern/InternCopy/Append, not on load, and a pool that adopts another pool
+// (AdoptFrom) never indexes the sets it adopted.
 #ifndef SKYDIA_SRC_SKYLINE_INTERNING_H_
 #define SKYDIA_SRC_SKYLINE_INTERNING_H_
 
@@ -64,19 +69,24 @@ class SkylineSetPool {
   /// at once: `buffer` holds every set's members back to back, partitioned by
   /// `lengths` (one entry per set; entry 0 must be 0 for the empty set). The
   /// v2 deserialization path uses this to adopt the on-disk arena block
-  /// without per-set copies. Rebuilds the dedup index.
+  /// without per-set copies. The dedup index over the adopted sets is built
+  /// lazily, by the first Intern/InternCopy/Append: a served pool is only
+  /// read, so loading never pays for hashing every set.
   void AdoptArena(std::vector<PointId> buffer,
                   const std::vector<uint32_t>& lengths);
 
   /// Replaces the contents of a freshly constructed pool with a verbatim
   /// copy of `base`: every SetId of `base` stays valid here with identical
-  /// members. Unlike AdoptArena the dedup index is NOT rebuilt (only the
-  /// empty set stays indexed), so later Intern calls deduplicate against
-  /// post-adoption sets only — the incremental mutation path uses this to
-  /// carry a multi-million-set pool across a mutation in one memcpy instead
-  /// of re-hashing every set. When `shift_above` is set, every stored member
-  /// id strictly greater than `*shift_above` is decremented by one (the
-  /// renumbering a point deletion induces), and sets containing
+  /// members. Unlike AdoptArena the adopted sets are never indexed (only the
+  /// empty set is), so later Intern calls deduplicate against post-adoption
+  /// sets only — the incremental mutation path uses this to carry a
+  /// multi-million-set pool across a mutation in one memcpy instead of
+  /// re-hashing every set. The copy lands in storage with as much room
+  /// again reserved, so the interning that follows appends in place (no
+  /// regrowth copy) and the owner need not Freeze(); reserved room that is
+  /// never written stays virtual memory. When `shift_above` is set, every
+  /// stored member id strictly greater than `*shift_above` is decremented
+  /// by one (the renumbering a point deletion induces), and sets containing
   /// `*shift_above` itself — by contract no longer referenced by any cell —
   /// are emptied in place, keeping every record sorted/unique and in range.
   /// An adopted pool may hold duplicate contents (hash-consing resumes only
@@ -111,13 +121,16 @@ class SkylineSetPool {
   uint64_t total_elements() const { return arena_.size(); }
 
   /// Releases growth slack: shrinks the arena and record tables to their
-  /// exact sizes. Call after construction finishes; the pool stays fully
-  /// usable (later Intern calls simply regrow).
+  /// exact sizes. Builders call it once construction finishes; the pool
+  /// stays fully usable (later Intern calls simply regrow). Not for pools
+  /// adopted with AdoptArena/AdoptFrom: they are sized on adoption, and the
+  /// shrink would copy the whole arena once more.
   void Freeze();
 
   /// Heap footprint of the pool in bytes. Exact for the arena, record and
-  /// chain storage (capacities, not sizes); the hash index is estimated from
-  /// node and bucket counts.
+  /// chain storage (capacities, not sizes, so AdoptFrom's reserved room
+  /// counts even where it is not resident); the hash index is estimated
+  /// from node and bucket counts.
   uint64_t ApproximateMemoryBytes() const;
 
  private:
@@ -131,6 +144,12 @@ class SkylineSetPool {
   /// Appends the members to the arena and registers the new set in the index
   /// chain. `ids` may alias the arena itself.
   SetId PushSet(std::span<const PointId> ids, uint64_t hash);
+  /// Indexes every set when AdoptArena left the index to build (no-op
+  /// otherwise). Called before anything reads or extends the index.
+  void EnsureIndexed();
+  /// Registers set `id` at the head of `hash`'s chain and appends its
+  /// chain_ entry (chain_ must hold exactly `id` entries).
+  void IndexSet(SetId id, uint64_t hash);
 
   std::vector<PointId> arena_;     // all members, back to back
   std::vector<SetRecord> records_; // SetId -> slice of arena_
@@ -138,6 +157,9 @@ class SkylineSetPool {
   std::unordered_map<uint64_t, SetId> index_;
   std::vector<SetId> chain_;       // SetId -> next SetId with the same hash
   bool deduplicate_ = true;
+  /// True from AdoptArena until EnsureIndexed runs; index_ and chain_ are
+  /// empty meanwhile.
+  bool index_pending_ = false;
 };
 
 }  // namespace skydia

@@ -3,8 +3,13 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "src/common/sha256.h"
 #include "src/core/diagram.h"
@@ -365,6 +370,88 @@ TEST(SerializeTest, NoDedupPoolSurvives) {
   auto loaded = ParseCellDiagram(SerializeCellDiagram(ds, diagram));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->diagram.SameResults(diagram));
+}
+
+// --- LoadDiagram: one read, dispatched on the kind byte ----------------------
+
+/// Cell and subcell blobs over one small dataset.
+struct BothKinds {
+  Dataset dataset = RandomDataset(10, 16, 17);
+  SkylineDiagram cells = testing::BuildDiagram(
+      dataset, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
+  SkylineDiagram subcells = testing::BuildDiagram(
+      dataset, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
+  std::string cell_bytes = SerializeCellDiagram(dataset, *cells.cell_diagram());
+  std::string subcell_bytes =
+      SerializeSubcellDiagram(dataset, *subcells.subcell_diagram());
+};
+
+StatusOr<LoadedDiagram> LoadBytes(const std::string& bytes) {
+  // One file per process: tests run concurrently as separate processes.
+  const std::string path = ::testing::TempDir() + "/skydia_load_any_" +
+                           std::to_string(::getpid()) + ".skd";
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    SKYDIA_CHECK(file != nullptr);
+    SKYDIA_CHECK_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file),
+                    bytes.size());
+    std::fclose(file);
+  }
+  auto loaded = LoadDiagram(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(SerializeTest, LoadDiagramDispatchesOnTheKindByte) {
+  const BothKinds blobs;
+  auto as_cell = LoadBytes(blobs.cell_bytes);
+  ASSERT_TRUE(as_cell.ok()) << as_cell.status();
+  const auto* cell = std::get_if<LoadedCellDiagram>(&*as_cell);
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->dataset.points(), blobs.dataset.points());
+  EXPECT_TRUE(cell->diagram.SameResults(*blobs.cells.cell_diagram()));
+
+  auto as_subcell = LoadBytes(blobs.subcell_bytes);
+  ASSERT_TRUE(as_subcell.ok()) << as_subcell.status();
+  const auto* subcell = std::get_if<LoadedSubcellDiagram>(&*as_subcell);
+  ASSERT_NE(subcell, nullptr);
+  EXPECT_TRUE(
+      subcell->diagram.SameResults(*blobs.subcells.subcell_diagram()));
+
+  auto missing = LoadDiagram("/no/such/skydia/file.skd");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST(SerializeTest, LoadDiagramRejectsCorruptBlobsOfEitherKind) {
+  // Whichever parser the (possibly damaged) kind byte selects, damage is a
+  // Corruption error.
+  const BothKinds blobs;
+  constexpr size_t kKindPos = 8;  // after the 7-byte magic and the version
+  for (const std::string* valid : {&blobs.cell_bytes, &blobs.subcell_bytes}) {
+    std::vector<std::pair<const char*, std::string>> damaged;
+    damaged.emplace_back("empty", "");
+    damaged.emplace_back("header only", valid->substr(0, kKindPos + 1));
+    damaged.emplace_back("truncated", valid->substr(0, valid->size() - 1));
+    std::string flipped = *valid;
+    flipped[flipped.size() / 2] ^= 0x20;
+    damaged.emplace_back("flipped body byte", flipped);
+    std::string swapped = *valid;
+    swapped[kKindPos] = static_cast<char>(3 - swapped[kKindPos]);
+    damaged.emplace_back("other kind", swapped);
+    Rechecksum(&swapped);
+    damaged.emplace_back("other kind, re-signed", swapped);
+    std::string unknown = *valid;
+    unknown[kKindPos] = 7;
+    Rechecksum(&unknown);
+    damaged.emplace_back("unknown kind, re-signed", unknown);
+    for (const auto& [what, bytes] : damaged) {
+      auto loaded = LoadBytes(bytes);
+      ASSERT_FALSE(loaded.ok()) << what;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+          << what << ": " << loaded.status();
+    }
+  }
 }
 
 }  // namespace

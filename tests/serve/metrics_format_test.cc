@@ -10,12 +10,14 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "src/core/query_engine.h"
 #include "src/serve/snapshot_registry.h"
@@ -222,9 +224,14 @@ std::map<std::string, Family> ParseExposition(
 class MetricsFormatTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string path = ::testing::TempDir() + "/metrics_format.skd";
+    // One file per process: ctest runs each test of this fixture as its own
+    // process, concurrently, and a shared path lets one test read another's
+    // half-written blob.
+    const std::string path = ::testing::TempDir() + "/metrics_format_" +
+                             std::to_string(::getpid()) + ".skd";
     skydia::testing::SaveQuadrantFixture(256, 1 << 10, 7, path);
     auto servable = ServableDiagram::Load(path, QueryEngineOptions{});
+    std::remove(path.c_str());
     ASSERT_TRUE(servable.ok()) << servable.status().ToString();
     snapshot_.diagram = std::make_shared<const ServableDiagram>(
         std::move(servable).value());

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "src/common/version.h"
 #include "src/core/query_engine.h"
@@ -79,10 +81,14 @@ std::map<std::string, double> ParseSamples(const std::string& exposition) {
 class MetricsRenderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string path = ::testing::TempDir() + "/metrics_fixture.skd";
+    // One file per process: each test runs as its own process, concurrently
+    // with its siblings, and must not read a sibling's half-written blob.
+    const std::string path = ::testing::TempDir() + "/metrics_fixture_" +
+                             std::to_string(::getpid()) + ".skd";
     skydia::testing::SaveQuadrantFixture(256, 1 << 10, 99, path);
     QueryEngineOptions options;
     auto servable = ServableDiagram::Load(path, options);
+    std::remove(path.c_str());
     ASSERT_TRUE(servable.ok()) << servable.status().ToString();
     snapshot_.diagram = std::make_shared<const ServableDiagram>(
         std::move(servable).value());

@@ -5,14 +5,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/trace.h"
 #include "src/core/incremental.h"
 #include "src/core/incremental_dynamic.h"
 #include "src/core/query_engine.h"
+#include "src/core/serialize.h"
 #include "src/serve/metrics.h"
 #include "src/serve/protocol.h"
 #include "src/serve/snapshot_registry.h"
@@ -385,6 +389,119 @@ TEST(MutationPipelineTest, DynamicFamilyMutatesAndKeepsSubcellShape) {
               AsSorted(std::vector<PointId>(expect.begin(), expect.end())))
         << "q=(" << q.x << "," << q.y << ")";
   }
+}
+
+/// Saves the `type` diagram of `dataset` where the registry can load it.
+void SaveBlob(const Dataset& dataset, SkylineQueryType type,
+              const std::string& path) {
+  const SkylineDiagram built = BuildDiagram(dataset, type);
+  const Status saved =
+      built.cell_diagram() != nullptr
+          ? SaveCellDiagram(dataset, *built.cell_diagram(), path)
+          : SaveSubcellDiagram(dataset, *built.subcell_diagram(), path);
+  SKYDIA_CHECK(saved.ok());
+}
+
+/// Spans called `name` recorded since the last trace::Reset().
+size_t CountSpans(const char* name) {
+  size_t count = 0;
+  for (const trace::ThreadTrack& track : trace::Collect().threads) {
+    for (const trace::TraceEvent& event : track.events) {
+      if (event.kind == trace::TraceEvent::Kind::kSpan &&
+          std::strcmp(event.name, name) == 0) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
+/// Served answers (exact: ServedSkyline falls back to the oracle on
+/// bisector lines) against the `type` oracle over `points`.
+void ExpectServedMatchesOracle(const SnapshotRegistry& registry,
+                               SkylineQueryType type,
+                               const std::vector<Point2D>& points) {
+  auto oracle_ds = Dataset::Create(points, 1024);
+  ASSERT_TRUE(oracle_ds.ok());
+  for (const Point2D q : {Point2D{1, 3}, Point2D{301, 517}, Point2D{765, 9}}) {
+    EXPECT_EQ(ServedSkyline(registry, q),
+              AsSorted(type == SkylineQueryType::kQuadrant
+                           ? FirstQuadrantSkyline(*oracle_ds, q)
+                           : DynamicSkyline(*oracle_ds, q)))
+        << "q=(" << q.x << "," << q.y << ")";
+  }
+}
+
+TEST(MutationPipelineTest, FirstWriteAdoptsTheServedDiagramWithoutABuild) {
+  // The shadow adopts what the registry serves — a blob loaded from disk —
+  // so the first insert after an install, and after a reload, runs no
+  // builder: both scanning constructions record a scan.row span per row.
+  for (const SkylineQueryType type :
+       {SkylineQueryType::kQuadrant, SkylineQueryType::kDynamic}) {
+    SCOPED_TRACE(SkylineQueryTypeName(type));
+    const std::string path = ::testing::TempDir() + "/adopt_" +
+                             SkylineQueryTypeName(type) + ".skd";
+    const Dataset first = RandomDistinctDataset(20, 1024, /*seed=*/31);
+    SaveBlob(first, type, path);
+    SnapshotRegistry registry;
+    ServerMetrics metrics;
+    ASSERT_TRUE(registry
+                    .Reload(path, QueryEngineOptions{},
+                            SkylineQueryType::kQuadrant)
+                    .ok());
+    MutationPipeline pipeline(&registry, &metrics, {});
+
+    trace::SetEnabled(true);
+    trace::Reset();
+    ASSERT_TRUE(pipeline.Insert({1000, 1001}, std::nullopt).ok());
+    EXPECT_EQ(CountSpans("scan.row"), 0u);
+    EXPECT_EQ(CountSpans("mutation.apply"), 1u);  // tracing was live
+    std::vector<Point2D> points = first.points();
+    points.push_back({1000, 1001});
+    ExpectServedMatchesOracle(registry, type, points);
+
+    // A reload drops the shadow; the next insert adopts the reloaded blob.
+    const Dataset second = RandomDistinctDataset(24, 1024, /*seed=*/32);
+    SaveBlob(second, type, path);
+    ASSERT_TRUE(pipeline
+                    .ReloadAndReset([&] {
+                      return registry.Reload(path, QueryEngineOptions{},
+                                             SkylineQueryType::kQuadrant);
+                    })
+                    .ok());
+    trace::Reset();
+    ASSERT_TRUE(pipeline.Insert({1002, 1003}, std::nullopt).ok());
+    ASSERT_TRUE(pipeline.Delete(0).ok());
+    EXPECT_EQ(CountSpans("scan.row"), 0u);
+    EXPECT_EQ(CountSpans("mutation.apply"), 2u);
+    points = second.points();
+    points.push_back({1002, 1003});
+    points.erase(points.begin());
+    ExpectServedMatchesOracle(registry, type, points);
+    trace::SetEnabled(false);
+    trace::Reset();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(MutationPipelineTest, LoadedGlobalBlobStillRejectsMutations) {
+  // A cell blob served with global semantics is not adoptable: global
+  // results shift everywhere under a mutation.
+  const std::string path = ::testing::TempDir() + "/adopt_global.skd";
+  SaveBlob(RandomDistinctDataset(16, 1024, /*seed=*/33),
+           SkylineQueryType::kGlobal, path);
+  SnapshotRegistry registry;
+  ServerMetrics metrics;
+  ASSERT_TRUE(
+      registry.Reload(path, QueryEngineOptions{}, SkylineQueryType::kGlobal)
+          .ok());
+  MutationPipeline pipeline(&registry, &metrics, {});
+  auto rejected = pipeline.Insert({3, 3}, std::nullopt);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(pipeline.DebugState().shadow_seeded);
+  EXPECT_EQ(registry.generation(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(MutationPipelineTest, ReadersPinnedAcrossPublishKeepTheirSnapshot) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "src/core/query_engine.h"
 #include "tests/serve/serve_test_util.h"
@@ -10,6 +14,8 @@
 namespace skydia::serve {
 namespace {
 
+using skydia::testing::BuildDiagram;
+using skydia::testing::RandomDataset;
 using skydia::testing::SaveQuadrantFixture;
 
 std::string FixturePath(const char* name) {
@@ -106,6 +112,54 @@ TEST(SnapshotRegistryTest, FreshCachePerSnapshot) {
           .ok());
   std::string value;
   EXPECT_FALSE(registry.Current()->cache->Lookup(1, &value));
+}
+
+TEST(SnapshotRegistryTest, ReplacedSnapshotIsFreedOutsideTheLock) {
+  // The first install's dataset carries a deleter that runs when the
+  // snapshot is freed. It asks another thread to call Current() and waits
+  // for that call: under the registry lock the reader would block until
+  // the deleter returned, so the wait would time out.
+  SnapshotRegistry registry;
+  const auto built = std::make_shared<SkylineDiagram>(BuildDiagram(
+      RandomDataset(16, 256, /*seed=*/3), SkylineQueryType::kQuadrant));
+  std::promise<void> reader_returned;
+  bool deleter_ran = false;
+  bool reader_was_free = false;
+  std::thread reader;
+  const auto free_dataset = [&](const Dataset* dataset) {
+    reader = std::thread([&] {
+      (void)registry.Current();
+      reader_returned.set_value();
+    });
+    reader_was_free =
+        reader_returned.get_future().wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready;
+    deleter_ran = true;
+    delete dataset;
+  };
+  auto copy = Dataset::Create(built->dataset().points(),
+                              built->dataset().domain_size());
+  ASSERT_TRUE(copy.ok());
+  registry.Install(
+      ServableDiagram::Wrap(
+          std::shared_ptr<const Dataset>(new Dataset(std::move(copy).value()),
+                                         free_dataset),
+          std::shared_ptr<const CellDiagram>(built, built->cell_diagram()),
+          SkylineQueryType::kQuadrant),
+      "mem://first");
+  EXPECT_FALSE(deleter_ran);
+
+  const std::string path = FixturePath("registry_free_outside_lock.skd");
+  SaveQuadrantFixture(16, 256, /*seed=*/4, path);
+  ASSERT_TRUE(registry
+                  .Reload(path, QueryEngineOptions{},
+                          SkylineQueryType::kQuadrant)
+                  .ok());
+  ASSERT_TRUE(deleter_ran);
+  EXPECT_TRUE(reader_was_free)
+      << "Current() blocked while the replaced snapshot was freed";
+  reader.join();
+  EXPECT_EQ(registry.generation(), 2u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace skydia {
 namespace {
 
@@ -149,6 +151,69 @@ TEST(InterningTest, AdoptArenaRebuildsPool) {
   EXPECT_EQ(pool.total_elements(), 3u);
   // The rebuilt index dedups future interns against adopted content.
   EXPECT_EQ(pool.Intern({9}), 2u);
+}
+
+TEST(InterningTest, AdoptArenaIndexesOnFirstIntern) {
+  SkylineSetPool pool;
+  // {}, {1, 3}, {5}, {1, 3}: a loaded pool may hold duplicate contents.
+  pool.AdoptArena({1, 3, 5, 1, 3}, {0, 2, 1, 2});
+  // Loading hashes nothing: the pool costs its arena and records alone.
+  const uint64_t loaded_bytes = pool.ApproximateMemoryBytes();
+  // The first intern indexes every loaded set and dedups against them; of
+  // two equal loaded sets it finds one of them.
+  const SetId found = pool.InternCopy(std::vector<PointId>{1, 3});
+  EXPECT_TRUE(found == 1u || found == 3u) << found;
+  EXPECT_GT(pool.ApproximateMemoryBytes(), loaded_bytes);
+  EXPECT_EQ(pool.Intern({5}), 2u);
+  EXPECT_EQ(pool.Intern({}), kEmptySetId);
+  EXPECT_EQ(pool.size(), 4u);
+  // New sets index too, and are found again.
+  const SetId fresh = pool.Intern({2, 7});
+  EXPECT_EQ(fresh, 4u);
+  EXPECT_EQ(pool.Intern({2, 7}), fresh);
+}
+
+TEST(InterningTest, AdoptFromNeverIndexesAdoptedSets) {
+  SkylineSetPool base;
+  const SetId a = base.Intern({1, 2});
+  const SetId b = base.Intern({4});
+  SkylineSetPool pool;
+  pool.AdoptFrom(base);
+  ASSERT_EQ(pool.size(), base.size());
+  const auto adopted = pool.Get(a);
+  EXPECT_EQ(std::vector<PointId>(adopted.begin(), adopted.end()),
+            (std::vector<PointId>{1, 2}));
+  // Interning an adopted set's contents stores a new copy instead of
+  // finding the adopted one, on the first intern and every later one ...
+  const SetId copy = pool.Intern({1, 2});
+  EXPECT_NE(copy, a);
+  EXPECT_EQ(copy, base.size());
+  EXPECT_NE(pool.Intern({4}), b);
+  // ... while sets interned after the adoption dedup as usual, and the
+  // empty set stays canonical.
+  EXPECT_EQ(pool.Intern({1, 2}), copy);
+  EXPECT_EQ(pool.Intern({}), kEmptySetId);
+  EXPECT_EQ(pool.size(), base.size() + 2);
+}
+
+TEST(InterningTest, AdoptFromShiftRenumbersAndEmptiesPivotSets) {
+  SkylineSetPool base;
+  const SetId low = base.Intern({0, 1});
+  const SetId high = base.Intern({1, 5, 9});
+  const SetId pivot = base.Intern({3, 5});
+  SkylineSetPool pool;
+  pool.AdoptFrom(base, /*shift_above=*/3);
+  const auto get = [&](SetId id) {
+    const auto span = pool.Get(id);
+    return std::vector<PointId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(get(low), (std::vector<PointId>{0, 1}));
+  EXPECT_EQ(get(high), (std::vector<PointId>{1, 4, 8}));
+  EXPECT_TRUE(get(pivot).empty());
+  // Appending after the adopting copy keeps earlier sets intact.
+  const SetId added = pool.Intern({2, 6});
+  EXPECT_EQ(get(added), (std::vector<PointId>{2, 6}));
+  EXPECT_EQ(get(high), (std::vector<PointId>{1, 4, 8}));
 }
 
 }  // namespace

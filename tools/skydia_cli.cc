@@ -27,6 +27,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/csv.h"
@@ -248,18 +249,20 @@ int CmdBuild(const Flags& flags) {
   return FinishTrace(trace_path);
 }
 
-// Tries the cell format first, then the subcell format.
-int WithLoadedDiagram(const Flags& flags,
+// Loads the blob at `path` (either kind) and runs the matching callback.
+int WithLoadedDiagram(const std::string& path,
                       const std::function<int(const LoadedCellDiagram*)>& cell,
                       const std::function<int(const LoadedSubcellDiagram*)>&
                           subcell) {
-  const std::string path = flags.GetString("diagram");
   if (path.empty()) return Fail("--diagram is required");
-  auto as_cell = LoadCellDiagram(path);
-  if (as_cell.ok()) return cell(&*as_cell);
-  auto as_subcell = LoadSubcellDiagram(path);
-  if (as_subcell.ok()) return subcell(&*as_subcell);
-  return Fail("cannot load " + path + ": " + as_cell.status().ToString());
+  auto loaded = LoadDiagram(path);
+  if (!loaded.ok()) {
+    return Fail("cannot load " + path + ": " + loaded.status().ToString());
+  }
+  if (const auto* as_cell = std::get_if<LoadedCellDiagram>(&*loaded)) {
+    return cell(as_cell);
+  }
+  return subcell(&std::get<LoadedSubcellDiagram>(*loaded));
 }
 
 // Loads query points from a CSV with a header row naming columns `x_column`
@@ -455,7 +458,7 @@ int CmdQuery(const Flags& flags,
 
 int CmdStats(const Flags& flags) {
   return WithLoadedDiagram(
-      flags,
+      flags.GetString("diagram"),
       [&](const LoadedCellDiagram* loaded) {
         const auto stats = loaded->diagram.ComputeStats();
         const MergedPolyominoes merged = MergeCells(loaded->diagram);
@@ -499,34 +502,34 @@ int CmdCheck(const Flags& flags, const std::string& positional_path) {
   validate.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   validate.require_canonical_pool = !flags.GetBool("allow-duplicate-sets");
 
-  auto as_cell = LoadCellDiagram(path);
-  if (as_cell.ok()) {
-    if (Status s = ValidateDiagram(as_cell->dataset, as_cell->diagram, validate);
-        !s.ok()) {
-      return Fail(path + ": " + s.ToString());
-    }
-    std::cout << "ok: cell diagram, " << as_cell->dataset.size()
-              << " points, " << as_cell->diagram.grid().num_cells()
-              << " cells, " << as_cell->diagram.pool().size()
-              << " result sets, " << validate.sample_queries
-              << " sampled queries verified\n";
-    return 0;
-  }
-  auto as_subcell = LoadSubcellDiagram(path);
-  if (as_subcell.ok()) {
-    if (Status s =
-            ValidateDiagram(as_subcell->dataset, as_subcell->diagram, validate);
-        !s.ok()) {
-      return Fail(path + ": " + s.ToString());
-    }
-    std::cout << "ok: subcell diagram, " << as_subcell->dataset.size()
-              << " points, " << as_subcell->diagram.grid().num_subcells()
-              << " subcells, " << as_subcell->diagram.pool().size()
-              << " result sets, " << validate.sample_queries
-              << " sampled queries verified\n";
-    return 0;
-  }
-  return Fail("cannot load " + path + ": " + as_cell.status().ToString());
+  return WithLoadedDiagram(
+      path,
+      [&](const LoadedCellDiagram* loaded) {
+        if (Status s =
+                ValidateDiagram(loaded->dataset, loaded->diagram, validate);
+            !s.ok()) {
+          return Fail(path + ": " + s.ToString());
+        }
+        std::cout << "ok: cell diagram, " << loaded->dataset.size()
+                  << " points, " << loaded->diagram.grid().num_cells()
+                  << " cells, " << loaded->diagram.pool().size()
+                  << " result sets, " << validate.sample_queries
+                  << " sampled queries verified\n";
+        return 0;
+      },
+      [&](const LoadedSubcellDiagram* loaded) {
+        if (Status s =
+                ValidateDiagram(loaded->dataset, loaded->diagram, validate);
+            !s.ok()) {
+          return Fail(path + ": " + s.ToString());
+        }
+        std::cout << "ok: subcell diagram, " << loaded->dataset.size()
+                  << " points, " << loaded->diagram.grid().num_subcells()
+                  << " subcells, " << loaded->diagram.pool().size()
+                  << " result sets, " << validate.sample_queries
+                  << " sampled queries verified\n";
+        return 0;
+      });
 }
 
 int CmdRender(const Flags& flags) {
@@ -535,7 +538,7 @@ int CmdRender(const Flags& flags) {
   SvgOptions svg;
   svg.draw_labels = flags.GetBool("labels");
   return WithLoadedDiagram(
-      flags,
+      flags.GetString("diagram"),
       [&](const LoadedCellDiagram* loaded) {
         const Status s = WriteSvgFile(
             out, RenderCellDiagramSvg(loaded->dataset, loaded->diagram, svg));
