@@ -1,6 +1,13 @@
 #include "src/common/sha256.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace skydia {
 
@@ -21,9 +28,164 @@ constexpr uint32_t kRoundConstants[64] = {
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if defined(__x86_64__)
+
+// The kernel needs the SHA extensions (leaf 7, EBX bit 29) and, for the
+// byte shuffles and blends around them, SSSE3 and SSE4.1 (leaf 1, ECX).
+bool DetectShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse = (ecx & bit_SSSE3) != 0 && (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return sse && (ebx & bit_SHA) != 0;
+}
+
+#else
+
+bool DetectShaNi() { return false; }
+
+#endif
+
 }  // namespace
 
-Sha256::Sha256() {
+namespace internal {
+
+void Sha256BlocksPortable(uint32_t* state, const uint8_t* blocks,
+                          size_t num_blocks) {
+  for (; num_blocks > 0; --num_blocks, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (uint32_t{blocks[4 * i]} << 24) |
+             (uint32_t{blocks[4 * i + 1]} << 16) |
+             (uint32_t{blocks[4 * i + 2]} << 8) | uint32_t{blocks[4 * i + 3]};
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+// The SHA-NI kernel (Intel SHA extensions). The state lives in two
+// registers as {A,B,E,F} and {C,D,G,H}; each _mm_sha256rnds2_epu32 runs two
+// rounds, so one four-round group is two of them with the schedule words
+// plus round constants. msg[g & 3] holds W[4g..4g+3]: groups 0-3 load them
+// from the block, later groups have them completed by sha256msg1 (the
+// sigma0 half, three groups ahead) and sha256msg2 (the sigma1 half, one
+// group ahead). The 16 groups unroll, so the ring of four message registers
+// stays in registers. Loads and stores are unaligned throughout.
+__attribute__((target("sha,sse4.1,ssse3"))) void Sha256BlocksShaNi(
+    uint32_t* state, const uint8_t* blocks, size_t num_blocks) {
+  // Byte order: each 32-bit lane of a block is big-endian.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // state a..h -> {A,B,E,F} and {C,D,G,H}; lanes are named high to low.
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);        // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);  // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);       // CDGH
+
+  for (; num_blocks > 0; --num_blocks, blocks += 64) {
+    const __m128i abef_save = state0;
+    const __m128i cdgh_save = state1;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (size_t g = 0; g < 16; ++g) {
+      __m128i& cur = msg[g & 3];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+            byte_swap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                   kRoundConstants + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      if (g >= 3 && g < 15) {
+        // W[4g+4..4g+7]: add the W[t-7] terms, then the sigma1 half.
+        __m128i& next = msg[(g + 1) & 3];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, msg[(g + 3) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+      if (g >= 1 && g < 13) {
+        // The sigma0 half of W[4g+12..4g+15], in the group-(g-1) register.
+        __m128i& ahead = msg[(g + 3) & 3];
+        ahead = _mm_sha256msg1_epu32(ahead, cur);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef_save);
+    state1 = _mm_add_epi32(state1, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+#else
+
+void Sha256BlocksShaNi(uint32_t*, const uint8_t*, size_t) { std::abort(); }
+
+#endif
+
+bool Sha256ShaNiSupported() {
+  static const bool supported = DetectShaNi();
+  return supported;
+}
+
+const char* Sha256KernelName() {
+  return Sha256ShaNiSupported() ? "sha-ni" : "portable";
+}
+
+}  // namespace internal
+
+Sha256::Sha256()
+    : Sha256(internal::Sha256ShaNiSupported()
+                 ? internal::Sha256BlocksShaNi
+                 : internal::Sha256BlocksPortable) {}
+
+Sha256::Sha256(internal::Sha256BlockFn blocks) : blocks_(blocks) {
   state_[0] = 0x6a09e667;
   state_[1] = 0xbb67ae85;
   state_[2] = 0x3c6ef372;
@@ -34,83 +196,46 @@ Sha256::Sha256() {
   state_[7] = 0x5be0cd19;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (uint32_t{block[4 * i]} << 24) | (uint32_t{block[4 * i + 1]} << 16) |
-           (uint32_t{block[4 * i + 2]} << 8) | uint32_t{block[4 * i + 3]};
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const void* data, size_t len) {
+  if (len == 0) return;
   const auto* bytes = static_cast<const uint8_t*>(data);
   total_len_ += len;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= 64) {
-      ProcessBlock(bytes);
-      bytes += 64;
-      len -= 64;
-      continue;
-    }
+  if (buffer_len_ > 0) {
     const size_t take = std::min<size_t>(len, 64 - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, bytes, take);
     buffer_len_ += take;
     bytes += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    blocks_(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
+  // Every whole block goes to the kernel in one call.
+  const size_t whole = len / 64;
+  if (whole > 0) {
+    blocks_(state_, bytes, whole);
+    bytes += 64 * whole;
+    len -= 64 * whole;
+  }
+  std::memcpy(buffer_, bytes, len);
+  buffer_len_ = len;
 }
 
 Sha256Digest Sha256::Finish() {
+  // Padding: 0x80, zeros to 56 mod 64, then the message length in bits,
+  // big-endian.
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad_byte = 0x80;
-  Update(&pad_byte, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    blocks_(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  // Bypass total_len_ bookkeeping for the length suffix: length was captured
-  // above before padding started.
-  std::memcpy(buffer_ + buffer_len_, len_bytes, 8);
-  buffer_len_ += 8;
-  ProcessBlock(buffer_);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  blocks_(state_, buffer_, 1);
   buffer_len_ = 0;
 
   Sha256Digest digest;

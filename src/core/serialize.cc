@@ -1,8 +1,11 @@
 #include "src/core/serialize.h"
 
+#include <bit>
+#include <cassert>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <system_error>
 
 #include "src/common/sha256.h"
@@ -24,14 +27,33 @@ constexpr size_t kHeaderLen = sizeof(kMagicPrefix) + 1 + 1;  // magic|ver|kind
 
 // --- little-endian emit helpers ---------------------------------------------
 
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
+void PutU8(std::string* out, uint8_t v) {
+  out->push_back(static_cast<char>(v));
+}
 
 void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out->append(bytes, sizeof(bytes));
 }
 
 void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out->append(bytes, sizeof(bytes));
+}
+
+// Appends `words` as little-endian u32s: one memcpy-append on a
+// little-endian host, a byte swap per word elsewhere. With
+// Reader::ReadU32Array, the codec's one path for the u32 arrays (set
+// members, cell tables) that make up nearly all of a blob.
+void PutU32Array(std::string* out, std::span<const uint32_t> words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    out->append(reinterpret_cast<const char*>(words.data()),
+                words.size_bytes());
+  } else {
+    for (const uint32_t word : words) PutU32(out, word);
+  }
 }
 
 void PutI64(std::string* out, int64_t v) {
@@ -69,6 +91,20 @@ class Reader {
     uint64_t u;
     if (!ReadU64(&u)) return false;
     *v = static_cast<int64_t>(u);
+    return true;
+  }
+  // Reads `out.size()` little-endian u32s with one bounds check: a memcpy on
+  // a little-endian host, a byte swap per word elsewhere.
+  bool ReadU32Array(std::span<uint32_t> out) {
+    if (remaining() / sizeof(uint32_t) < out.size()) return false;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty()) {
+        std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());
+      }
+      pos_ += out.size_bytes();
+    } else {
+      for (uint32_t& word : out) ReadU32(&word);  // in bounds: checked above
+    }
     return true;
   }
   bool ReadString(std::string* out, size_t len) {
@@ -157,9 +193,7 @@ StatusOr<Dataset> ReadDataset(Reader* reader) {
 void EmitPool(const SkylineSetPool& pool, std::string* out) {
   PutU64(out, pool.size());
   PutU64(out, pool.total_elements());
-  for (SetId id = 0; id < pool.size(); ++id) {
-    for (PointId pid : pool.Get(id)) PutU32(out, pid);
-  }
+  for (SetId id = 0; id < pool.size(); ++id) PutU32Array(out, pool.Get(id));
   uint64_t offset = 0;
   for (SetId id = 0; id < pool.size(); ++id) {
     const auto set = pool.Get(id);
@@ -245,10 +279,8 @@ Status ReadPoolV2(Reader* reader, size_t num_points, SkylineSetPool* pool) {
     return Status::Corruption("pool offset table larger than the payload");
   }
   std::vector<PointId> buffer(buffer_len);
-  for (uint64_t i = 0; i < buffer_len; ++i) {
-    if (!reader->ReadU32(&buffer[i])) {
-      return Status::Corruption("truncated pool arena");
-    }
+  if (!reader->ReadU32Array(buffer)) {
+    return Status::Corruption("truncated pool arena");
   }
   std::vector<uint32_t> lengths(num_sets);
   uint64_t expected_offset = 0;
@@ -296,11 +328,11 @@ Status ReadCells(Reader* reader, uint64_t expected_count, size_t pool_size,
     return Status::Corruption("cell count does not match the grid shape");
   }
   out->resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!reader->ReadU32(&(*out)[i])) {
-      return Status::Corruption("truncated cell table");
-    }
-    if ((*out)[i] >= pool_size) {
+  if (!reader->ReadU32Array(*out)) {
+    return Status::Corruption("truncated cell table");
+  }
+  for (const SetId id : *out) {
+    if (id >= pool_size) {
       return Status::Corruption("cell references unknown result set");
     }
   }
@@ -342,10 +374,40 @@ Status CheckEnvelope(const std::string& bytes, uint8_t expected_kind,
   return Status::OK();
 }
 
-std::string EnvelopeHeader(uint8_t kind) {
-  std::string out(kMagicPrefix, sizeof(kMagicPrefix));
+// The exact size of the v2 blob SerializeBlob writes, so it allocates once.
+size_t BlobSize(const Dataset& dataset, const SkylineSetPool& pool,
+                size_t num_cells) {
+  size_t size = kHeaderLen;
+  size += 2 * sizeof(uint64_t) + dataset.size() * 2 * sizeof(int64_t) + 1;
+  if (dataset.has_labels()) {
+    for (PointId id = 0; id < dataset.size(); ++id) {
+      size += sizeof(uint32_t) + dataset.label(id).size();
+    }
+  }
+  size += 2 * sizeof(uint64_t) + pool.total_elements() * sizeof(PointId) +
+          pool.size() * (sizeof(uint64_t) + sizeof(uint32_t));
+  size += sizeof(uint64_t) + num_cells * sizeof(SetId);
+  return size + sizeof(Sha256Digest);
+}
+
+// A whole v2 blob: envelope, dataset, pool, the row-major cell table, and
+// the checksum footer. Cell and subcell blobs differ only in the kind byte
+// and in whose table they carry.
+std::string SerializeBlob(uint8_t kind, const Dataset& dataset,
+                          const SkylineSetPool& pool,
+                          std::span<const SetId> cells) {
+  const size_t size = BlobSize(dataset, pool, cells.size());
+  std::string out;
+  out.reserve(size);
+  out.append(kMagicPrefix, sizeof(kMagicPrefix));
   out.push_back('2');
   PutU8(&out, kind);
+  EmitDataset(dataset, &out);
+  EmitPool(pool, &out);
+  PutU64(&out, cells.size());
+  PutU32Array(&out, cells);
+  AppendChecksum(&out);
+  assert(out.size() == size);
   return out;
 }
 
@@ -353,6 +415,9 @@ Status WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("cannot open for writing: " + path);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // Bytes still buffered are flushed by the close; a failure there (a full
+  // disk) must fail the save too.
+  out.close();
   if (!out) return Status::Internal("short write: " + path);
   return Status::OK();
 }
@@ -376,18 +441,8 @@ StatusOr<std::string> ReadFile(const std::string& path) {
 
 std::string SerializeCellDiagram(const Dataset& dataset,
                                  const CellDiagram& diagram) {
-  std::string out = EnvelopeHeader(kKindCell);
-  EmitDataset(dataset, &out);
-  EmitPool(diagram.pool(), &out);
-  const CellGrid& grid = diagram.grid();
-  PutU64(&out, grid.num_cells());
-  for (uint32_t cy = 0; cy < grid.num_rows(); ++cy) {
-    for (uint32_t cx = 0; cx < grid.num_columns(); ++cx) {
-      PutU32(&out, diagram.cell_set(cx, cy));
-    }
-  }
-  AppendChecksum(&out);
-  return out;
+  return SerializeBlob(kKindCell, dataset, diagram.pool(),
+                       diagram.cell_table());
 }
 
 Status SaveCellDiagram(const Dataset& dataset, const CellDiagram& diagram,
@@ -444,18 +499,8 @@ StatusOr<LoadedCellDiagram> LoadCellDiagram(const std::string& path,
 
 std::string SerializeSubcellDiagram(const Dataset& dataset,
                                     const SubcellDiagram& diagram) {
-  std::string out = EnvelopeHeader(kKindSubcell);
-  EmitDataset(dataset, &out);
-  EmitPool(diagram.pool(), &out);
-  const SubcellGrid& grid = diagram.grid();
-  PutU64(&out, grid.num_subcells());
-  for (uint32_t sy = 0; sy < grid.num_rows(); ++sy) {
-    for (uint32_t sx = 0; sx < grid.num_columns(); ++sx) {
-      PutU32(&out, diagram.subcell_set(sx, sy));
-    }
-  }
-  AppendChecksum(&out);
-  return out;
+  return SerializeBlob(kKindSubcell, dataset, diagram.pool(),
+                       diagram.cell_table());
 }
 
 Status SaveSubcellDiagram(const Dataset& dataset,

@@ -19,6 +19,16 @@
 // contents, in-range ids, canonical arena layout, grid shape) and the
 // checksum, returning Status::Corruption on any mismatch — see
 // tests/core/serialize_test.cc for the failure-injection matrix.
+//
+// The codec moves the u32 arrays that are nearly all of a blob (the set
+// members and the cell table) in bulk: the writer sizes the blob once and
+// appends each array in one copy, the reader copies each out in one
+// bounds-checked read and then validates it. On a little-endian host each
+// copy is a memcpy; a big-endian host swaps each word, so the bytes are the
+// same everywhere. The hashing runs at memory speed too (see
+// src/common/sha256.h). None of this changes the format: the frozen v1 and
+// v2 fixtures (tests/core/serialize_v{1,2}_fixture.inc) pin the bytes, and
+// the writer must reproduce the v2 ones exactly.
 #ifndef SKYDIA_SRC_CORE_SERIALIZE_H_
 #define SKYDIA_SRC_CORE_SERIALIZE_H_
 

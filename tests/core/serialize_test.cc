@@ -86,6 +86,23 @@ TEST(SerializeTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeTest, SaveReportsAFailedFlush) {
+  // /dev/full accepts the open and fails every write. A blob small enough
+  // to sit in the stream buffer until the close must fail the save too.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const Dataset ds = RandomDataset(2, 8, 17);
+  const SkylineDiagram cell = testing::BuildDiagram(
+      ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
+  const Status cell_saved =
+      SaveCellDiagram(ds, *cell.cell_diagram(), "/dev/full");
+  EXPECT_EQ(cell_saved.code(), StatusCode::kInternal) << cell_saved;
+  const SkylineDiagram subcell = testing::BuildDiagram(
+      ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
+  const Status subcell_saved =
+      SaveSubcellDiagram(ds, *subcell.subcell_diagram(), "/dev/full");
+  EXPECT_EQ(subcell_saved.code(), StatusCode::kInternal) << subcell_saved;
+}
+
 TEST(SerializeTest, MissingFileIsNotFound) {
   auto loaded = LoadCellDiagram("/no/such/skydia/file.skd");
   ASSERT_FALSE(loaded.ok());
@@ -310,6 +327,60 @@ TEST(SerializeTest, V1RoundTripsThroughV2) {
   auto reloaded = ParseCellDiagram(v2);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
   EXPECT_TRUE(reloaded->diagram.SameResults(loaded->diagram));
+}
+
+// The v2 bytes themselves are frozen: the round-trip tests compare the
+// writer only against the reader, so a codec change that altered both the
+// same way (word order, the offset-table layout) would pass them.
+
+#include "tests/core/serialize_v2_fixture.inc"
+
+Dataset LabelledFixtureDataset() {
+  const Dataset plain = RandomDataset(10, 16, 11);
+  std::vector<std::string> labels;
+  for (PointId id = 0; id < plain.size(); ++id) {
+    labels.push_back("p" + std::to_string(id + 1));
+  }
+  auto labelled =
+      Dataset::Create(plain.points(), plain.domain_size(), std::move(labels));
+  SKYDIA_CHECK(labelled.ok());
+  return std::move(labelled).value();
+}
+
+TEST(SerializeTest, V2CellFixtureLoads) {
+  auto loaded = ParseCellDiagram(std::string(kV2CellBlob, kV2CellBlob_len));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Dataset ds = LabelledFixtureDataset();
+  EXPECT_EQ(loaded->dataset.points(), ds.points());
+  ASSERT_TRUE(loaded->dataset.has_labels());
+  EXPECT_EQ(loaded->dataset.label(9), "p10");
+  const SkylineDiagram rebuilt = testing::BuildDiagram(
+      ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
+  EXPECT_TRUE(loaded->diagram.SameResults(*rebuilt.cell_diagram()));
+}
+
+TEST(SerializeTest, V2SubcellFixtureLoads) {
+  auto loaded =
+      ParseSubcellDiagram(std::string(kV2SubcellBlob, kV2SubcellBlob_len));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Dataset ds = RandomDataset(8, 12, 13);
+  EXPECT_EQ(loaded->dataset.points(), ds.points());
+  const SkylineDiagram rebuilt = testing::BuildDiagram(
+      ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
+  EXPECT_TRUE(loaded->diagram.SameResults(*rebuilt.subcell_diagram()));
+}
+
+TEST(SerializeTest, WriterReproducesTheV2FixturesByteForByte) {
+  const Dataset cell_ds = LabelledFixtureDataset();
+  const SkylineDiagram cell = testing::BuildDiagram(
+      cell_ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
+  EXPECT_EQ(SerializeCellDiagram(cell_ds, *cell.cell_diagram()),
+            std::string(kV2CellBlob, kV2CellBlob_len));
+  const Dataset subcell_ds = RandomDataset(8, 12, 13);
+  const SkylineDiagram subcell = testing::BuildDiagram(
+      subcell_ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
+  EXPECT_EQ(SerializeSubcellDiagram(subcell_ds, *subcell.subcell_diagram()),
+            std::string(kV2SubcellBlob, kV2SubcellBlob_len));
 }
 
 TEST(SerializeTest, RejectsUnknownVersion) {
