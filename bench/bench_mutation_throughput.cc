@@ -19,8 +19,8 @@
 // Flags: --readers R (default 2), --pipeline D (reader burst depth,
 //        default 32), --window-ms W (mutation coalescing window, default
 //        25; 0 = publish per mutation), --duration-seconds S (default 2),
-//        --n N (default 4096), --domain D (default 1<<20), --shards S,
-//        --workers W, --min-speedup X (default 10),
+//        --n N (default 4096), --domain D (default 1<<20), --workers W,
+//        --min-speedup X (default 10),
 //        --json-name NAME (default mutation_throughput).
 //
 // Writes BENCH_<json-name>.json (schema: tools/bench_schema_check.py) into
@@ -373,7 +373,6 @@ int Main(int argc, char** argv) {
       static_cast<int>(FlagInt(argc, argv, "--window-ms", 25));
   const int duration =
       static_cast<int>(FlagInt(argc, argv, "--duration-seconds", 6));
-  const int shards = static_cast<int>(FlagInt(argc, argv, "--shards", 1));
   const int workers = static_cast<int>(FlagInt(argc, argv, "--workers", 1));
   const double min_speedup =
       static_cast<double>(FlagInt(argc, argv, "--min-speedup", 10));
@@ -408,7 +407,6 @@ int Main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.port = 0;
-  options.num_shards = shards;
   options.num_workers = workers;
   options.mutation_window_ms = window_ms;
   serve::SkylineServer server(options);

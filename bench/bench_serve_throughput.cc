@@ -7,12 +7,12 @@
 //   bench_serve_throughput                          self-hosted: builds an
 //       n=4096 quadrant fixture, starts an in-process SkylineServer, and
 //       drives it over real loopback sockets (the CI smoke configuration).
-//   bench_serve_throughput --sweep-connections 1,8,64 --sweep-shards 1,2,4
-//       self-hosted sweep: one measurement cell per connections x shards
-//       combination, each cell against a freshly started server.
+//   bench_serve_throughput --sweep-connections 1,8,64
+//       self-hosted sweep: one measurement cell per connection count, all
+//       against one started server.
 //
-// Flags: --connections C (default 4), --shards S (default 1), --workers W
-//        (default 1), --threads T (engine shard pool, default 1),
+// Flags: --connections C (default 4), --workers W (default 1), --threads T
+//        (engine pool for large batches, default 1),
 //        --client-threads T (load-generator threads multiplexing the
 //        connections, default 4), --distinct-queries Q (shared pool of
 //        distinct query points all connections sample from, default 4096;
@@ -71,10 +71,9 @@ struct ClientStats {
   std::vector<uint64_t> burst_ns;
 };
 
-/// One measured sweep cell (a connections x shards combination).
+/// One measured sweep cell (one connection count).
 struct CellResult {
   int connections = 0;
-  int shards = 0;
   int reconnect_every = 0;
   uint64_t replies = 0;
   uint64_t errors = 0;
@@ -302,13 +301,11 @@ void RunMuxClient(const std::string& host, int port,
 /// `client_threads` threads) against host:port for `duration` seconds and
 /// aggregates one cell.
 CellResult MeasureCell(const std::string& host, int port, int connections,
-                       int shards, int64_t domain, int pipeline,
-                       int reconnect_every, bool labels, int duration,
-                       int client_threads,
+                       int64_t domain, int pipeline, int reconnect_every,
+                       bool labels, int duration, int client_threads,
                        const std::vector<std::string>& pool) {
   CellResult cell;
   cell.connections = connections;
-  cell.shards = shards;
   cell.reconnect_every = reconnect_every;
   const int threads_n = std::max(1, std::min(client_threads, connections));
   // Deal connections round-robin onto client threads; every connection gets
@@ -411,7 +408,6 @@ bool WriteBaseline(const std::string& bench_name, int pipeline, int workers,
     out += "    {\"name\": ";
     std::string row_name = "serve_throughput/connections:" +
                            std::to_string(cell.connections) +
-                           "/shards:" + std::to_string(cell.shards) +
                            "/pipeline:" + std::to_string(pipeline);
     if (cell.reconnect_every > 0) {
       row_name += "/reconnect:" + std::to_string(cell.reconnect_every);
@@ -431,8 +427,6 @@ bool WriteBaseline(const std::string& bench_name, int pipeline, int workers,
     AppendDouble(cell.qps, &out);
     out += ", \"connections\": ";
     out += std::to_string(cell.connections);
-    out += ", \"shards\": ";
-    out += std::to_string(cell.shards);
     out += ", \"workers\": ";
     out += std::to_string(workers);
     out += ", \"errors\": ";
@@ -536,13 +530,9 @@ int Main(int argc, char** argv) {
   const std::vector<int> connection_sweep = FlagIntList(
       argc, argv, "--sweep-connections",
       {static_cast<int>(FlagInt(argc, argv, "--connections", 4))});
-  const std::vector<int> shard_sweep =
-      FlagIntList(argc, argv, "--sweep-shards",
-                  {static_cast<int>(FlagInt(argc, argv, "--shards", 1))});
 
-  // Self-hosted runs build one fixture blob and restart a fresh server per
-  // shard configuration; --port mode drives the external server as-is (the
-  // shard flag then only labels the rows).
+  // Self-hosted runs build one fixture blob and start one server over it;
+  // --port mode drives the external server as-is.
   std::string fixture_path;
   if (port == 0) {
     // Scoped so the built diagram and dataset are freed before any server
@@ -581,52 +571,48 @@ int Main(int argc, char** argv) {
 
   std::vector<CellResult> cells;
   bool failed = false;
-  for (const int shards : shard_sweep) {
-    serve::ServerOptions options;
-    options.port = 0;
-    options.num_shards = shards;
-    options.num_workers = workers;
-    options.engine.num_threads = threads;
-    serve::SkylineServer self_hosted(options);
-    int target_port = port;
-    if (port == 0) {
-      if (Status s = self_hosted.Start(fixture_path); !s.ok()) {
-        std::cerr << "server start: " << s << "\n";
-        return 1;
-      }
-      target_port = self_hosted.port();
+  serve::ServerOptions options;
+  options.port = 0;
+  options.num_workers = workers;
+  options.engine.num_threads = threads;
+  serve::SkylineServer self_hosted(options);
+  int target_port = port;
+  if (port == 0) {
+    if (Status s = self_hosted.Start(fixture_path); !s.ok()) {
+      std::cerr << "server start: " << s << "\n";
+      return 1;
     }
-    for (const int connections : connection_sweep) {
-      // Best-of-N: a closed-loop run on a shared machine only ever loses
-      // throughput to scheduler noise, so the fastest repetition is the
-      // least-contaminated estimate (the same reasoning as reporting the
-      // min of google-benchmark repetitions).
-      CellResult cell;
-      for (int rep = 0; rep < repetitions; ++rep) {
-        CellResult attempt = MeasureCell(host, target_port, connections,
-                                         shards, domain, pipeline,
-                                         reconnect_every, labels, duration,
-                                         client_threads, pool);
-        if (rep == 0 || attempt.transport_failed || attempt.qps > cell.qps) {
-          cell = attempt;
-        }
-        if (cell.transport_failed) break;
-      }
-      std::printf(
-          "serve bench: connections=%d shards=%d -> %llu replies in %.2fs "
-          "= %.0f qps (burst p50 %.2fms, p99 %.2fms), %llu error replies%s\n",
-          connections, shards, static_cast<unsigned long long>(cell.replies),
-          cell.elapsed_seconds, cell.qps,
-          static_cast<double>(cell.p50_burst_ns) / 1e6,
-          static_cast<double>(cell.p99_burst_ns) / 1e6,
-          static_cast<unsigned long long>(cell.errors),
-          cell.transport_failed ? ", TRANSPORT FAILURE" : "");
-      failed = failed || cell.transport_failed || cell.errors > 0 ||
-               cell.replies == 0;
-      cells.push_back(cell);
-    }
-    if (port == 0) self_hosted.Stop();
+    target_port = self_hosted.port();
   }
+  for (const int connections : connection_sweep) {
+    // Best-of-N: a closed-loop run on a shared machine only ever loses
+    // throughput to scheduler noise, so the fastest repetition is the
+    // least-contaminated estimate (the same reasoning as reporting the
+    // min of google-benchmark repetitions).
+    CellResult cell;
+    for (int rep = 0; rep < repetitions; ++rep) {
+      CellResult attempt =
+          MeasureCell(host, target_port, connections, domain, pipeline,
+                      reconnect_every, labels, duration, client_threads, pool);
+      if (rep == 0 || attempt.transport_failed || attempt.qps > cell.qps) {
+        cell = attempt;
+      }
+      if (cell.transport_failed) break;
+    }
+    std::printf(
+        "serve bench: connections=%d -> %llu replies in %.2fs "
+        "= %.0f qps (burst p50 %.2fms, p99 %.2fms), %llu error replies%s\n",
+        connections, static_cast<unsigned long long>(cell.replies),
+        cell.elapsed_seconds, cell.qps,
+        static_cast<double>(cell.p50_burst_ns) / 1e6,
+        static_cast<double>(cell.p99_burst_ns) / 1e6,
+        static_cast<unsigned long long>(cell.errors),
+        cell.transport_failed ? ", TRANSPORT FAILURE" : "");
+    failed = failed || cell.transport_failed || cell.errors > 0 ||
+             cell.replies == 0;
+    cells.push_back(cell);
+  }
+  if (port == 0) self_hosted.Stop();
   if (!fixture_path.empty()) ::unlink(fixture_path.c_str());
 
   if (!WriteBaseline(json_name, pipeline, workers, cells)) return 1;

@@ -75,7 +75,7 @@ int main() {
     auto result =
         PrivateSkylineQuery(diagram, db, replica1, replica2, query, &rng);
     if (!result.ok()) continue;
-    const auto expected = diagram.Query(query);
+    const auto expected = built->Query(query);
     if (result->size() == expected.size() &&
         std::equal(result->begin(), result->end(), expected.begin())) {
       ++correct;

@@ -30,7 +30,7 @@ int main() {
     std::cerr << "build failed: " << built.status() << "\n";
     return 1;
   }
-  const CellDiagram& diagram = *built->cell_diagram();
+  const PointLocationIndex& index = built->index();
 
   // A query walking diagonally across the domain, one unit per tick.
   std::cout << "tick  position    result-changed?  skyline-size\n";
@@ -42,13 +42,13 @@ int main() {
     const Point2D q{t, 511 - t};
     // The diagram makes "did the result change?" a SetId comparison — no
     // skyline is ever recomputed while the walker stays inside a polyomino.
-    const SetId current = diagram.QuerySetId(q);
+    const SetId current = index.LocateSet(q);
     ++evaluations;
     const bool changed = first || current != last;
     if (changed && !first) ++changes;
     if (changed) {
       std::cout << "  " << t / 8 << "\t" << q << "\tyes\t\t "
-                << diagram.pool().Get(current).size() << "\n";
+                << index.Get(current).size() << "\n";
     }
     last = current;
     first = false;
@@ -59,16 +59,14 @@ int main() {
   // Safe-zone check for an uncertain position: a delivery drone knows its
   // location only within +-8 units. Is its result still unambiguous?
   const QueryRange uncertainty{200, 216, 200, 216};
-  auto distinct = RangeDistinctResults(diagram, uncertainty);
-  auto safe = RangeSkylineIntersection(diagram, uncertainty);
-  auto possible = RangeSkylineUnion(diagram, uncertainty);
-  if (!distinct.ok() || !safe.ok() || !possible.ok()) {
+  auto summary = RangeSkylineSummarize(index, uncertainty);
+  if (!summary.ok()) {
     std::cerr << "range query failed\n";
     return 1;
   }
-  std::cout << "\nuncertainty box [200,216]^2: " << *distinct
-            << " distinct results; " << safe->size()
+  std::cout << "\nuncertainty box [200,216]^2: " << summary->distinct_results
+            << " distinct results; " << summary->intersection_ids.size()
             << " points are in the skyline everywhere in the box, "
-            << possible->size() << " somewhere in it\n";
+            << summary->union_ids.size() << " somewhere in it\n";
   return 0;
 }

@@ -46,6 +46,19 @@ void DebugValidate(const SkylineDiagram& diagram,
 
 }  // namespace
 
+std::vector<PointId> OracleSkyline(const Dataset& dataset,
+                                   SkylineQueryType type, const Point2D& q) {
+  switch (type) {
+    case SkylineQueryType::kQuadrant:
+      return FirstQuadrantSkyline(dataset, q);
+    case SkylineQueryType::kGlobal:
+      return GlobalSkyline(dataset, q);
+    case SkylineQueryType::kDynamic:
+      return DynamicSkyline(dataset, q);
+  }
+  return {};
+}
+
 const char* SkylineQueryTypeName(SkylineQueryType type) {
   switch (type) {
     case SkylineQueryType::kQuadrant:
@@ -247,40 +260,19 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(Dataset dataset,
       report->approx_bytes = stats.approx_bytes;
     }
   }
+  if (diagram.cell_ != nullptr) {
+    diagram.index_.emplace(*diagram.cell_);
+  } else {
+    diagram.index_.emplace(*diagram.subcell_);
+  }
 #ifndef NDEBUG
   DebugValidate(diagram, options);
 #endif
   return diagram;
 }
 
-std::span<const PointId> SkylineDiagram::Query(const Point2D& q) const {
-  if (cell_ != nullptr) return cell_->Query(q);
-  return subcell_->Query(q);
-}
-
-bool SkylineDiagram::OnBoundary(const Point2D& q) const {
-  if (cell_ != nullptr) {
-    return cell_->grid().IsOnVerticalLine(q.x) ||
-           cell_->grid().IsOnHorizontalLine(q.y);
-  }
-  return subcell_->grid().x_axis().IsOnLine(2 * q.x) ||
-         subcell_->grid().y_axis().IsOnLine(2 * q.y);
-}
-
 std::vector<PointId> SkylineDiagram::QueryExact(const Point2D& q) const {
-  switch (type_) {
-    case SkylineQueryType::kQuadrant: {
-      // The half-open convention is exact everywhere for Q1 semantics.
-      const auto span = Query(q);
-      return std::vector<PointId>(span.begin(), span.end());
-    }
-    case SkylineQueryType::kGlobal:
-      if (OnBoundary(q)) return GlobalSkyline(dataset_, q);
-      break;
-    case SkylineQueryType::kDynamic:
-      if (OnBoundary(q)) return DynamicSkyline(dataset_, q);
-      break;
-  }
+  if (NeedsOracle(type_, *index_, q)) return OracleSkyline(dataset_, type_, q);
   const auto span = Query(q);
   return std::vector<PointId>(span.begin(), span.end());
 }

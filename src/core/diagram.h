@@ -1,9 +1,10 @@
 // SkylineDiagram: the library's user-facing entry point.
 //
 // Builds the skyline diagram for one of the three query semantics and
-// answers point-location queries in O(log n). This is the analogue of using
-// a (k-th order) Voronoi diagram to answer kNN queries: build once, then
-// every skyline query is a grid lookup instead of an O(n log n) computation.
+// answers point-location queries in O(log n) through a PointLocationIndex
+// built with it. This is the analogue of using a (k-th order) Voronoi
+// diagram to answer kNN queries: build once, then every skyline query is a
+// grid lookup instead of an O(n log n) computation.
 //
 // Example:
 //   auto dataset = Dataset::Create(points, /*domain_size=*/1024);
@@ -22,6 +23,7 @@
 #include "src/common/status.h"
 #include "src/core/global_diagram.h"
 #include "src/core/options.h"
+#include "src/core/point_location.h"
 #include "src/core/skyline_cell.h"
 #include "src/core/subcell_diagram.h"
 #include "src/geometry/dataset.h"
@@ -34,6 +36,20 @@ struct BuildReport;
 enum class SkylineQueryType { kQuadrant, kGlobal, kDynamic };
 
 const char* SkylineQueryTypeName(SkylineQueryType type);
+
+/// The one exact-answer rule. The cell `index` locates for `q` answers it
+/// exactly unless a global or dynamic diagram puts `q` exactly on one of its
+/// grid or bisector lines (see point_location.h); there the brute-force
+/// oracle must answer instead. Quadrant diagrams are exact everywhere.
+inline bool NeedsOracle(SkylineQueryType type, const PointLocationIndex& index,
+                        const Point2D& q) {
+  return type != SkylineQueryType::kQuadrant && index.OnBoundary(q);
+}
+
+/// The brute-force O(n log n) skyline of `dataset` at `q` under `type`
+/// (src/skyline/query.h): the oracle behind NeedsOracle.
+std::vector<PointId> OracleSkyline(const Dataset& dataset,
+                                   SkylineQueryType type, const Point2D& q);
 
 /// Parses "quadrant" | "global" | "dynamic" (the CLI and wire spellings).
 StatusOr<SkylineQueryType> ParseSkylineQueryType(const std::string& name);
@@ -105,10 +121,12 @@ class SkylineDiagram {
   /// diagrams it is exact for `q` in the interior of its cell/subcell (see
   /// global_diagram.h) — use QueryExact for guaranteed-exact answers at
   /// arbitrary positions.
-  std::span<const PointId> Query(const Point2D& q) const;
+  std::span<const PointId> Query(const Point2D& q) const {
+    return index_->Query(q);
+  }
 
-  /// Exact answer at any position: uses the diagram when `q` is interior and
-  /// falls back to the O(n log n) reference evaluation on cell boundaries.
+  /// Exact answer at any position: uses the diagram unless NeedsOracle, and
+  /// then the O(n log n) reference evaluation.
   std::vector<PointId> QueryExact(const Point2D& q) const;
 
   /// Query result rendered through the dataset's labels.
@@ -118,18 +136,20 @@ class SkylineDiagram {
   const CellDiagram* cell_diagram() const { return cell_.get(); }
   /// The underlying subcell diagram (dynamic builds only).
   const SubcellDiagram* subcell_diagram() const { return subcell_.get(); }
+  /// The point-location index every query goes through.
+  const PointLocationIndex& index() const { return *index_; }
 
  private:
   SkylineDiagram(Dataset dataset, SkylineQueryType type)
       : dataset_(std::move(dataset)), type_(type) {}
 
-  /// True when `q` lies on a grid (or bisector) line of this diagram.
-  bool OnBoundary(const Point2D& q) const;
-
   Dataset dataset_;
   SkylineQueryType type_;
   std::unique_ptr<CellDiagram> cell_;
   std::unique_ptr<SubcellDiagram> subcell_;
+  // Built last in Build(). It views the heap objects above, which a move of
+  // the SkylineDiagram does not relocate.
+  std::optional<PointLocationIndex> index_;
 };
 
 }  // namespace skydia

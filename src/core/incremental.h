@@ -129,11 +129,6 @@ class IncrementalQuadrantDiagram {
     return diagram_;
   }
 
-  /// Point-location query (exact everywhere, like CellDiagram::Query).
-  std::span<const PointId> Query(const Point2D& q) const {
-    return diagram_->Query(q);
-  }
-
   /// Number of cells whose result was recomputed by the last Insert /
   /// Delete (the changed staircase, not the whole candidate rectangle);
   /// 0 before any mutation. For tests, metrics and benchmarks.

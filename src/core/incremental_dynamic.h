@@ -76,11 +76,6 @@ class IncrementalDynamicDiagram {
     return diagram_;
   }
 
-  /// Point-location query (interior-exact, like SubcellDiagram::Query).
-  std::span<const PointId> Query(const Point2D& q) const {
-    return diagram_->Query(q);
-  }
-
   /// Number of subcells whose result was recomputed (not copied) by the
   /// last Insert / Delete; 0 before any mutation.
   uint64_t last_insert_recomputed_subcells() const {

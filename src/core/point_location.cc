@@ -1,9 +1,6 @@
 #include "src/core/point_location.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "src/common/logging.h"
 
 namespace skydia {
 
@@ -36,33 +33,6 @@ PointLocationIndex::PointLocationIndex(const SubcellDiagram& diagram)
   const SubcellAxis& y = diagram.grid().y_axis();
   y_lines_.reserve(y.num_lines());
   for (uint32_t i = 0; i < y.num_lines(); ++i) y_lines_.push_back(y.line(i));
-}
-
-PointLocationIndex::PointLocationIndex(const CellDiagram& diagram,
-                                       uint32_t row_begin, uint32_t row_end)
-    : PointLocationIndex(diagram) {
-  RestrictRows(row_begin, row_end);
-}
-
-PointLocationIndex::PointLocationIndex(const SubcellDiagram& diagram,
-                                       uint32_t row_begin, uint32_t row_end)
-    : PointLocationIndex(diagram) {
-  RestrictRows(row_begin, row_end);
-}
-
-void PointLocationIndex::RestrictRows(uint32_t row_begin, uint32_t row_end) {
-  // Row cy covers (y_line[cy-1], y_line[cy]], so the stripe [row_begin,
-  // row_end) keeps exactly the lines strictly inside it: indexes
-  // [row_begin, row_end - 1). Row arithmetic then yields stripe-local rows
-  // for any query whose global row lies in the stripe.
-  SKYDIA_CHECK(row_begin < row_end && row_end <= num_rows_);
-  std::vector<int64_t> stripe_lines(y_lines_.begin() + row_begin,
-                                    y_lines_.begin() + (row_end - 1));
-  y_lines_ = std::move(stripe_lines);
-  cells_ = cells_.subspan(
-      static_cast<uint64_t>(row_begin) * num_columns_,
-      static_cast<uint64_t>(row_end - row_begin) * num_columns_);
-  num_rows_ = row_end - row_begin;
 }
 
 uint32_t PointLocationIndex::SlabOf(const std::vector<int64_t>& lines,

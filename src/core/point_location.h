@@ -30,9 +30,10 @@
 //     of a cell/subcell. A query exactly on a line is answered with the
 //     adjacent interior result on the line's left/below side, which can
 //     differ from the true boundary answer when the tie flips a dominance
-//     pair. Boundary-exact serving goes through QueryEngine::AnswerExact,
-//     which detects boundary hits via OnBoundary() and falls back to the
-//     O(n log n) oracle.
+//     pair. Boundary-exact answers go through NeedsOracle (diagram.h),
+//     the one exact-answer rule behind SkylineDiagram::QueryExact and
+//     QueryEngine::Answer(q, {.exact = true}): it detects boundary hits via
+//     OnBoundary() and falls back to the O(n log n) oracle.
 //   * Dynamic diagrams also cut on bisector lines, which live on
 //     half-integers; the index stores those axes in doubled coordinates and
 //     scales queries by 2 internally. Integer queries therefore never land
@@ -60,17 +61,6 @@ class PointLocationIndex {
   explicit PointLocationIndex(const CellDiagram& diagram);
   /// Builds the index over a subcell diagram (dynamic semantics).
   explicit PointLocationIndex(const SubcellDiagram& diagram);
-
-  /// Stripe-restricted variants: the index covers only rows
-  /// [row_begin, row_end) of the diagram (0 <= row_begin < row_end <=
-  /// num_rows). The x axis stays complete; the y axis keeps only the lines
-  /// interior to the stripe, so Locate() is correct exactly for queries
-  /// whose global row falls inside the stripe — the router must send each
-  /// query to the stripe that owns its row (see ShardedServableDiagram).
-  PointLocationIndex(const CellDiagram& diagram, uint32_t row_begin,
-                     uint32_t row_end);
-  PointLocationIndex(const SubcellDiagram& diagram, uint32_t row_begin,
-                     uint32_t row_end);
 
   /// Grid cell of a located query.
   struct CellRef {
@@ -110,20 +100,10 @@ class PointLocationIndex {
   uint64_t num_cells() const { return cells_.size(); }
   const SkylineSetPool& pool() const { return *pool_; }
 
-  /// Interned result of cell (cx, cy) — rows are stripe-local for
-  /// stripe-restricted indexes. Feeds the range-query sweeps.
+  /// Interned result of cell (cx, cy). Feeds the range-query sweeps.
   SetId cell_set(uint32_t cx, uint32_t cy) const {
     return cells_[static_cast<uint64_t>(cy) * num_columns_ + cx];
   }
-
-  /// The i-th y grid line in the index's internal coordinate system
-  /// (doubled for dynamic diagrams; compare against scale() * q.y). Feeds
-  /// the shard router's stripe-boundary table.
-  int64_t y_line_value(uint32_t i) const { return y_lines_[i]; }
-  uint32_t num_y_lines() const {
-    return static_cast<uint32_t>(y_lines_.size());
-  }
-  int64_t scale() const { return scale_; }
 
   /// Members of an interned set (for callers holding SetIds from LocateSet).
   std::span<const PointId> Get(SetId id) const { return pool_->Get(id); }
@@ -149,9 +129,6 @@ class PointLocationIndex {
  private:
   static uint32_t SlabOf(const std::vector<int64_t>& lines, int64_t v);
   static bool OnLine(const std::vector<int64_t>& lines, int64_t v);
-
-  /// Shrinks a freshly built full index to rows [row_begin, row_end).
-  void RestrictRows(uint32_t row_begin, uint32_t row_end);
 
   std::vector<int64_t> x_lines_;  // sorted; scaled by `scale_`
   std::vector<int64_t> y_lines_;

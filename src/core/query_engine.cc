@@ -8,30 +8,10 @@
 
 #include "src/common/logging.h"
 #include "src/common/trace.h"
-#include "src/skyline/query.h"
 
 namespace skydia {
 
 namespace {
-
-/// One direct-mapped memo slot: the last query point that hashed here.
-struct MemoEntry {
-  int64_t x = 0;
-  int64_t y = 0;
-  SetId set = kEmptySetId;
-  bool valid = false;
-};
-
-uint64_t MixQueryPoint(const Point2D& q) {
-  // splitmix64 finalizer over the two coordinates; cheap and well spread
-  // for the clustered query patterns the memo targets.
-  uint64_t h = static_cast<uint64_t>(q.x) * 0x9E3779B97F4A7C15ull +
-               static_cast<uint64_t>(q.y) * 0xC2B2AE3D27D4EB4Full;
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  return h;
-}
 
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
@@ -49,9 +29,6 @@ QueryEngine::QueryEngine(const Dataset& dataset, const CellDiagram& diagram,
       dataset_(&dataset),
       semantics_(semantics),
       options_(options) {
-  if (options_.memo_entries > 0) {
-    options_.memo_entries = std::bit_ceil(options_.memo_entries);
-  }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.num_threads));
@@ -64,9 +41,6 @@ QueryEngine::QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram,
       dataset_(&dataset),
       semantics_(SkylineQueryType::kDynamic),
       options_(options) {
-  if (options_.memo_entries > 0) {
-    options_.memo_entries = std::bit_ceil(options_.memo_entries);
-  }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.num_threads));
@@ -86,15 +60,7 @@ SetId QueryEngine::AnswerSetId(const Point2D& q) const {
 std::vector<PointId> QueryEngine::OracleAnswer(SkylineQueryType semantics,
                                                const Point2D& q) const {
   oracle_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  switch (semantics) {
-    case SkylineQueryType::kQuadrant:
-      return FirstQuadrantSkyline(*dataset_, q);
-    case SkylineQueryType::kGlobal:
-      return GlobalSkyline(*dataset_, q);
-    case SkylineQueryType::kDynamic:
-      return DynamicSkyline(*dataset_, q);
-  }
-  return {};
+  return OracleSkyline(*dataset_, semantics, q);
 }
 
 StatusOr<std::vector<PointId>> QueryEngine::Answer(
@@ -111,11 +77,7 @@ StatusOr<std::vector<PointId>> QueryEngine::Answer(
     queries_served_.fetch_add(1, std::memory_order_relaxed);
     return OracleAnswer(want, q);
   }
-  // Quadrant answers are exact at every position (half-open cells match the
-  // >= candidate rule); the other semantics only need the oracle when the
-  // query sits exactly on a grid/bisector line.
-  if (options.exact && semantics_ != SkylineQueryType::kQuadrant &&
-      index_.OnBoundary(q)) {
+  if (options.exact && NeedsOracle(semantics_, index_, q)) {
     queries_served_.fetch_add(1, std::memory_order_relaxed);
     return OracleAnswer(semantics_, q);
   }
@@ -143,10 +105,8 @@ StatusOr<std::vector<std::vector<PointId>>> QueryEngine::AnswerBatch(
   }
   std::vector<SetId> sets;
   AnswerBatch(queries, &sets);
-  const bool may_fall_back =
-      options.exact && semantics_ != SkylineQueryType::kQuadrant;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (may_fall_back && index_.OnBoundary(queries[i])) {
+    if (options.exact && NeedsOracle(semantics_, index_, queries[i])) {
       out[i] = OracleAnswer(semantics_, queries[i]);
     } else {
       const std::span<const PointId> ids = index_.Get(sets[i]);
@@ -162,39 +122,16 @@ StatusOr<RangeSkylineSummary> QueryEngine::AnswerRange(
   return RangeSkylineSummarize(index_, range);
 }
 
-std::vector<PointId> QueryEngine::AnswerExact(const Point2D& q) const {
-  return std::move(Answer(q, QueryOptions{.exact = true, .semantics = {}}))
-      .value();
-}
-
 void QueryEngine::AnswerShard(std::span<const Point2D> queries,
                               SetId* out) const {
   SKYDIA_TRACE_SPAN("query.shard");
-  const size_t memo_size = options_.memo_entries;
-  std::vector<MemoEntry> memo(memo_size);
-  uint64_t hits = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Point2D& q = queries[i];
     const bool sampled = (i % kLatencySampleStride) == 0;
     const uint64_t start = sampled ? NowNanos() : 0;
-    SetId set;
-    MemoEntry* slot = nullptr;
-    if (memo_size > 0) {
-      slot = &memo[MixQueryPoint(q) & (memo_size - 1)];
-      if (slot->valid && slot->x == q.x && slot->y == q.y) {
-        out[i] = slot->set;
-        ++hits;
-        if (sampled) RecordLatency(NowNanos() - start);
-        continue;
-      }
-    }
-    set = index_.LocateSet(q);
-    if (slot != nullptr) *slot = MemoEntry{q.x, q.y, set, true};
-    out[i] = set;
+    out[i] = index_.LocateSet(queries[i]);
     if (sampled) RecordLatency(NowNanos() - start);
   }
   queries_served_.fetch_add(queries.size(), std::memory_order_relaxed);
-  memo_hits_.fetch_add(hits, std::memory_order_relaxed);
 }
 
 void QueryEngine::AnswerBatch(std::span<const Point2D> queries,
@@ -206,8 +143,8 @@ void QueryEngine::AnswerBatch(std::span<const Point2D> queries,
     AnswerShard(queries, out->data());
     return;
   }
-  // One contiguous shard per worker: private memo and counters per shard,
-  // disjoint output ranges, publication via the pool's WaitIdle handshake.
+  // One contiguous shard per worker: disjoint output ranges, publication via
+  // the pool's WaitIdle handshake.
   const size_t shards = pool_->num_threads();
   const size_t chunk = (queries.size() + shards - 1) / shards;
   SetId* const out_data = out->data();
@@ -239,7 +176,6 @@ void QueryEngine::RecordLatency(uint64_t ns) const {
 QueryEngineStats QueryEngine::Stats() const {
   QueryEngineStats stats;
   stats.queries_served = queries_served_.load(std::memory_order_relaxed);
-  stats.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.oracle_fallbacks = oracle_fallbacks_.load(std::memory_order_relaxed);
   for (size_t b = 0; b < kLatencyBuckets; ++b) {

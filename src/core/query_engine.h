@@ -5,19 +5,20 @@
 // A single engine wraps one diagram (any of the three semantics) behind a
 // PointLocationIndex and serves:
 //   * Answer(q)        — one O(log s) lookup, span into the interned arena.
-//   * AnswerBatch(qs)  — a batch of queries sharded across a ThreadPool.
-//     Each shard runs with private scratch and an optional small
-//     direct-mapped memo, so repeated query points (the heavy-traffic case:
-//     many users asking from the same place) skip the binary searches.
-//   * AnswerExact(q)   — boundary-exact answers: quadrant answers are exact
+//   * AnswerBatch(qs)  — a batch of queries split into contiguous shards
+//     across a ThreadPool, one index lookup per query. Repeated answers are
+//     the serve layer's per-snapshot ResultCache's job, not the engine's.
+//   * Answer(q, {.exact = true}) — boundary-exact answers under the one
+//     exact-answer rule, NeedsOracle (diagram.h): quadrant answers are exact
 //     everywhere by construction; global/dynamic queries that land exactly
 //     on a grid/bisector line fall back to the O(n log n) oracle
 //     (src/skyline/query.h). See point_location.h for the convention.
 //
-// The engine keeps lightweight serving counters — queries served, memo hits,
-// batches, and a sampled log-bucket latency histogram (every 32nd query in a
-// shard is timed) — exposed through Stats(). Counters are atomics updated
-// with relaxed ordering: exact totals, no inter-thread ordering guarantees.
+// The engine keeps lightweight serving counters — queries served, batches,
+// oracle fallbacks, and a sampled log-bucket latency histogram (every 32nd
+// query in a shard is timed) — exposed through Stats(). Counters are atomics
+// updated with relaxed ordering: exact totals, no inter-thread ordering
+// guarantees.
 //
 // All serving methods are const and thread-safe; concurrent AnswerBatch
 // calls on one engine are allowed (they share the engine's pool and may wait
@@ -61,9 +62,6 @@ struct QueryEngineOptions {
   /// Batches smaller than this are answered inline even when a pool exists
   /// (sharding overhead dominates below roughly a thousand lookups).
   size_t parallel_batch_threshold = 1024;
-  /// Entries in the per-shard direct-mapped memo (rounded up to a power of
-  /// two). 0 disables memoization.
-  size_t memo_entries = 64;
 };
 
 /// Serving statistics. Latency percentiles come from sampled measurements
@@ -74,7 +72,6 @@ struct QueryEngineStats {
   static constexpr size_t kNumLatencyBuckets = 48;
 
   uint64_t queries_served = 0;
-  uint64_t memo_hits = 0;
   uint64_t batches = 0;
   uint64_t oracle_fallbacks = 0;
   uint64_t latency_samples = 0;
@@ -134,9 +131,6 @@ class QueryEngine {
   StatusOr<std::vector<std::vector<PointId>>> AnswerBatch(
       std::span<const Point2D> queries, const QueryOptions& options) const;
 
-  /// Deprecated spelling of Answer(q, {.exact = true}); prefer QueryOptions.
-  std::vector<PointId> AnswerExact(const Point2D& q) const;
-
   /// Answers every query in `queries`, writing one interned id per query to
   /// `out` (resized to match). Shards across the engine's pool when the
   /// batch is large enough. This is the serving hot path: diagram answers
@@ -166,8 +160,8 @@ class QueryEngine {
       QueryEngineStats::kNumLatencyBuckets;
   static constexpr size_t kLatencySampleStride = 32;
 
-  /// Answers queries[i] -> out[i] for one contiguous shard, with private
-  /// memo and counters (merged into the atomics once per shard).
+  /// Answers queries[i] -> out[i] for one contiguous shard (counters merged
+  /// into the atomics once per shard).
   void AnswerShard(std::span<const Point2D> queries, SetId* out) const;
   void RecordLatency(uint64_t ns) const;
 
@@ -182,59 +176,9 @@ class QueryEngine {
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
 
   mutable std::atomic<uint64_t> queries_served_{0};
-  mutable std::atomic<uint64_t> memo_hits_{0};
   mutable std::atomic<uint64_t> batches_{0};
   mutable std::atomic<uint64_t> oracle_fallbacks_{0};
   mutable std::array<std::atomic<uint64_t>, kLatencyBuckets> latency_buckets_{};
-};
-
-/// Per-shard serving counters (see ShardedServableDiagram::Stats).
-struct ShardStats {
-  uint64_t queries = 0;     ///< queries routed to this shard
-  uint64_t memo_hits = 0;   ///< answered from the shard's memo
-  uint64_t queue_depth = 0; ///< shard batches currently queued or running
-  uint32_t row_begin = 0;   ///< stripe rows [row_begin, row_end)
-  uint32_t row_end = 0;
-};
-
-/// The one serving surface the snapshot registry and the server target:
-/// batched answers, range queries, stats and the point count, implemented
-/// by both the single-index ServableDiagram and the row-striped
-/// ShardedServableDiagram. Targeting the interface keeps the mutation
-/// publish path shard-agnostic — a publish re-wraps the shadow diagram and
-/// re-stripes it without the server knowing which shape it serves.
-///
-/// All methods are const and thread-safe (the implementations' contracts).
-class Servable {
- public:
-  virtual ~Servable() = default;
-
-  /// Answers every query, one interned SetId per query written to `out`
-  /// (resized to match). `pool` may parallelize the scatter in sharded
-  /// implementations; single-index implementations follow their engine's
-  /// own threading policy and may ignore it.
-  virtual void AnswerSets(std::span<const Point2D> queries,
-                          std::vector<SetId>* out,
-                          ThreadPool* pool = nullptr) const = 0;
-
-  /// The single-index engine behind this surface: the slow/exact query
-  /// paths, range queries and engine counters. Sharded implementations
-  /// return the base engine (SetIds are global across shards).
-  virtual const QueryEngine& engine() const = 0;
-
-  /// Row-stripe shards serving this surface (1 when unsharded).
-  virtual int num_shards() const { return 1; }
-
-  /// Per-shard counters, indexed by shard (empty when unsharded).
-  virtual std::vector<ShardStats> shard_stats() const { return {}; }
-
-  // Conveniences over the virtuals, shared by every implementation.
-  std::span<const PointId> Get(SetId id) const { return engine().Get(id); }
-  const Dataset& dataset() const { return engine().dataset(); }
-  size_t point_count() const { return engine().dataset().size(); }
-  StatusOr<RangeSkylineSummary> AnswerRange(const QueryRange& range) const {
-    return engine().AnswerRange(range);
-  }
 };
 
 /// A diagram loaded from disk — or wrapped from memory — together with
@@ -243,8 +187,9 @@ class Servable {
 /// as shared_ptr<const ...>, which pins the addresses the engine's index
 /// references and lets others share them read-only (the publish path wraps
 /// the mutation shadow's objects; the shadow adopts a served snapshot's).
-/// Movable, not copyable.
-class ServableDiagram : public Servable {
+/// Movable, not copyable. The one serving type: the snapshot registry, the
+/// server and the mutation pipeline hold it directly.
+class ServableDiagram {
  public:
   /// Loads a serialized cell or subcell diagram (LoadDiagram: the blob's
   /// kind byte decides) and wraps it. `cell_semantics` tells the engine
@@ -270,12 +215,10 @@ class ServableDiagram : public Servable {
   ServableDiagram(ServableDiagram&&) = default;
   ServableDiagram& operator=(ServableDiagram&&) = default;
 
-  void AnswerSets(std::span<const Point2D> queries, std::vector<SetId>* out,
-                  ThreadPool* pool = nullptr) const override {
-    (void)pool;  // the engine runs its own pool policy
-    engine_->AnswerBatch(queries, out);
-  }
-  const QueryEngine& engine() const override { return *engine_; }
+  /// The engine answering every query: point batches, exact and range
+  /// queries, and the serving counters.
+  const QueryEngine& engine() const { return *engine_; }
+  const Dataset& dataset() const { return *dataset_; }
   SkylineQueryType type() const { return engine_->semantics(); }
 
   /// Underlying diagrams (null for the other kind).

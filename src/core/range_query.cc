@@ -5,78 +5,11 @@
 
 namespace skydia {
 
-namespace {
-
-Status Validate(const QueryRange& range) {
+StatusOr<RangeSkylineSummary> RangeSkylineSummarize(
+    const PointLocationIndex& index, const QueryRange& range) {
   if (range.x_lo > range.x_hi || range.y_lo > range.y_hi) {
     return Status::InvalidArgument("inverted query range");
   }
-  return Status::OK();
-}
-
-struct CellRect {
-  uint32_t cx_lo, cx_hi, cy_lo, cy_hi;  // inclusive
-};
-
-CellRect CoveredCells(const CellGrid& grid, const QueryRange& range) {
-  return CellRect{grid.ColumnOf(range.x_lo), grid.ColumnOf(range.x_hi),
-                  grid.RowOf(range.y_lo), grid.RowOf(range.y_hi)};
-}
-
-}  // namespace
-
-StatusOr<std::vector<PointId>> RangeSkylineUnion(const CellDiagram& diagram,
-                                                 const QueryRange& range) {
-  if (Status s = Validate(range); !s.ok()) return s;
-  const CellRect rect = CoveredCells(diagram.grid(), range);
-  // Deduplicate cells by SetId first: ranges usually cover few distinct
-  // results even when they cover many cells.
-  std::unordered_set<SetId> seen;
-  std::vector<PointId> result;
-  for (uint32_t cy = rect.cy_lo; cy <= rect.cy_hi; ++cy) {
-    for (uint32_t cx = rect.cx_lo; cx <= rect.cx_hi; ++cx) {
-      const SetId id = diagram.cell_set(cx, cy);
-      if (!seen.insert(id).second) continue;
-      const auto set = diagram.pool().Get(id);
-      result.insert(result.end(), set.begin(), set.end());
-    }
-  }
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
-}
-
-StatusOr<std::vector<PointId>> RangeSkylineIntersection(
-    const CellDiagram& diagram, const QueryRange& range) {
-  if (Status s = Validate(range); !s.ok()) return s;
-  const CellRect rect = CoveredCells(diagram.grid(), range);
-  std::unordered_set<SetId> seen;
-  std::vector<PointId> result;
-  bool first = true;
-  std::vector<PointId> next;
-  for (uint32_t cy = rect.cy_lo; cy <= rect.cy_hi; ++cy) {
-    for (uint32_t cx = rect.cx_lo; cx <= rect.cx_hi; ++cx) {
-      const SetId id = diagram.cell_set(cx, cy);
-      if (!seen.insert(id).second) continue;
-      const auto set = diagram.pool().Get(id);
-      if (first) {
-        result.assign(set.begin(), set.end());
-        first = false;
-        continue;
-      }
-      next.clear();
-      std::set_intersection(result.begin(), result.end(), set.begin(),
-                            set.end(), std::back_inserter(next));
-      result.swap(next);
-      if (result.empty()) return result;  // cannot recover
-    }
-  }
-  return result;
-}
-
-StatusOr<RangeSkylineSummary> RangeSkylineSummarize(
-    const PointLocationIndex& index, const QueryRange& range) {
-  if (Status s = Validate(range); !s.ok()) return s;
   // Locate the two corners; the half-open convention makes the covered cell
   // rectangle exactly [lo, hi] on both axes (the index scales internally
   // for doubled subcell coordinates).
@@ -117,7 +50,7 @@ StatusOr<RangeSkylineSummary> RangeSkylineSummarize(
       std::unique(summary.union_ids.begin(), summary.union_ids.end()),
       summary.union_ids.end());
   // Distinct ids can still alias identical contents in a non-interned pool;
-  // compare contents, exactly like RangeDistinctResults.
+  // compare contents.
   if (distinct.size() <= 1) {
     summary.distinct_results = distinct.size();
     return summary;
@@ -133,31 +66,6 @@ StatusOr<RangeSkylineSummary> RangeSkylineSummarize(
                  contents.end());
   summary.distinct_results = static_cast<uint64_t>(contents.size());
   return summary;
-}
-
-StatusOr<uint64_t> RangeDistinctResults(const CellDiagram& diagram,
-                                        const QueryRange& range) {
-  if (Status s = Validate(range); !s.ok()) return s;
-  const CellRect rect = CoveredCells(diagram.grid(), range);
-  // SetIds deduplicate only when interning is on; compare content hashes via
-  // the pool's canonical storage to stay correct without it.
-  std::unordered_set<SetId> ids;
-  for (uint32_t cy = rect.cy_lo; cy <= rect.cy_hi; ++cy) {
-    for (uint32_t cx = rect.cx_lo; cx <= rect.cx_hi; ++cx) {
-      ids.insert(diagram.cell_set(cx, cy));
-    }
-  }
-  if (ids.size() <= 1) return static_cast<uint64_t>(ids.size());
-  // Resolve potential duplicate contents (non-interned pools).
-  std::vector<std::vector<PointId>> contents;
-  for (SetId id : ids) {
-    const auto set = diagram.pool().Get(id);
-    contents.emplace_back(set.begin(), set.end());
-  }
-  std::sort(contents.begin(), contents.end());
-  contents.erase(std::unique(contents.begin(), contents.end()),
-                 contents.end());
-  return static_cast<uint64_t>(contents.size());
 }
 
 }  // namespace skydia

@@ -10,7 +10,6 @@
 
 #include "src/common/status.h"
 #include "src/core/point_location.h"
-#include "src/core/skyline_cell.h"
 #include "src/geometry/point.h"
 
 namespace skydia {
@@ -22,23 +21,6 @@ struct QueryRange {
   int64_t y_lo = 0;
   int64_t y_hi = 0;
 };
-
-/// Points that are in the skyline of *some* query position in the range
-/// (union over covered cells), sorted ascending. InvalidArgument when the
-/// range is inverted.
-StatusOr<std::vector<PointId>> RangeSkylineUnion(const CellDiagram& diagram,
-                                                 const QueryRange& range);
-
-/// Points in the skyline of *every* query position in the range
-/// (intersection over covered cells), sorted ascending — the range's "safe"
-/// results in the safe-zone terminology.
-StatusOr<std::vector<PointId>> RangeSkylineIntersection(
-    const CellDiagram& diagram, const QueryRange& range);
-
-/// Number of distinct skyline results across the range — 1 means the whole
-/// rectangle is a safe zone (lies within one skyline polyomino's result).
-StatusOr<uint64_t> RangeDistinctResults(const CellDiagram& diagram,
-                                        const QueryRange& range);
 
 /// Union, intersection and distinct-result count of one range in a single
 /// cell sweep — the shape the serving layer returns for {"cmd":"range"}.
@@ -52,7 +34,7 @@ struct RangeSkylineSummary {
   uint64_t distinct_results = 0;
 };
 
-/// Index-based variant serving any diagram kind through its
+/// Summarizes one range over any diagram kind through its
 /// PointLocationIndex (this is what QueryEngine::AnswerRange and the line
 /// protocol use). Positions carry the index's cell convention: exact
 /// everywhere for quadrant diagrams, interior-exact for global/dynamic (a

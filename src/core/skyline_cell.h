@@ -1,10 +1,11 @@
 // CellDiagram: the common output representation of the cell-based diagram
 // algorithms (baseline, DSG, scanning — for quadrant and global skylines).
 //
-// It maps every skyline cell (see CellGrid) to an interned result set and
-// supports exact point-location queries: for the first-quadrant semantics the
-// half-open cell convention is exact for every query position, including
-// queries on grid lines.
+// It maps every skyline cell (see CellGrid) to an interned result set.
+// Queries locate their cell through a PointLocationIndex
+// (src/core/point_location.h): for the first-quadrant semantics the half-open
+// cell convention is exact for every query position, including queries on
+// grid lines.
 #ifndef SKYDIA_SRC_CORE_SKYLINE_CELL_H_
 #define SKYDIA_SRC_CORE_SKYLINE_CELL_H_
 
@@ -53,14 +54,6 @@ class CellDiagram {
   /// lives (set_cell writes in place, the table never reallocates after
   /// construction).
   std::span<const SetId> cell_table() const { return cells_; }
-
-  /// Point-location: the result for query point `q`.
-  std::span<const PointId> Query(const Point2D& q) const {
-    return CellSkyline(grid_.ColumnOf(q.x), grid_.RowOf(q.y));
-  }
-  SetId QuerySetId(const Point2D& q) const {
-    return cell_set(grid_.ColumnOf(q.x), grid_.RowOf(q.y));
-  }
 
   /// Semantic equality: same grid shape and the same result set in every
   /// cell (compares set contents, not SetIds, so diagrams built by different

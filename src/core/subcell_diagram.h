@@ -2,11 +2,13 @@
 // builders (baseline, subset, scanning). Maps every skyline subcell to an
 // interned dynamic-skyline result set.
 //
-// Exactness contract: results are exact for queries in the interior of their
-// subcell. Queries exactly on a grid/bisector line are answered with the
-// adjacent interior subcell's result (half-open convention), which can differ
-// from the true boundary result when the tie changes dominance; boundary-
-// exact callers should use skyline/query.h directly.
+// Queries locate their subcell through a PointLocationIndex
+// (src/core/point_location.h). Exactness contract: results are exact for
+// queries in the interior of their subcell. Queries exactly on a
+// grid/bisector line are answered with the adjacent interior subcell's
+// result (half-open convention), which can differ from the true boundary
+// result when the tie changes dominance; NeedsOracle (src/core/diagram.h)
+// detects those positions.
 #ifndef SKYDIA_SRC_CORE_SUBCELL_DIAGRAM_H_
 #define SKYDIA_SRC_CORE_SUBCELL_DIAGRAM_H_
 
@@ -51,12 +53,6 @@ class SubcellDiagram {
   /// view consumed by PointLocationIndex; stays valid while the diagram
   /// lives.
   std::span<const SetId> cell_table() const { return cells_; }
-
-  /// Point-location for an integer query point (interior-exact).
-  std::span<const PointId> Query(const Point2D& q) const {
-    return SubcellSkyline(grid_.x_axis().SlabOfDoubled(2 * q.x),
-                          grid_.y_axis().SlabOfDoubled(2 * q.y));
-  }
 
   /// Semantic equality over all subcells (content comparison).
   bool SameResults(const SubcellDiagram& other) const {

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <vector>
 
 #include "src/common/version.h"
 
@@ -126,13 +125,6 @@ void SecondsHistogram(const char* name, const char* help,
   out->append(std::to_string(count)).push_back('\n');
 }
 
-/// One `name{shard="i"} value` sample line.
-void ShardSample(const char* name, size_t shard, uint64_t value,
-                 std::string* out) {
-  out->append(name).append("{shard=\"").append(std::to_string(shard));
-  out->append("\"} ").append(std::to_string(value)).push_back('\n');
-}
-
 }  // namespace
 
 bool GuardedDecrement(std::atomic<uint64_t>* gauge) {
@@ -249,9 +241,9 @@ std::string RenderPrometheusMetrics(const ServerMetrics& metrics,
   Gauge("skydia_snapshot_generation", "Generation of the serving snapshot.",
         static_cast<double>(snapshot->generation), &out);
   Gauge("skydia_snapshot_points", "Points in the serving dataset.",
-        static_cast<double>(snapshot->serving().point_count()), &out);
+        static_cast<double>(snapshot->diagram->dataset().size()), &out);
 
-  const QueryEngineStats engine = snapshot->serving().engine().Stats();
+  const QueryEngineStats engine = snapshot->diagram->engine().Stats();
   Counter("skydia_queries_served_total",
           "Queries answered by the current snapshot's engine.",
           engine.queries_served, &out);
@@ -271,31 +263,6 @@ std::string RenderPrometheusMetrics(const ServerMetrics& metrics,
         &out);
   LatencyHistogram(engine, &out);
 
-  if (snapshot->serving().num_shards() > 1) {
-    const std::vector<ShardStats> shards = snapshot->serving().shard_stats();
-    Gauge("skydia_shards", "Row-stripe shards in the serving snapshot.",
-          static_cast<double>(shards.size()), &out);
-    out.append(
-        "# HELP skydia_shard_queries_total Queries routed to each "
-        "row-stripe shard.\n# TYPE skydia_shard_queries_total counter\n");
-    for (size_t s = 0; s < shards.size(); ++s) {
-      ShardSample("skydia_shard_queries_total", s, shards[s].queries, &out);
-    }
-    out.append(
-        "# HELP skydia_shard_memo_hits_total Shard queries answered from "
-        "the shard memo.\n# TYPE skydia_shard_memo_hits_total counter\n");
-    for (size_t s = 0; s < shards.size(); ++s) {
-      ShardSample("skydia_shard_memo_hits_total", s, shards[s].memo_hits,
-                  &out);
-    }
-    out.append(
-        "# HELP skydia_shard_queue_depth Scatter batches queued or running "
-        "per shard.\n# TYPE skydia_shard_queue_depth gauge\n");
-    for (size_t s = 0; s < shards.size(); ++s) {
-      ShardSample("skydia_shard_queue_depth", s, shards[s].queue_depth, &out);
-    }
-  }
-
   // Info-pattern gauge: constant 1, the payload lives in the labels.
   out.append(
       "# HELP skydia_build_info Version and dataset of the serving "
@@ -305,10 +272,10 @@ std::string RenderPrometheusMetrics(const ServerMetrics& metrics,
   out.append("\",generation=\"")
       .append(std::to_string(snapshot->generation));
   out.append("\",points=\"")
-      .append(std::to_string(snapshot->serving().point_count()));
+      .append(std::to_string(snapshot->diagram->dataset().size()));
   out.append("\",cells=\"")
       .append(
-          std::to_string(snapshot->serving().engine().index().num_cells()));
+          std::to_string(snapshot->diagram->engine().index().num_cells()));
   out.append("\"} 1\n");
 
   const ResultCacheStats cache = snapshot->cache->Stats();

@@ -285,10 +285,9 @@ uint64_t MutationPipeline::Publish() {
                                               options_.engine)
                       : ServableDiagram::Wrap(std::move(dataset), subcell,
                                               options_.engine);
-  const size_t points = wrapped.engine().dataset().size();
-  const uint64_t generation = registry_->Install(
-      std::move(wrapped), std::move(source), options_.cache,
-      options_.sharding);
+  const size_t points = wrapped.dataset().size();
+  const uint64_t generation =
+      registry_->Install(std::move(wrapped), std::move(source), options_.cache);
   {
     MutexLock lock(mu_);
     publish_in_flight_ = false;

@@ -15,8 +15,8 @@
 // shared_ptrs, so a publish grabs the current pair, wraps it into a
 // ServableDiagram (index build) and Install()s it on the registry — the
 // same RCU hot-swap path a reload takes, with a bumped generation and a
-// fresh cache + sharded view. In-flight read batches keep their pinned
-// snapshot; readers never block on writers.
+// fresh cache. In-flight read batches keep their pinned snapshot; readers
+// never block on writers.
 //
 // Coalescing: with window_ms > 0 a background publisher thread publishes
 // once per window, batching every mutation applied since the last publish
@@ -65,7 +65,6 @@
 #include "src/core/incremental.h"
 #include "src/core/incremental_dynamic.h"
 #include "src/core/query_engine.h"
-#include "src/core/sharded_diagram.h"
 #include "src/geometry/point.h"
 #include "src/serve/metrics.h"
 #include "src/serve/result_cache.h"
@@ -86,11 +85,10 @@ struct MutationPipelineOptions {
   /// Enforce the distinct-coordinates invariant on insert (the
   /// duplicate_coordinate protocol error).
   bool require_distinct = false;
-  /// How published snapshots are wrapped and re-striped — mirror the
-  /// server's serving options.
+  /// How published snapshots are wrapped — mirror the server's serving
+  /// options.
   QueryEngineOptions engine;
   ResultCacheOptions cache;
-  ShardingOptions sharding;
 };
 
 /// Point-in-time introspection of the write path, rendered by the server's

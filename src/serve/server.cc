@@ -30,9 +30,6 @@ constexpr uint64_t kWakeTag = 1;
 /// Cache key for one rendered reply array: the interned set id tagged with
 /// the representation bit (ids vs labels). SetIds are snapshot-local and the
 /// cache lives on the snapshot, so this key is collision-free by design.
-/// With sharding the ids stay global (all stripes share the interned pool),
-/// so the key is also shard-agnostic: every shard's hit on the same result
-/// set lands on the same entry.
 uint64_t CacheKey(SetId set, bool labels) {
   return (static_cast<uint64_t>(set) << 1) | (labels ? 1u : 0u);
 }
@@ -85,10 +82,10 @@ void SplitLines(std::string_view view, std::vector<std::string_view>* lines) {
 }
 
 /// Renders the {"cmd":"stats"} reply body: one flat JSON object of the
-/// engine's, shards' and cache's counters for the pinned snapshot.
+/// engine's and cache's counters for the pinned snapshot.
 std::string RenderStatsJson(const ServingSnapshot* snapshot) {
   if (snapshot == nullptr) return "{}";
-  const QueryEngineStats engine = snapshot->serving().engine().Stats();
+  const QueryEngineStats engine = snapshot->diagram->engine().Stats();
   const ResultCacheStats cache = snapshot->cache->Stats();
   std::string out;
   out.reserve(256);
@@ -100,19 +97,9 @@ std::string RenderStatsJson(const ServingSnapshot* snapshot) {
     out.append("\":");
     out.append(std::to_string(value));
   };
-  uint64_t shard_queries = 0;
-  uint64_t shard_memo_hits = 0;
-  const auto num_shards =
-      static_cast<uint64_t>(snapshot->serving().num_shards());
-  for (const ShardStats& shard : snapshot->serving().shard_stats()) {
-    shard_queries += shard.queries;
-    shard_memo_hits += shard.memo_hits;
-  }
   field("generation", snapshot->generation, /*first=*/true);
-  field("points", snapshot->serving().point_count(), false);
-  field("shards", num_shards, false);
-  field("queries_served", engine.queries_served + shard_queries, false);
-  field("memo_hits", engine.memo_hits + shard_memo_hits, false);
+  field("points", snapshot->diagram->dataset().size(), false);
+  field("queries_served", engine.queries_served, false);
   field("oracle_fallbacks", engine.oracle_fallbacks, false);
   field("p50_latency_ns", static_cast<uint64_t>(engine.p50_latency_ns),
         false);
@@ -181,17 +168,13 @@ Status SkylineServer::Start(ServableDiagram diagram, std::string source_path) {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server already running");
   }
-  const ShardingOptions sharding{options_.num_shards,
-                                 options_.engine.memo_entries};
-  registry_.Install(std::move(diagram), std::move(source_path),
-                    options_.cache, sharding);
+  registry_.Install(std::move(diagram), std::move(source_path), options_.cache);
   MutationPipelineOptions mutation_options;
   mutation_options.window_ms = options_.mutation_window_ms;
   mutation_options.max_pending = options_.mutation_max_pending;
   mutation_options.require_distinct = options_.mutation_require_distinct;
   mutation_options.engine = options_.engine;
   mutation_options.cache = options_.cache;
-  mutation_options.sharding = sharding;
   mutations_ = std::make_unique<MutationPipeline>(&registry_, &metrics_,
                                                   mutation_options);
   auto bound = BindAndListen();
@@ -233,11 +216,6 @@ Status SkylineServer::Start(ServableDiagram diagram, std::string source_path) {
     wheel_tick_ms_ = 0;
   }
 
-  if (options_.engine.num_threads > 1) {
-    shard_pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.engine.num_threads));
-  }
-
   start_time_ = std::chrono::steady_clock::now();
   running_.store(true, std::memory_order_release);
   workers_.reserve(static_cast<size_t>(options_.num_workers));
@@ -276,7 +254,6 @@ void SkylineServer::Stop() {
     MutexLock lock(completions_mu_);
     completions_.clear();
   }
-  shard_pool_.reset();
   mutations_.reset();  // joins the publisher thread
   for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
     if (*fd >= 0) ::close(*fd);
@@ -285,11 +262,9 @@ void SkylineServer::Stop() {
 }
 
 Status SkylineServer::Reload(const std::string& path) {
-  const ShardingOptions sharding{options_.num_shards,
-                                 options_.engine.memo_entries};
   const auto swap = [&] {
     return registry_.Reload(path, options_.engine, options_.cell_semantics,
-                            options_.cache, sharding);
+                            options_.cache);
   };
   // The registry swap and the shadow reset must share the pipeline's
   // publish exclusion: a publish that grabbed pre-reload shadow state
@@ -499,7 +474,7 @@ void SkylineServer::ProcessInput(Connection* conn) {
       std::string batch = conn->inbuf.substr(0, last_nl + 1);
       conn->inbuf.erase(0, last_nl + 1);
       // Establish the batch's request context here so the dispatch span on
-      // this thread and everything downstream (worker, query shards) share
+      // this thread and everything downstream (worker, engine pool) share
       // one rid.
       const uint64_t ctx = BatchRequestContext(batch);
       trace::ScopedRequestContext ctx_scope(ctx);
@@ -758,7 +733,8 @@ void SkylineServer::WorkerLoop() {
     Completion completion;
     completion.conn_id = job.conn_id;
     // Re-establish the batch's request context on this thread: spans below
-    // (and the shard spans fanned out from them) carry the reactor's rid.
+    // (and the engine's query.shard spans fanned out from them) carry the
+    // reactor's rid.
     trace::ScopedRequestContext ctx_scope(job.ctx);
     if (job.http) {
       ServeHttp(job.http_target, &completion.reply);
@@ -806,10 +782,8 @@ void SkylineServer::ServeHttp(std::string_view request_target,
     } else {
       body.append("{\"generation\":")
           .append(std::to_string(snapshot->generation));
-      body.append(",\"shards\":")
-          .append(std::to_string(snapshot->serving().num_shards()));
       body.append(",\"points\":")
-          .append(std::to_string(snapshot->serving().point_count()));
+          .append(std::to_string(snapshot->diagram->dataset().size()));
       body.append(",\"mutation_pending\":")
           .append(std::to_string(
               mutations_ != nullptr ? mutations_->pending() : 0));
@@ -868,12 +842,9 @@ std::string SkylineServer::RenderDebugSnapshotJson() const {
   const auto snapshot = registry_.Current();
   out.append("{\"generation\":")
       .append(std::to_string(snapshot != nullptr ? snapshot->generation : 0));
-  out.append(",\"shards\":")
-      .append(std::to_string(
-          snapshot != nullptr ? snapshot->serving().num_shards() : 0));
   out.append(",\"points\":")
       .append(std::to_string(
-          snapshot != nullptr ? snapshot->serving().point_count() : 0));
+          snapshot != nullptr ? snapshot->diagram->dataset().size() : 0));
   out.append(",\"recorder_active\":")
       .append(trace::RecorderActive() ? "true" : "false");
   if (mutations_ != nullptr) {
@@ -927,8 +898,7 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
   SKYDIA_TRACE_SPAN("serve.batch");
   const uint64_t batch_start_ns = trace::NowNanos();
   // One snapshot pin for the whole pipelined batch: every reply in a batch
-  // carries the same generation even across a concurrent reload — and with
-  // sharding, one consistent set of stripes.
+  // carries the same generation even across a concurrent reload.
   const auto snapshot = registry_.Current();
 
   struct Pending {
@@ -968,11 +938,7 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
   std::vector<SetId> fast_sets;
   if (!fast_queries.empty() && snapshot != nullptr) {
     SKYDIA_TRACE_SPAN("serve.answer");
-    // One Servable surface whatever the snapshot's shape: the sharded view
-    // scatters/gathers across its row stripes, the single-index diagram
-    // follows its engine's own threading policy.
-    snapshot->serving().AnswerSets(fast_queries, &fast_sets,
-                                   shard_pool_.get());
+    snapshot->diagram->engine().AnswerBatch(fast_queries, &fast_sets);
   }
   std::vector<SetId> set_for_line(lines.size(), 0);
   std::vector<bool> has_set(lines.size(), false);
@@ -1078,14 +1044,14 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
           break;
         }
         const RangePayload& range = req.range();
-        auto summary = snapshot->serving().AnswerRange(range.range);
+        auto summary = snapshot->diagram->engine().AnswerRange(range.range);
         if (!summary.ok()) {
           AppendErrorReply(req.id, ErrorCode::kInvalidArgument,
                            summary.status().message(), out, rid);
           metrics_.error_replies.fetch_add(1, std::memory_order_relaxed);
           break;
         }
-        const Dataset& dataset = snapshot->serving().dataset();
+        const Dataset& dataset = snapshot->diagram->dataset();
         const std::string union_json =
             range.labels ? RenderLabelsArray(dataset, summary->union_ids)
                          : RenderIdsArray(summary->union_ids);
@@ -1105,7 +1071,7 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
           break;
         }
         const QueryPayload& query = req.query();
-        const QueryEngine& engine = snapshot->serving().engine();
+        const QueryEngine& engine = snapshot->diagram->engine();
         const char* key = query.labels ? "labels" : "ids";
         if (has_set[i]) {
           // Fast path: interned set id -> per-snapshot rendered-reply cache.
@@ -1117,7 +1083,7 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
           const auto ids = engine.Get(set_for_line[i]);
           std::string array =
               query.labels
-                  ? RenderLabelsArray(snapshot->serving().dataset(), ids)
+                  ? RenderLabelsArray(snapshot->diagram->dataset(), ids)
                   : RenderIdsArray(ids);
           AppendQueryReply(req.id, generation, key, array, out, rid);
           snapshot->cache->Insert(cache_key, std::move(array));
@@ -1148,7 +1114,7 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
         }
         const std::string array =
             query.labels
-                ? RenderLabelsArray(snapshot->serving().dataset(), *answer)
+                ? RenderLabelsArray(snapshot->diagram->dataset(), *answer)
                 : RenderIdsArray(*answer);
         AppendQueryReply(req.id, generation, key, array, out, rid);
         break;

@@ -37,7 +37,7 @@
 //   /metrics            Prometheus text exposition
 //   /healthz            liveness: 200 "ok" while the process serves
 //   /readyz             readiness: 503 before the first snapshot, else a
-//                       JSON summary (generation, shards, points, backlog)
+//                       JSON summary (generation, points, backlog)
 //   /debug/trace        the flight recorder's recent window as Chrome
 //                       trace-event JSON (ui.perfetto.dev)
 //   /debug/snapshot     registry + mutation-pipeline introspection JSON,
@@ -47,9 +47,9 @@
 //
 // Request identity: every batch runs under a request-context token — the
 // first client-supplied "rid" in the batch, else a server-generated one —
-// so trace spans from the reactor dispatch, the worker, and the query
-// shards share one id (src/common/trace.h). Replies, error replies and the
-// slow-query log are stamped with the resolved rid.
+// so trace spans from the reactor dispatch, the worker, and the engine's
+// query shards share one id (src/common/trace.h). Replies, error replies and
+// the slow-query log are stamped with the resolved rid.
 //
 // Robustness contract: a malformed line produces one error reply and the
 // connection stays open; a line longer than max_request_bytes produces one
@@ -75,9 +75,7 @@
 
 #include "src/common/annotations.h"
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/core/query_engine.h"
-#include "src/core/sharded_diagram.h"
 #include "src/serve/metrics.h"
 #include "src/serve/mutation_pipeline.h"
 #include "src/serve/result_cache.h"
@@ -92,15 +90,13 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// Listen port; 0 picks a free port (read it back via port()).
   int port = 0;
-  /// Engine options for loaded snapshots (threads, memo, batch threshold).
+  /// Engine options for loaded snapshots (threads, batch threshold).
   QueryEngineOptions engine;
   /// Semantics a cell blob encodes (the file format does not record
   /// quadrant vs global; dynamic is inferred from subcell blobs).
   SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant;
   /// Per-snapshot reply cache sizing.
   ResultCacheOptions cache;
-  /// Row-stripe shards per snapshot; <= 1 serves the unsharded engine.
-  int num_shards = 1;
   /// Worker threads executing parsed batches off the event loop (>= 1).
   int num_workers = 1;
   /// Pure-query batches of at most this many lines execute inline on the
@@ -259,7 +255,7 @@ class SkylineServer {
   /// The /debug/connections payload. Reactor-only by necessity: the
   /// connection table and state machines belong to the event-loop thread.
   std::string RenderConnectionsJson() const SKYDIA_REACTOR_ONLY;
-  /// The /debug/snapshot payload: registry generation/shards, mutation
+  /// The /debug/snapshot payload: registry generation and points, mutation
   /// pipeline DebugState, and request-duration bucket exemplars.
   std::string RenderDebugSnapshotJson() const;
 
@@ -279,11 +275,6 @@ class SkylineServer {
   /// the reactor/worker loops and running() read it with acquire.
   std::atomic<bool> running_{false};
   std::thread reactor_;
-
-  /// Scatter/gather pool for sharded batches; null when the engine is
-  /// configured single-threaded (shards then answer sequentially in the
-  /// worker, which is right for one-core hosts).
-  std::unique_ptr<ThreadPool> shard_pool_;
 
   // Connection table: the event loop resolves completions by id. Only the
   // event-loop thread touches it.

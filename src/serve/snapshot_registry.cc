@@ -11,19 +11,10 @@ std::shared_ptr<const ServingSnapshot> SnapshotRegistry::Current() const {
 
 uint64_t SnapshotRegistry::Install(ServableDiagram diagram,
                                    std::string source_path,
-                                   const ResultCacheOptions& cache_options,
-                                   const ShardingOptions& sharding) {
+                                   const ResultCacheOptions& cache_options) {
   auto snapshot = std::make_shared<ServingSnapshot>();
   snapshot->diagram =
       std::make_shared<const ServableDiagram>(std::move(diagram));
-  if (sharding.num_shards > 1) {
-    // Built fully before the swap below: stripes never publish piecemeal.
-    auto view = ShardedServableDiagram::Create(snapshot->diagram, sharding);
-    if (view.ok()) {
-      snapshot->sharded = std::make_shared<const ShardedServableDiagram>(
-          std::move(view).value());
-    }
-  }
   snapshot->cache = std::make_shared<ResultCache>(cache_options);
   snapshot->source_path = std::move(source_path);
   std::shared_ptr<const ServingSnapshot> replaced;
@@ -45,8 +36,7 @@ uint64_t SnapshotRegistry::Install(ServableDiagram diagram,
 Status SnapshotRegistry::Reload(const std::string& path,
                                 const QueryEngineOptions& engine,
                                 SkylineQueryType cell_semantics,
-                                const ResultCacheOptions& cache_options,
-                                const ShardingOptions& sharding) {
+                                const ResultCacheOptions& cache_options) {
   std::string target = path;
   if (target.empty()) {
     auto current = Current();
@@ -60,8 +50,7 @@ Status SnapshotRegistry::Reload(const std::string& path,
   // while the replacement deserializes and builds its index.
   auto loaded = ServableDiagram::Load(target, engine, cell_semantics);
   if (!loaded.ok()) return loaded.status();
-  Install(std::move(loaded).value(), std::move(target), cache_options,
-          sharding);
+  Install(std::move(loaded).value(), std::move(target), cache_options);
   return Status::OK();
 }
 

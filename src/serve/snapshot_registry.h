@@ -6,16 +6,13 @@
 // they pinned until they drop their reference — queries never block on a
 // reload and never observe a half-installed diagram.
 //
+// A snapshot serves through one ServableDiagram: every point, exact and
+// range query it answers goes through that diagram's one QueryEngine and its
+// PointLocationIndex.
+//
 // Each snapshot carries its own ResultCache: SetIds are meaningless across
 // snapshots, so retiring the cache with its diagram makes stale cache hits
 // structurally impossible (no invalidation protocol to get wrong).
-//
-// Sharding: when Install/Reload are given a shard count > 1, the snapshot
-// also carries a ShardedServableDiagram built over the same loaded blob.
-// The sharded view and every one of its stripe indexes are members of the
-// one ServingSnapshot that the registry swaps atomically, so a hot-swap
-// publishes all stripes under one generation — a batch can never observe
-// stripes from two generations.
 //
 // Generation numbers increase monotonically from 1 and stamp every reply
 // ("gen" field), which is what the hot-swap stress test asserts on.
@@ -31,7 +28,6 @@
 #include "src/common/status.h"
 #include "src/core/diagram.h"
 #include "src/core/query_engine.h"
-#include "src/core/sharded_diagram.h"
 #include "src/serve/result_cache.h"
 
 namespace skydia::serve {
@@ -40,20 +36,9 @@ namespace skydia::serve {
 /// and where it came from. Shared read-only across connection threads.
 struct ServingSnapshot {
   std::shared_ptr<const ServableDiagram> diagram;
-  /// Row-stripe sharded view over `diagram` (null when serving unsharded).
-  /// All stripes belong to this snapshot: one generation, swapped as a unit.
-  std::shared_ptr<const ShardedServableDiagram> sharded;
   std::shared_ptr<ResultCache> cache;
   uint64_t generation = 0;
   std::string source_path;  ///< blob the snapshot was loaded from
-
-  /// The one surface to serve this snapshot through (the sharded view when
-  /// present, else the single-index diagram). Readers target this so the
-  /// serve layer never branches on the snapshot's shape.
-  const Servable& serving() const {
-    return sharded != nullptr ? static_cast<const Servable&>(*sharded)
-                              : *diagram;
-  }
 };
 
 /// Thread-safe holder of the current ServingSnapshot.
@@ -68,21 +53,20 @@ class SnapshotRegistry {
   std::shared_ptr<const ServingSnapshot> Current() const SKYDIA_EXCLUDES(mu_);
 
   /// Installs an already-loaded diagram as the new current snapshot with a
-  /// fresh cache (and, when `sharding.num_shards > 1`, a sharded view built
-  /// before the swap so all stripes publish atomically). Returns the new
-  /// generation. The replaced snapshot is released after the swap's lock is
-  /// dropped, so freeing it never stalls Current().
+  /// fresh cache. Returns the new generation. The replaced snapshot is
+  /// released after the swap's lock is dropped, so freeing it never stalls
+  /// Current().
   uint64_t Install(ServableDiagram diagram, std::string source_path,
-                   const ResultCacheOptions& cache_options = {},
-                   const ShardingOptions& sharding = {}) SKYDIA_EXCLUDES(mu_);
+                   const ResultCacheOptions& cache_options = {})
+      SKYDIA_EXCLUDES(mu_);
 
   /// Loads `path` and installs it. On failure the current snapshot is left
   /// serving untouched. An empty `path` reloads the current snapshot's
   /// source file (error when nothing is installed yet).
   Status Reload(const std::string& path, const QueryEngineOptions& engine,
                 SkylineQueryType cell_semantics,
-                const ResultCacheOptions& cache_options = {},
-                const ShardingOptions& sharding = {}) SKYDIA_EXCLUDES(mu_);
+                const ResultCacheOptions& cache_options = {})
+      SKYDIA_EXCLUDES(mu_);
 
   /// Generation of the current snapshot (0 = nothing installed). Lock-free.
   uint64_t generation() const {

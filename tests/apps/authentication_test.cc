@@ -32,7 +32,7 @@ TEST(AuthenticationTest, ProofResultMatchesDiagram) {
   const AuthenticatedDiagram auth(diagram);
   const Point2D q{7, 9};
   const SkylineProof proof = auth.Prove(q);
-  const auto direct = diagram.Query(q);
+  const auto direct = built.Query(q);
   EXPECT_EQ(proof.result,
             std::vector<PointId>(direct.begin(), direct.end()));
 }

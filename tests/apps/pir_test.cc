@@ -43,7 +43,7 @@ TEST(PirTest, EndToEndPrivateQueriesAreCorrect) {
     auto result =
         PrivateSkylineQuery(diagram, db, server1, server2, q, &rng);
     ASSERT_TRUE(result.ok());
-    const auto expected = diagram.Query(q);
+    const auto expected = built.Query(q);
     EXPECT_EQ(*result,
               std::vector<PointId>(expected.begin(), expected.end()));
   }

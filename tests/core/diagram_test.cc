@@ -158,6 +158,46 @@ TEST(SkylineDiagramTest, AccessorsExposeUnderlyingDiagrams) {
   EXPECT_NE(dynamic->subcell_diagram(), nullptr);
 }
 
+// Build() makes the point-location index last, as a view of the cell table
+// and result pool on the heap. Moving the diagram (construction, vector
+// growth, assignment over a live diagram) must keep every answer in place.
+TEST(SkylineDiagramTest, MovedDiagramKeepsAnsweringThroughItsIndex) {
+  for (const SkylineQueryType type :
+       {SkylineQueryType::kQuadrant, SkylineQueryType::kGlobal,
+        SkylineQueryType::kDynamic}) {
+    const Dataset ds = RandomDataset(16, 12, 13);
+    std::vector<SkylineDiagram> diagrams;
+    diagrams.push_back(testing::BuildDiagram(ds, type));
+    std::vector<std::vector<PointId>> before;
+    for (int64_t x = 0; x < 12; ++x) {
+      for (int64_t y = 0; y < 12; ++y) {
+        const auto ids = diagrams.front().Query({x, y});
+        before.emplace_back(ids.begin(), ids.end());
+      }
+    }
+    for (int i = 0; i < 8; ++i) {
+      diagrams.push_back(testing::BuildDiagram(ds, type));  // reallocates
+    }
+    diagrams.push_back(testing::BuildDiagram(RandomDataset(4, 12, 1), type));
+    // Move-construct out of the vector, then move-assign over a live diagram
+    // of other points, which the assignment destroys.
+    SkylineDiagram moved = std::move(diagrams.front());
+    diagrams.back() = std::move(moved);
+    const SkylineDiagram& assigned = diagrams.back();
+
+    size_t at = 0;
+    for (int64_t x = 0; x < 12; ++x) {
+      for (int64_t y = 0; y < 12; ++y) {
+        const auto ids = assigned.Query({x, y});
+        EXPECT_EQ(std::vector<PointId>(ids.begin(), ids.end()), before[at++])
+            << SkylineQueryTypeName(type) << " (" << x << ", " << y << ")";
+        EXPECT_EQ(assigned.QueryExact({x, y}), OracleSkyline(ds, type, {x, y}))
+            << SkylineQueryTypeName(type) << " (" << x << ", " << y << ")";
+      }
+    }
+  }
+}
+
 TEST(SkylineDiagramTest, EnumNames) {
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kQuadrant), "quadrant");
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kGlobal), "global");

@@ -121,7 +121,8 @@ TEST(IncrementalTest, DeleteRenumbersIdsAndLabelsFollow) {
   EXPECT_EQ(incremental->dataset().label(0), "a");
   EXPECT_EQ(incremental->dataset().label(1), "c");
   EXPECT_EQ(incremental->dataset().point(1).x, 5);
-  const auto at_origin = incremental->Query({0, 0});
+  const auto at_origin =
+      PointLocationIndex(incremental->diagram()).Query({0, 0});
   EXPECT_EQ(std::vector<PointId>(at_origin.begin(), at_origin.end()),
             FirstQuadrantSkyline(incremental->dataset(), {0, 0}));
 }
@@ -200,9 +201,10 @@ TEST(IncrementalTest, QueriesAreExactAfterInserts) {
         incremental->Insert({rng.NextInt(0, 11), rng.NextInt(0, 11)}).ok());
   }
   const Dataset& ds = incremental->dataset();
+  const PointLocationIndex index(incremental->diagram());
   for (int64_t x = 0; x < 12; ++x) {
     for (int64_t y = 0; y < 12; ++y) {
-      const auto actual = incremental->Query({x, y});
+      const auto actual = index.Query({x, y});
       EXPECT_EQ(std::vector<PointId>(actual.begin(), actual.end()),
                 FirstQuadrantSkyline(ds, {x, y}));
     }
@@ -241,7 +243,8 @@ TEST(IncrementalTest, DatasetValidationFailureIsCleanStatusNotAbort) {
   auto ok = incremental->Insert({5, 6});
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(*ok, 2u);
-  const auto at_origin = incremental->Query({0, 0});
+  const auto at_origin =
+      PointLocationIndex(incremental->diagram()).Query({0, 0});
   EXPECT_EQ(std::vector<PointId>(at_origin.begin(), at_origin.end()),
             FirstQuadrantSkyline(incremental->dataset(), {0, 0}));
 

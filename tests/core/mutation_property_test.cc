@@ -152,14 +152,13 @@ void RunInterleavedTrace(SkylineQueryType family, Distribution distribution,
     const Dataset& served = quadrant.has_value() ? quadrant->dataset()
                                                  : dynamic->dataset();
     ASSERT_EQ(served.size(), mirror.size());
+    const PointLocationIndex index =
+        quadrant.has_value() ? PointLocationIndex(quadrant->diagram())
+                             : PointLocationIndex(dynamic->diagram());
     for (int probe = 0; probe < 6; ++probe) {
       const Point2D q = RandomQueryPoint(rng, served);
-      const std::vector<PointId> incremental =
-          quadrant.has_value() ? Sorted(quadrant->Query(q))
-                               : Sorted(dynamic->Query(q));
-      const std::vector<PointId> oracle =
-          quadrant.has_value() ? Sorted(rebuilt.cell_diagram()->Query(q))
-                               : Sorted(rebuilt.subcell_diagram()->Query(q));
+      const std::vector<PointId> incremental = Sorted(index.Query(q));
+      const std::vector<PointId> oracle = Sorted(rebuilt.Query(q));
       ASSERT_EQ(incremental, oracle)
           << "step " << step << " q=(" << q.x << "," << q.y << ") n="
           << mirror.size();
@@ -331,10 +330,10 @@ TEST(MutationCompactionTest, LongTraceStaysCorrectWithBoundedPool) {
           ASSERT_TRUE(mirror_ds.ok());
           const SkylineDiagram rebuilt =
               BuildDiagram(*mirror_ds, SkylineQueryType::kQuadrant);
+          const PointLocationIndex index(diagram.diagram());
           for (int probe = 0; probe < 4; ++probe) {
             const Point2D q = RandomQueryPoint(rng, diagram.dataset());
-            ASSERT_EQ(Sorted(diagram.Query(q)),
-                      Sorted(rebuilt.cell_diagram()->Query(q)))
+            ASSERT_EQ(Sorted(index.Query(q)), Sorted(rebuilt.Query(q)))
                 << "step " << step;
           }
         }

@@ -39,27 +39,44 @@ std::pair<std::set<PointId>, std::set<PointId>> OracleUnionIntersection(
   return {uni, inter};
 }
 
+// Every quadrant builder's cell table, sequential and parallel, answers
+// range summaries like the integer oracle: the sweep reads each covered cell
+// straight from the table the builder wrote.
 TEST(RangeQueryTest, UnionAndIntersectionMatchIntegerOracle) {
   const Dataset ds = RandomDataset(20, 16, 3);
-  const SkylineDiagram built = testing::BuildDiagram(
-      ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
-  Rng rng(7);
-  for (int i = 0; i < 20; ++i) {
-    QueryRange range;
-    range.x_lo = rng.NextInt(0, 15);
-    range.x_hi = range.x_lo + rng.NextInt(0, 15 - range.x_lo);
-    range.y_lo = rng.NextInt(0, 15);
-    range.y_hi = range.y_lo + rng.NextInt(0, 15 - range.y_lo);
-    const auto [uni, inter] = OracleUnionIntersection(ds, range);
+  struct Builder {
+    BuildAlgorithm algorithm;
+    int parallelism;
+  };
+  for (const Builder builder : {Builder{BuildAlgorithm::kBaseline, 1},
+                                Builder{BuildAlgorithm::kDsg, 1},
+                                Builder{BuildAlgorithm::kScanning, 1},
+                                Builder{BuildAlgorithm::kAuto, 3}}) {
+    const SkylineDiagram built =
+        testing::BuildDiagram(ds, SkylineQueryType::kQuadrant,
+                              builder.algorithm, builder.parallelism);
+    Rng rng(7);
+    for (int i = 0; i < 20; ++i) {
+      QueryRange range;
+      range.x_lo = rng.NextInt(0, 15);
+      range.x_hi = range.x_lo + rng.NextInt(0, 15 - range.x_lo);
+      range.y_lo = rng.NextInt(0, 15);
+      range.y_hi = range.y_lo + rng.NextInt(0, 15 - range.y_lo);
+      const auto [uni, inter] = OracleUnionIntersection(ds, range);
 
-    auto u = RangeSkylineUnion(diagram, range);
-    ASSERT_TRUE(u.ok());
-    EXPECT_EQ(std::set<PointId>(u->begin(), u->end()), uni);
-
-    auto x = RangeSkylineIntersection(diagram, range);
-    ASSERT_TRUE(x.ok());
-    EXPECT_EQ(std::set<PointId>(x->begin(), x->end()), inter);
+      auto summary = RangeSkylineSummarize(built.index(), range);
+      ASSERT_TRUE(summary.ok()) << summary.status();
+      EXPECT_EQ(std::set<PointId>(summary->union_ids.begin(),
+                                  summary->union_ids.end()),
+                uni)
+          << BuildAlgorithmName(builder.algorithm) << " x"
+          << builder.parallelism;
+      EXPECT_EQ(std::set<PointId>(summary->intersection_ids.begin(),
+                                  summary->intersection_ids.end()),
+                inter)
+          << BuildAlgorithmName(builder.algorithm) << " x"
+          << builder.parallelism;
+    }
   }
 }
 
@@ -67,27 +84,11 @@ TEST(RangeQueryTest, DegenerateRangeEqualsPointQuery) {
   const Dataset ds = RandomDataset(15, 12, 5);
   const SkylineDiagram built = testing::BuildDiagram(
       ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
-  const QueryRange range{5, 5, 7, 7};
-  auto u = RangeSkylineUnion(diagram, range);
-  auto x = RangeSkylineIntersection(diagram, range);
-  ASSERT_TRUE(u.ok());
-  ASSERT_TRUE(x.ok());
-  EXPECT_EQ(*u, FirstQuadrantSkyline(ds, {5, 7}));
-  EXPECT_EQ(*x, FirstQuadrantSkyline(ds, {5, 7}));
-  auto d = RangeDistinctResults(diagram, range);
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(*d, 1u);
-}
-
-TEST(RangeQueryTest, InvertedRangeRejected) {
-  const Dataset ds = RandomDataset(5, 8, 7);
-  const SkylineDiagram built = testing::BuildDiagram(
-      ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
-  EXPECT_FALSE(RangeSkylineUnion(diagram, {5, 4, 0, 1}).ok());
-  EXPECT_FALSE(RangeSkylineIntersection(diagram, {0, 1, 5, 4}).ok());
-  EXPECT_FALSE(RangeDistinctResults(diagram, {5, 4, 5, 4}).ok());
+  auto summary = RangeSkylineSummarize(built.index(), {5, 5, 7, 7});
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->union_ids, FirstQuadrantSkyline(ds, {5, 7}));
+  EXPECT_EQ(summary->intersection_ids, FirstQuadrantSkyline(ds, {5, 7}));
+  EXPECT_EQ(summary->distinct_results, 1u);
 }
 
 TEST(RangeQueryTest, WholeDomainUnionIsAllSkylineCandidates) {
@@ -97,25 +98,23 @@ TEST(RangeQueryTest, WholeDomainUnionIsAllSkylineCandidates) {
   const Dataset ds = RandomDataset(12, 16, 9);
   const SkylineDiagram built = testing::BuildDiagram(
       ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
-  auto u = RangeSkylineUnion(diagram, {0, 15, 0, 15});
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u->size(), ds.size());
+  auto summary = RangeSkylineSummarize(built.index(), {0, 15, 0, 15});
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->union_ids.size(), ds.size());
 }
 
 TEST(RangeQueryTest, DistinctResultsCountsSafeZones) {
   const Dataset ds = RandomDataset(18, 20, 11);
   const SkylineDiagram built = testing::BuildDiagram(
       ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
   // Whole domain has many results...
-  auto whole = RangeDistinctResults(diagram, {0, 19, 0, 19});
+  auto whole = RangeSkylineSummarize(built.index(), {0, 19, 0, 19});
   ASSERT_TRUE(whole.ok());
-  EXPECT_GT(*whole, 1u);
+  EXPECT_GT(whole->distinct_results, 1u);
   // ...while the top-right corner past every point is one empty region.
-  auto corner = RangeDistinctResults(diagram, {19, 19, 19, 19});
+  auto corner = RangeSkylineSummarize(built.index(), {19, 19, 19, 19});
   ASSERT_TRUE(corner.ok());
-  EXPECT_EQ(*corner, 1u);
+  EXPECT_EQ(corner->distinct_results, 1u);
 }
 
 // Property-based differential check of the summary path the line protocol
@@ -160,30 +159,6 @@ TEST(RangeQueryTest, SummarizeMatchesIntegerOracleOnRandomRanges) {
   }
 }
 
-TEST(RangeQueryTest, SummarizeAgreesWithTheStandaloneQueries) {
-  const Dataset ds = RandomDataset(30, 40, 19);
-  const SkylineDiagram built = testing::BuildDiagram(
-      ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
-  const PointLocationIndex index(diagram);
-  Rng rng(31);
-  for (int i = 0; i < 25; ++i) {
-    QueryRange range;
-    range.x_lo = rng.NextInt(0, 39);
-    range.x_hi = range.x_lo + rng.NextInt(0, 39 - range.x_lo);
-    range.y_lo = rng.NextInt(0, 39);
-    range.y_hi = range.y_lo + rng.NextInt(0, 39 - range.y_lo);
-    auto summary = RangeSkylineSummarize(index, range);
-    auto u = RangeSkylineUnion(diagram, range);
-    auto x = RangeSkylineIntersection(diagram, range);
-    auto d = RangeDistinctResults(diagram, range);
-    ASSERT_TRUE(summary.ok() && u.ok() && x.ok() && d.ok());
-    EXPECT_EQ(summary->union_ids, *u);
-    EXPECT_EQ(summary->intersection_ids, *x);
-    EXPECT_EQ(summary->distinct_results, *d);
-  }
-}
-
 TEST(RangeQueryTest, SummarizeRejectsInvertedRanges) {
   const Dataset ds = RandomDataset(5, 8, 7);
   const SkylineDiagram built = testing::BuildDiagram(
@@ -191,6 +166,7 @@ TEST(RangeQueryTest, SummarizeRejectsInvertedRanges) {
   const PointLocationIndex index(*built.cell_diagram());
   EXPECT_FALSE(RangeSkylineSummarize(index, {5, 4, 0, 1}).ok());
   EXPECT_FALSE(RangeSkylineSummarize(index, {0, 1, 5, 4}).ok());
+  EXPECT_FALSE(RangeSkylineSummarize(index, {5, 4, 5, 4}).ok());
 }
 
 TEST(RangeQueryTest, DistinctResultsWithoutInterning) {
@@ -204,11 +180,13 @@ TEST(RangeQueryTest, DistinctResultsWithoutInterning) {
                             BuildAlgorithm::kScanning, /*parallelism=*/1,
                             no_intern);
   const QueryRange range{0, 11, 0, 11};
-  auto a = RangeDistinctResults(*plain.cell_diagram(), range);
-  auto b = RangeDistinctResults(*raw.cell_diagram(), range);
+  auto a = RangeSkylineSummarize(plain.index(), range);
+  auto b = RangeSkylineSummarize(raw.index(), range);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
+  EXPECT_EQ(a->distinct_results, b->distinct_results);
+  EXPECT_EQ(a->union_ids, b->union_ids);
+  EXPECT_EQ(a->intersection_ids, b->intersection_ids);
 }
 
 }  // namespace

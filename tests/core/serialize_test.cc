@@ -13,6 +13,7 @@
 
 #include "src/common/sha256.h"
 #include "src/core/diagram.h"
+#include "src/core/point_location.h"
 #include "src/datagen/real_data.h"
 #include "tests/testing/util.h"
 
@@ -63,10 +64,12 @@ TEST(SerializeTest, QueriesSurviveTheRoundTrip) {
   const CellDiagram& diagram = *built.cell_diagram();
   auto loaded = ParseCellDiagram(SerializeCellDiagram(ds, diagram));
   ASSERT_TRUE(loaded.ok());
+  const PointLocationIndex before(diagram);
+  const PointLocationIndex after(loaded->diagram);
   for (int64_t x = 0; x < 24; x += 3) {
     for (int64_t y = 0; y < 24; y += 3) {
-      const auto a = diagram.Query({x, y});
-      const auto b = loaded->diagram.Query({x, y});
+      const auto a = before.Query({x, y});
+      const auto b = after.Query({x, y});
       EXPECT_TRUE(a.size() == b.size() &&
                   std::equal(a.begin(), a.end(), b.begin()));
     }

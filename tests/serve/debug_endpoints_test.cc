@@ -1,7 +1,7 @@
-// End-to-end tests for the PR-10 observability surface: rid stamping on
-// replies, request-context propagation across the reactor, worker pool, and
-// query shards (the acceptance criterion), the liveness/readiness split,
-// and the /debug/{trace,connections,snapshot} endpoints.
+// End-to-end tests for the request-scoped observability surface: rid
+// stamping on replies, request-context propagation across the reactor, the
+// worker pool and the query engine's pool threads, the liveness/readiness
+// split, and the /debug/{trace,connections,snapshot} endpoints.
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -65,9 +65,9 @@ TEST_F(DebugEndpointsTest, ClientRidStampsReplyAndSpansAcrossThreads) {
   ScopedRecorder recorder;
   ServerOptions options;
   options.inline_batch_lines = 0;  // force the worker-pool path
-  options.num_shards = 2;
   options.num_workers = 2;
   options.engine.num_threads = 2;
+  options.engine.parallel_batch_threshold = 1;  // even one query fans out
   StartServer("debug_rid.skd", options);
 
   ASSERT_TRUE(
@@ -80,10 +80,10 @@ TEST_F(DebugEndpointsTest, ClientRidStampsReplyAndSpansAcrossThreads) {
             ",\"rid\":\"X-req-1\"}")
       << reply;
 
-  // The acceptance criterion: spans from this one request share the rid
-  // across the reactor thread (serve.dispatch), a worker thread
-  // (serve.batch), and at least one query shard (shard.answer). Tokens are
-  // resolved back to strings because interning is not idempotent.
+  // Spans from this one request share the rid across the reactor thread
+  // (serve.dispatch), a worker thread (serve.batch), and an engine pool
+  // thread (query.shard). Tokens are resolved back to strings because
+  // interning is not idempotent.
   struct Seen {
     uint32_t tid = 0;
     bool found = false;
@@ -103,7 +103,7 @@ TEST_F(DebugEndpointsTest, ClientRidStampsReplyAndSpansAcrossThreads) {
         const std::string name = event.name;
         if (name == "serve.dispatch") dispatch = {track.tid, true};
         if (name == "serve.batch") batch = {track.tid, true};
-        if (name == "shard.answer") shard = {track.tid, true};
+        if (name == "query.shard") shard = {track.tid, true};
       }
     }
     if (dispatch.found && batch.found && shard.found) break;
@@ -111,9 +111,11 @@ TEST_F(DebugEndpointsTest, ClientRidStampsReplyAndSpansAcrossThreads) {
   }
   EXPECT_TRUE(dispatch.found) << "no serve.dispatch span with the rid";
   EXPECT_TRUE(batch.found) << "no serve.batch span with the rid";
-  EXPECT_TRUE(shard.found) << "no shard.answer span with the rid";
-  // The reactor and the worker are genuinely different threads.
+  EXPECT_TRUE(shard.found) << "no query.shard span with the rid";
+  // The reactor, the worker and the engine pool are genuinely different
+  // threads.
   EXPECT_NE(dispatch.tid, batch.tid);
+  EXPECT_NE(shard.tid, batch.tid);
 
   // The same window is exported over HTTP as Perfetto JSON with rid args.
   const std::string traced = Http("/debug/trace");
@@ -171,7 +173,6 @@ TEST_F(DebugEndpointsTest, HealthzIsLivenessAndReadyzReportsServingState) {
   const std::string ready = Http("/readyz");
   EXPECT_NE(ready.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(ready.find("\"generation\":1"), std::string::npos) << ready;
-  EXPECT_NE(ready.find("\"shards\":"), std::string::npos);
   EXPECT_NE(ready.find("\"points\":64"), std::string::npos) << ready;
   EXPECT_NE(ready.find("\"mutation_pending\":0"), std::string::npos);
 }

@@ -166,6 +166,49 @@ TEST_F(MetricsRenderTest, BuildInfoCarriesVersionGenerationAndDatasetShape) {
   EXPECT_EQ(line.substr(line.size() - 2), " 1");
 }
 
+TEST_F(MetricsRenderTest, QueriesPerSecondAveragesOverUptime) {
+  const std::map<std::string, double> samples = ParseSamples(
+      RenderPrometheusMetrics(metrics_, &snapshot_, /*uptime_seconds=*/4.0));
+  // The fixture's one batch of 2048 queries, averaged over four seconds.
+  EXPECT_EQ(samples.at("skydia_queries_served_total"), 2048.0);
+  EXPECT_EQ(samples.at("skydia_queries_per_second"), 512.0);
+}
+
+// Queries answered on the engine's pool threads reach the served-queries
+// counter and the latency histogram that /metrics renders.
+TEST(MetricsEngineTest, PoolThreadQueriesAreAllCounted) {
+  const std::string path = ::testing::TempDir() + "/metrics_pool_" +
+                           std::to_string(::getpid()) + ".skd";
+  skydia::testing::SaveQuadrantFixture(256, 1 << 10, 98, path);
+  QueryEngineOptions options;
+  options.num_threads = 4;
+  options.parallel_batch_threshold = 1;  // every batch fans out
+  auto servable = ServableDiagram::Load(path, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(servable.ok()) << servable.status().ToString();
+  ServingSnapshot snapshot;
+  snapshot.diagram =
+      std::make_shared<const ServableDiagram>(std::move(servable).value());
+  snapshot.cache = std::make_shared<ResultCache>();
+  snapshot.generation = 1;
+
+  std::vector<Point2D> queries;
+  for (int i = 0; i < 1000; ++i) {
+    queries.push_back(Point2D{(i * 13) % 1024, (i * 29) % 1024});
+  }
+  std::vector<SetId> out;
+  snapshot.diagram->engine().AnswerBatch(queries, &out);
+
+  ServerMetrics metrics;
+  const std::map<std::string, double> samples = ParseSamples(
+      RenderPrometheusMetrics(metrics, &snapshot, /*uptime_seconds=*/1.0));
+  EXPECT_EQ(samples.at("skydia_queries_served_total"), 1000.0);
+  const double count = samples.at("skydia_query_latency_ns_count");
+  EXPECT_EQ(count, static_cast<double>(
+                       snapshot.diagram->engine().Stats().latency_samples));
+  EXPECT_GE(count, 4.0);  // each of the four shards times its first query
+}
+
 TEST_F(MetricsRenderTest, NullSnapshotStillRendersServerCounters) {
   metrics_.connections_opened.store(5);
   const std::string exposition =

@@ -56,7 +56,7 @@ std::vector<PointId> ServedSkyline(const SnapshotRegistry& registry,
   SKYDIA_CHECK(snapshot != nullptr);
   QueryOptions exact;
   exact.exact = true;
-  auto answer = snapshot->serving().engine().Answer(q, exact);
+  auto answer = snapshot->diagram->engine().Answer(q, exact);
   SKYDIA_CHECK(answer.ok());
   return AsSorted(std::move(answer).value());
 }
@@ -78,7 +78,7 @@ TEST(MutationPipelineTest, SynchronousInsertPublishesExactGeneration) {
   // The published snapshot serves the mutated dataset, verified against the
   // brute-force oracle over the same points.
   const auto snapshot = registry.Current();
-  ASSERT_EQ(snapshot->serving().point_count(), 33u);
+  ASSERT_EQ(snapshot->diagram->dataset().size(), 33u);
   std::vector<Point2D> points(dataset.points().begin(),
                               dataset.points().end());
   points.push_back({3, 2});
@@ -104,7 +104,7 @@ TEST(MutationPipelineTest, DeleteRemovesPointAndRejectsUnknownIds) {
 
   auto ack = pipeline.Delete(7);
   ASSERT_TRUE(ack.ok()) << ack.status();
-  EXPECT_EQ(registry.Current()->serving().point_count(), 23u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 23u);
 
   // Ids shift down past the deleted point; the oracle mirrors that.
   std::vector<Point2D> points(dataset.points().begin(),
@@ -147,7 +147,7 @@ TEST(MutationPipelineTest, WindowCoalescesIntoOneFlushPublish) {
   EXPECT_EQ(pipeline.Flush(), 2u);
   EXPECT_EQ(registry.generation(), 2u);
   EXPECT_EQ(pipeline.pending(), 0u);
-  EXPECT_EQ(registry.Current()->serving().point_count(), 21u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 21u);
   EXPECT_EQ(metrics.mutation_publishes.load(), 1u);
   EXPECT_EQ(metrics.mutation_last_publish_mutations.load(), 5u);
 
@@ -173,7 +173,7 @@ TEST(MutationPipelineTest, PublisherThreadFlushesAfterTheWindow) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(registry.generation(), 2u);
-  EXPECT_EQ(registry.Current()->serving().point_count(), 17u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 17u);
   EXPECT_EQ(pipeline.pending(), 0u);
 }
 
@@ -213,12 +213,12 @@ TEST(MutationPipelineTest, ResetDiscardsUnpublishedMutations) {
   pipeline.Reset();
   EXPECT_EQ(pipeline.pending(), 0u);
   EXPECT_EQ(pipeline.Flush(), 1u);  // nothing to publish
-  EXPECT_EQ(registry.Current()->serving().point_count(), 16u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 16u);
 
   // The next mutation re-seeds from the current snapshot and works.
   ASSERT_TRUE(pipeline.Insert({2000, 2000}, std::nullopt).ok());
   EXPECT_EQ(pipeline.Flush(), 2u);
-  EXPECT_EQ(registry.Current()->serving().point_count(), 17u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 17u);
 }
 
 TEST(MutationPipelineTest, ReloadAndResetSerializesWithInFlightPublishes) {
@@ -247,7 +247,7 @@ TEST(MutationPipelineTest, ReloadAndResetSerializesWithInFlightPublishes) {
     flusher.join();
     ASSERT_TRUE(swapped.ok());
     // Whatever the interleaving, the reloaded data is what serves.
-    EXPECT_EQ(registry.Current()->serving().point_count(), 48u)
+    EXPECT_EQ(registry.Current()->diagram->dataset().size(), 48u)
         << "round " << round;
     EXPECT_EQ(pipeline.pending(), 0u);
   }
@@ -259,7 +259,7 @@ TEST(MutationPipelineTest, ReloadAndResetSerializesWithInFlightPublishes) {
   EXPECT_EQ(pipeline.pending(), 1u);
   const uint64_t published = pipeline.Flush();
   EXPECT_EQ(published, registry.generation());
-  EXPECT_EQ(registry.Current()->serving().point_count(), 49u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 49u);
 }
 
 TEST(MutationPipelineTest, DeferredAckBoundHoldsUnderConcurrentFlushes) {
@@ -296,7 +296,7 @@ TEST(MutationPipelineTest, DeferredAckBoundHoldsUnderConcurrentFlushes) {
       snapshot = registry.Current();
     }
     ASSERT_GE(snapshot->generation, ack->generation) << "i=" << i;
-    const auto& points = snapshot->serving().dataset().points();
+    const auto& points = snapshot->diagram->dataset().points();
     EXPECT_NE(std::find(points.begin(), points.end(), p), points.end())
         << "acked write missing at gen " << snapshot->generation
         << " (bound " << ack->generation << ", i=" << i << ")";
@@ -365,7 +365,7 @@ TEST(MutationPipelineTest, DynamicFamilyMutatesAndKeepsSubcellShape) {
 
   const auto snapshot = registry.Current();
   EXPECT_EQ(snapshot->generation, 3u);
-  EXPECT_EQ(snapshot->serving().point_count(), 24u);
+  EXPECT_EQ(snapshot->diagram->dataset().size(), 24u);
   // The published family must stay subcell: the shadow was seeded dynamic.
   EXPECT_NE(snapshot->diagram->subcell_diagram(), nullptr);
   EXPECT_EQ(snapshot->diagram->cell_diagram(), nullptr);
@@ -379,12 +379,13 @@ TEST(MutationPipelineTest, DynamicFamilyMutatesAndKeepsSubcellShape) {
   ASSERT_TRUE(oracle_ds.ok());
   auto oracle = IncrementalDynamicDiagram::Create(*oracle_ds, {});
   ASSERT_TRUE(oracle.ok());
+  const PointLocationIndex oracle_index(oracle->diagram());
   for (const Point2D q : {Point2D{5, 5}, Point2D{321, 123}}) {
     // Both sides answer through the subcell index (interior-exact), so the
     // comparison carries the same boundary convention.
-    auto served = snapshot->serving().engine().Answer(q, {});
+    auto served = snapshot->diagram->engine().Answer(q, {});
     ASSERT_TRUE(served.ok()) << served.status();
-    const auto expect = oracle->Query(q);
+    const auto expect = oracle_index.Query(q);
     EXPECT_EQ(AsSorted(std::move(served).value()),
               AsSorted(std::vector<PointId>(expect.begin(), expect.end())))
         << "q=(" << q.x << "," << q.y << ")";
@@ -515,9 +516,9 @@ TEST(MutationPipelineTest, ReadersPinnedAcrossPublishKeepTheirSnapshot) {
 
   // The pinned (pre-publish) snapshot still answers from the old dataset
   // while the registry serves the new generation.
-  EXPECT_EQ(pinned->serving().point_count(), 16u);
+  EXPECT_EQ(pinned->diagram->dataset().size(), 16u);
   EXPECT_EQ(pinned->generation, 1u);
-  EXPECT_EQ(registry.Current()->serving().point_count(), 17u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 17u);
   EXPECT_EQ(registry.Current()->generation, 2u);
 }
 

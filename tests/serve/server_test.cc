@@ -166,6 +166,30 @@ TEST_F(ServerTest, RepeatedCellQueriesHitTheCache) {
   EXPECT_GE(stats.misses, 1u);
 }
 
+// The stats body is the pinned snapshot's engine and cache counters, nothing
+// else: the engine locates every point query, cache hits included, and the
+// cache counts one miss per distinct answer.
+TEST_F(ServerTest, StatsCountEveryQueryIncludingCacheHits) {
+  StartServer("server_stats_counts.skd");
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(client_.SendLine(R"({"q":[300,700]})"));
+    ASSERT_FALSE(client_.ReadLine().empty());
+  }
+  ASSERT_TRUE(client_.SendLine(R"({"cmd":"stats","id":5})"));
+  const std::string stats = StripRid(client_.ReadLine());
+  EXPECT_EQ(stats.rfind("{\"id\":5,\"gen\":1,\"stats\":{\"generation\":1,"
+                        "\"points\":64,\"queries_served\":12,"
+                        "\"oracle_fallbacks\":0,",
+                        0),
+            0u)
+      << stats;
+  EXPECT_NE(stats.find("\"cache_hits\":11,\"cache_misses\":1,"),
+            std::string::npos)
+      << stats;
+  EXPECT_EQ(stats.find("shards"), std::string::npos) << stats;
+  EXPECT_EQ(stats.find("memo"), std::string::npos) << stats;
+}
+
 TEST_F(ServerTest, OversizeLineClosesConnection) {
   ServerOptions options;
   options.port = 0;
@@ -348,18 +372,16 @@ TEST_F(ServerTest, ActiveConnectionSurvivesTheIdleWheel) {
   EXPECT_EQ(client_.ReadLine().rfind("{\"id\":1,", 0), 0u);
 }
 
-TEST_F(ServerTest, ShardedServerAnswersIdenticallyToTheOracle) {
+TEST_F(ServerTest, TwoWorkerServerAnswersIdenticallyToTheOracle) {
   ServerOptions options;
   options.port = 0;
-  options.num_shards = 4;
   options.num_workers = 2;
-  path_ = FixturePath("server_sharded.skd");
+  path_ = FixturePath("server_two_workers.skd");
   dataset_ = SaveQuadrantFixture(128, 1024, /*seed=*/21, path_);
   server_ = std::make_unique<SkylineServer>(options);
   ASSERT_TRUE(server_->Start(path_).ok());
   ASSERT_TRUE(client_.Connect(server_->port()));
 
-  // A pipelined burst routed across all four stripes.
   std::string burst;
   constexpr int kDepth = 64;
   for (int i = 0; i < kDepth; ++i) {
@@ -375,29 +397,27 @@ TEST_F(ServerTest, ShardedServerAnswersIdenticallyToTheOracle) {
                   ExpectedIds(*dataset_, q) + "}");
   }
 
-  // The stats body and the Prometheus scrape expose the shard dimension.
-  ASSERT_TRUE(client_.SendLine(R"({"cmd":"stats","id":99})"));
-  const std::string stats = client_.ReadLine();
-  EXPECT_NE(stats.find("\"shards\":4"), std::string::npos) << stats;
+  // /metrics reports every served query and at least one latency sample.
   LineClient http;
   ASSERT_TRUE(http.Connect(server_->port()));
   ASSERT_TRUE(http.Send("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"));
   const std::string metrics = http.ReadAll();
-  EXPECT_NE(metrics.find("skydia_shards 4"), std::string::npos);
-  EXPECT_NE(metrics.find("skydia_shard_queries_total{shard=\"0\"}"),
-            std::string::npos);
-  EXPECT_NE(metrics.find("skydia_shard_queries_total{shard=\"3\"}"),
-            std::string::npos);
+  EXPECT_NE(metrics.find("\nskydia_queries_served_total 64\n"),
+            std::string::npos)
+      << metrics;
+  const std::string count_prefix = "\nskydia_query_latency_ns_count ";
+  const size_t count_at = metrics.find(count_prefix);
+  ASSERT_NE(count_at, std::string::npos) << metrics;
+  EXPECT_GE(std::stoull(metrics.substr(count_at + count_prefix.size())), 1u);
 
-  // Hot-swap under sharding: the new generation serves immediately and the
-  // shard view follows atomically.
+  // Hot swap: the new generation serves immediately.
   SaveQuadrantFixture(96, 1024, /*seed=*/22, path_);
   ASSERT_TRUE(client_.SendLine(R"({"cmd":"reload","id":100})"));
   EXPECT_EQ(StripRid(client_.ReadLine()),
             "{\"id\":100,\"ok\":true,\"gen\":2}");
   ASSERT_TRUE(client_.SendLine(R"({"q":[512,512],"id":101})"));
   EXPECT_EQ(client_.ReadLine().rfind("{\"id\":101,\"gen\":2,", 0), 0u);
-  EXPECT_EQ(server_->registry().Current()->sharded->num_shards(), 4);
+  EXPECT_EQ(server_->registry().Current()->diagram->dataset().size(), 96u);
 }
 
 TEST_F(ServerTest, RangeCommandMatchesBruteForce) {
@@ -516,7 +536,7 @@ TEST_F(ServerTest, MutationWindowCoalescesAndFlushPublishes) {
   ASSERT_TRUE(client_.SendLine(R"({"cmd":"flush","id":11})"));
   EXPECT_EQ(StripRid(client_.ReadLine()),
             "{\"id\":11,\"ok\":true,\"gen\":2}");
-  EXPECT_EQ(server_->registry().Current()->serving().point_count(), 35u);
+  EXPECT_EQ(server_->registry().Current()->diagram->dataset().size(), 35u);
   ASSERT_TRUE(client_.SendLine(R"({"q":[0,0],"id":12})"));
   EXPECT_EQ(client_.ReadLine().rfind("{\"id\":12,\"gen\":2,", 0), 0u);
   EXPECT_EQ(server_->metrics().mutation_last_publish_mutations.load(), 3u);
@@ -554,7 +574,7 @@ TEST_F(ServerTest, ReloadDiscardsUnpublishedMutations) {
   EXPECT_EQ(server_->mutations()->pending(), 0u);
   ASSERT_TRUE(client_.SendLine(R"({"cmd":"flush","id":3})"));
   EXPECT_EQ(StripRid(client_.ReadLine()), "{\"id\":3,\"ok\":true,\"gen\":2}");
-  EXPECT_EQ(server_->registry().Current()->serving().point_count(), 32u);
+  EXPECT_EQ(server_->registry().Current()->diagram->dataset().size(), 32u);
 }
 
 TEST(ServerStartTest, MissingBlobFailsCleanly) {

@@ -11,8 +11,8 @@
 //          [--semantics quadrant|global] [--stats] [--bench [--repeat R]]
 //          [--trace out.json] [--batch-threshold N]
 //   skydia query   diagram.skd --qx 10 --qy 80 [--exact]
-//   skydia serve   diagram.skd [--port 7447] [--threads T] [--shards S]
-//          [--workers W] [--trace [f.json]] [--slow-query-ms MS]
+//   skydia serve   diagram.skd [--port 7447] [--threads T] [--workers W]
+//          [--trace [f.json]] [--slow-query-ms MS]
 //   skydia stats   --diagram diagram.skd
 //   skydia check   diagram.skd [--samples 64] [--seed 1]
 //   skydia render  --diagram diagram.skd --out diagram.svg [--labels]
@@ -150,7 +150,7 @@ void PrintUsage() {
          "           [--allow-duplicate-sets]  (validate invariants;\n"
          "           non-zero exit on corruption)\n"
          "  serve    <diagram.skd> [--host H] [--port P] [--threads T]\n"
-         "           [--shards S] [--workers W]\n"
+         "           [--workers W]\n"
          "           [--semantics quadrant|global] [--cache-entries N]\n"
          "           [--idle-timeout-ms MS] [--max-connections N]\n"
          "           [--slow-query-ms MS] [--mutation-window-ms MS]\n"
@@ -318,7 +318,6 @@ void PrintAnswer(const Dataset& dataset, const Point2D& q,
 void PrintEngineStats(const QueryEngine& engine) {
   const QueryEngineStats stats = engine.Stats();
   std::cout << "engine stats: served=" << stats.queries_served
-            << " memo_hits=" << stats.memo_hits
             << " batches=" << stats.batches << " p50=" << stats.p50_latency_ns
             << "ns p99=" << stats.p99_latency_ns << "ns\n";
 }
@@ -563,7 +562,7 @@ int CmdServe(const Flags& flags, const std::string& positional_path) {
   if (path.empty()) path = positional_path;
   if (path.empty()) {
     return Fail("usage: skydia serve <diagram.skd> [--port P] [--threads T]"
-                " [--shards S] [--workers W]");
+                " [--workers W]");
   }
 
   auto cell_semantics =
@@ -578,7 +577,6 @@ int CmdServe(const Flags& flags, const std::string& positional_path) {
   options.host = flags.GetString("host", "127.0.0.1");
   options.port = static_cast<int>(flags.GetInt("port", 7447));
   options.engine.num_threads = static_cast<int>(flags.GetInt("threads", 1));
-  options.num_shards = static_cast<int>(flags.GetInt("shards", 1));
   options.num_workers = static_cast<int>(flags.GetInt("workers", 1));
   options.cell_semantics = *cell_semantics;
   options.cache.capacity =
