@@ -105,31 +105,9 @@ void BM_CandidatesFullRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidatesFullRecompute)->Apply(CandidateArgs);
 
-// abl-parallel: stripe-parallel DSG construction vs sequential. On a
-// single-core host this isolates the overhead (replay + pool merge); with
-// real cores the stripes scale.
-void BM_ParallelDsg(benchmark::State& state) {
-  const Dataset ds =
-      MakeDataset(512, 1 << 16, Distribution::kIndependent);
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg,
-                     threads)
-            .cell_diagram()
-            ->CellSkyline(0, 0)
-            .data());
-  }
-}
-BENCHMARK(BM_ParallelDsg)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// Same ablation for the stripe-parallel dynamic scanning builder.
+// abl-parallel: stripe-parallel dynamic scanning construction vs
+// sequential. Each stripe pays one from-scratch seed skyline and the pool
+// merge; the rest of the scan splits across workers.
 void BM_ParallelDynamicScanning(benchmark::State& state) {
   const Dataset ds = MakeDataset(96, 512, Distribution::kIndependent);
   const int threads = static_cast<int>(state.range(0));

@@ -57,9 +57,9 @@ int main() {
     std::cout << "\n";
   }
 
-  std::cout << "Tip: SkylineDiagram::Query is exact for quadrant semantics\n"
-               "everywhere and for global/dynamic semantics at cell\n"
-               "interiors; QueryExact adds a reference fallback on grid\n"
-               "lines.\n";
+  std::cout << "Tip: SkylineDiagram::Query is exact for quadrant and global\n"
+               "semantics everywhere and for dynamic semantics at subcell\n"
+               "interiors; QueryExact adds a reference fallback on grid and\n"
+               "bisector lines.\n";
   return 0;
 }

@@ -34,7 +34,7 @@ struct BuildPhaseTiming {
 struct BuildReport {
   std::string diagram_type;  // "quadrant" | "global" | "dynamic"
   std::string algorithm;     // resolved spelling, e.g. "scanning"
-  int parallelism = 1;
+  int parallelism = 1;       // threads the construction ran on
 
   /// Top-level phases in first-entry order; their seconds sum to ~total.
   std::vector<BuildPhaseTiming> phases;

@@ -79,18 +79,6 @@ StatusOr<SkylineQueryType> ParseSkylineQueryType(const std::string& name) {
                                  "\" (quadrant|global|dynamic)");
 }
 
-const char* DynamicAlgorithmName(DynamicAlgorithm algorithm) {
-  switch (algorithm) {
-    case DynamicAlgorithm::kBaseline:
-      return "baseline";
-    case DynamicAlgorithm::kSubset:
-      return "subset";
-    case DynamicAlgorithm::kScanning:
-      return "scanning";
-  }
-  return "?";
-}
-
 const char* BuildAlgorithmName(BuildAlgorithm algorithm) {
   switch (algorithm) {
     case BuildAlgorithm::kAuto:
@@ -120,15 +108,14 @@ StatusOr<BuildAlgorithm> ParseBuildAlgorithm(const std::string& name) {
 
 namespace {
 
-/// Builds the cell diagram (quadrant or global) for the resolved options.
+/// Builds the cell diagram (quadrant or global), always sequentially.
 StatusOr<CellDiagram> BuildCell(const Dataset& dataset, SkylineQueryType type,
                                 const SkylineBuildOptions& options) {
   QuadrantAlgorithm cell = QuadrantAlgorithm::kScanning;
   switch (options.algorithm) {
     case BuildAlgorithm::kAuto:
-      cell = (options.parallelism > 1 && type == SkylineQueryType::kQuadrant)
-                 ? QuadrantAlgorithm::kDsg
-                 : QuadrantAlgorithm::kScanning;
+    case BuildAlgorithm::kScanning:
+      cell = QuadrantAlgorithm::kScanning;
       break;
     case BuildAlgorithm::kBaseline:
       cell = QuadrantAlgorithm::kBaseline;
@@ -136,47 +123,27 @@ StatusOr<CellDiagram> BuildCell(const Dataset& dataset, SkylineQueryType type,
     case BuildAlgorithm::kDsg:
       cell = QuadrantAlgorithm::kDsg;
       break;
-    case BuildAlgorithm::kScanning:
-      cell = QuadrantAlgorithm::kScanning;
-      break;
     case BuildAlgorithm::kSubset:
       return Status::InvalidArgument(
           "the subset construction builds dynamic diagrams only");
-  }
-  if (options.parallelism > 1) {
-    if (type == SkylineQueryType::kGlobal) {
-      return Status::InvalidArgument(
-          "global diagrams have no parallel construction; use parallelism 1");
-    }
-    if (cell != QuadrantAlgorithm::kDsg) {
-      return Status::InvalidArgument(
-          "parallel quadrant construction runs the dsg algorithm; request "
-          "algorithm auto or dsg");
-    }
-    return BuildQuadrantDsgParallel(dataset, options.parallelism,
-                                    options.diagram);
   }
   return type == SkylineQueryType::kQuadrant
              ? BuildQuadrantDiagram(dataset, cell, options.diagram)
              : BuildGlobalDiagram(dataset, cell, options.diagram);
 }
 
-/// Builds the subcell diagram (dynamic semantics) for the resolved options.
+/// Builds the subcell diagram (dynamic semantics) on `parallelism` threads
+/// (see ResolvedParallelism).
 StatusOr<SubcellDiagram> BuildSubcell(const Dataset& dataset,
-                                      const SkylineBuildOptions& options) {
-  if (options.parallelism > 1) {
-    if (options.algorithm != BuildAlgorithm::kAuto &&
-        options.algorithm != BuildAlgorithm::kScanning) {
-      return Status::InvalidArgument(
-          "parallel dynamic construction runs the scanning algorithm; "
-          "request algorithm auto or scanning");
-    }
-    return BuildDynamicScanningParallel(dataset, options.parallelism,
-                                        options.diagram);
-  }
+                                      const SkylineBuildOptions& options,
+                                      int parallelism) {
   switch (options.algorithm) {
     case BuildAlgorithm::kAuto:
     case BuildAlgorithm::kScanning:
+      if (parallelism > 1) {
+        return BuildDynamicScanningParallel(dataset, parallelism,
+                                            options.diagram);
+      }
       return BuildDynamicScanning(dataset, options.diagram);
     case BuildAlgorithm::kBaseline:
       return BuildDynamicBaseline(dataset, options.diagram);
@@ -192,16 +159,15 @@ StatusOr<SubcellDiagram> BuildSubcell(const Dataset& dataset,
   return Status::Internal("unreachable dynamic algorithm");
 }
 
-/// The algorithm a kAuto request resolves to (mirrors BuildCell /
-/// BuildSubcell), for the BuildReport header line.
-const char* ResolvedAlgorithmName(SkylineQueryType type,
-                                  const SkylineBuildOptions& options) {
-  if (options.algorithm != BuildAlgorithm::kAuto) {
-    return BuildAlgorithmName(options.algorithm);
-  }
-  return (options.parallelism > 1 && type == SkylineQueryType::kQuadrant)
-             ? "dsg"
-             : "scanning";
+/// The threads a build runs on: the requested count for the dynamic
+/// scanning construction, the only one with a parallel form, and 1 for
+/// every other request.
+int ResolvedParallelism(SkylineQueryType type,
+                        const SkylineBuildOptions& options) {
+  const bool scanning = options.algorithm == BuildAlgorithm::kAuto ||
+                        options.algorithm == BuildAlgorithm::kScanning;
+  return type == SkylineQueryType::kDynamic && scanning ? options.parallelism
+                                                        : 1;
 }
 
 }  // namespace
@@ -216,12 +182,15 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(Dataset dataset,
     return Status::InvalidArgument("parallelism must be >= 1");
   }
   SkylineDiagram diagram(std::move(dataset), type);
+  const int parallelism = ResolvedParallelism(type, options);
   BuildReport* report = options.report;
   if (report != nullptr) {
     *report = BuildReport{};
     report->diagram_type = SkylineQueryTypeName(type);
-    report->algorithm = ResolvedAlgorithmName(type, options);
-    report->parallelism = options.parallelism;
+    report->algorithm = options.algorithm == BuildAlgorithm::kAuto
+                            ? "scanning"
+                            : BuildAlgorithmName(options.algorithm);
+    report->parallelism = parallelism;
     report->dataset_points = diagram.dataset_.size();
   }
   {
@@ -229,7 +198,7 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(Dataset dataset,
     build_report_internal::ReportInstaller installer(report);
     const uint64_t start_ns = trace::NowNanos();
     if (type == SkylineQueryType::kDynamic) {
-      auto subcell = BuildSubcell(diagram.dataset_, options);
+      auto subcell = BuildSubcell(diagram.dataset_, options, parallelism);
       if (!subcell.ok()) return subcell.status();
       diagram.subcell_ =
           std::make_unique<SubcellDiagram>(std::move(subcell).value());

@@ -38,12 +38,12 @@ enum class SkylineQueryType { kQuadrant, kGlobal, kDynamic };
 const char* SkylineQueryTypeName(SkylineQueryType type);
 
 /// The one exact-answer rule. The cell `index` locates for `q` answers it
-/// exactly unless a global or dynamic diagram puts `q` exactly on one of its
-/// grid or bisector lines (see point_location.h); there the brute-force
-/// oracle must answer instead. Quadrant diagrams are exact everywhere.
+/// exactly unless a dynamic diagram puts `q` exactly on one of its grid or
+/// bisector lines (see point_location.h); there the brute-force oracle must
+/// answer instead. Quadrant and global diagrams are exact everywhere.
 inline bool NeedsOracle(SkylineQueryType type, const PointLocationIndex& index,
                         const Point2D& q) {
-  return type != SkylineQueryType::kQuadrant && index.OnBoundary(q);
+  return type == SkylineQueryType::kDynamic && index.OnBoundary(q);
 }
 
 /// The brute-force O(n log n) skyline of `dataset` at `q` under `type`
@@ -54,23 +54,13 @@ std::vector<PointId> OracleSkyline(const Dataset& dataset,
 /// Parses "quadrant" | "global" | "dynamic" (the CLI and wire spellings).
 StatusOr<SkylineQueryType> ParseSkylineQueryType(const std::string& name);
 
-/// Which dynamic-diagram construction to run.
-enum class DynamicAlgorithm {
-  kBaseline,  // Algorithm 5
-  kSubset,    // Algorithm 6
-  kScanning,  // Algorithm 7
-};
-
-const char* DynamicAlgorithmName(DynamicAlgorithm algorithm);
-
 /// Algorithm selector for SkylineDiagram::Build, unified across the three
 /// query semantics. Every named paper construction is reachable through this
 /// one enum; Build() rejects combinations that do not exist (for example
 /// kSubset for a quadrant diagram) with InvalidArgument.
 enum class BuildAlgorithm {
-  /// The recommended construction for the requested semantics and
-  /// parallelism: scanning everywhere, except that a parallel quadrant build
-  /// selects the striped DSG construction.
+  /// The recommended construction: scanning, for every semantics and
+  /// parallelism.
   kAuto,
   kBaseline,  // Algorithm 1 (quadrant/global) / Algorithm 5 (dynamic)
   kDsg,       // Algorithm 2 (quadrant/global); DSG-backed subset for dynamic
@@ -88,10 +78,10 @@ StatusOr<BuildAlgorithm> ParseBuildAlgorithm(const std::string& name);
 struct SkylineBuildOptions {
   /// Which construction to run (see BuildAlgorithm).
   BuildAlgorithm algorithm = BuildAlgorithm::kAuto;
-  /// Worker threads for construction. 1 runs the sequential reference
-  /// algorithms; > 1 selects the striped parallel builders (quadrant: DSG,
-  /// dynamic: scanning — other algorithm choices are rejected, and global
-  /// diagrams have no parallel construction).
+  /// Worker threads for construction (>= 1). Only the dynamic scanning
+  /// construction (kAuto or kScanning) has a parallel form; every other
+  /// request builds sequentially, and BuildReport::parallelism records the
+  /// thread count that ran.
   int parallelism = 1;
   DiagramOptions diagram;
   /// When non-null, Build() fills this with per-phase wall times and
@@ -116,10 +106,10 @@ class SkylineDiagram {
   SkylineQueryType type() const { return type_; }
   const Dataset& dataset() const { return dataset_; }
 
-  /// Answers the skyline query at `q` via point location. For quadrant
-  /// diagrams the answer is exact for every `q`; for global and dynamic
-  /// diagrams it is exact for `q` in the interior of its cell/subcell (see
-  /// global_diagram.h) — use QueryExact for guaranteed-exact answers at
+  /// Answers the skyline query at `q` via point location. For quadrant and
+  /// global diagrams the answer is exact for every `q`; for dynamic diagrams
+  /// it is exact for `q` off the grid and bisector lines (see
+  /// subcell_diagram.h) — use QueryExact for guaranteed-exact answers at
   /// arbitrary positions.
   std::span<const PointId> Query(const Point2D& q) const {
     return index_->Query(q);

@@ -4,12 +4,12 @@
 // each quadrant's dominance into first-quadrant dominance, and cell indices
 // map back by reversing the reflected axes.
 //
-// Exactness: cell results are exact for query points in the *interior* of
-// their cell (not on a grid line). A query exactly on a grid line uses strict
-// "<" candidate membership for the reflected quadrants, which the half-open
-// convention cannot represent on the reflected axes; callers who must answer
-// boundary queries exactly should fall back to skyline/query.h. Dynamic
-// diagrams (src/core/dynamic_*.h) share the same interior-exactness contract.
+// Exactness: cell results are exact at every query position, grid lines
+// included. For q in column cx the reflected quadrants' strict candidate
+// test p.x < q.x selects exactly the points with p.x <= line[cx-1], so each
+// quadrant's candidate set — and with it the union — is constant on the
+// half-open cell (see src/core/point_location.h). Dynamic diagrams
+// (src/core/dynamic_*.h) are exact only off their grid and bisector lines.
 #ifndef SKYDIA_SRC_CORE_GLOBAL_DIAGRAM_H_
 #define SKYDIA_SRC_CORE_GLOBAL_DIAGRAM_H_
 

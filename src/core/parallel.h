@@ -1,29 +1,20 @@
 // Parallel diagram construction — the direction the paper's journal
-// extension develops. The cell (or subcell) grid is partitioned into
-// horizontal stripes; each worker enters its stripe independently — by
-// replaying the cheap row-advance removals (DSG) or with one from-scratch
-// skyline at the stripe's first subcell (dynamic scanning) — and then sweeps
-// its rows with the shared kernel (src/core/sweep_kernel.h), producing
-// results in a worker-local interning pool. A deterministic merge remaps the
-// per-stripe pools into the final diagram; the per-cell result *contents*
-// are identical to the sequential builders' regardless of thread count (pool
-// id numbering may differ).
+// extension develops, kept for the one construction where it pays: dynamic
+// scanning (Algorithm 7). The subcell grid is partitioned into horizontal
+// stripes; each worker enters its stripe with one from-scratch skyline at
+// the stripe's first subcell and then scans its rows with the shared kernel
+// (src/core/sweep_kernel.h), producing results in a worker-local interning
+// pool. A deterministic merge remaps the per-stripe pools into the final
+// diagram in stripe order, so its contents (and, with interning, its SetId
+// numbering) match the sequential builder's regardless of thread count.
 #ifndef SKYDIA_SRC_CORE_PARALLEL_H_
 #define SKYDIA_SRC_CORE_PARALLEL_H_
 
 #include "src/core/options.h"
-#include "src/core/skyline_cell.h"
 #include "src/core/subcell_diagram.h"
 #include "src/geometry/dataset.h"
 
 namespace skydia {
-
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
-/// Builds the first-quadrant skyline diagram with the DSG algorithm across
-/// `num_threads` workers (>= 1; 1 degenerates to the sequential algorithm).
-CellDiagram BuildQuadrantDsgParallel(const Dataset& dataset, int num_threads,
-                                     const DiagramOptions& options = {});
 
 /// Deprecated direct entry point — new code should go through
 /// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.

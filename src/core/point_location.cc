@@ -48,39 +48,4 @@ bool PointLocationIndex::OnLine(const std::vector<int64_t>& lines, int64_t v) {
   return std::binary_search(lines.begin(), lines.end(), v);
 }
 
-void PointLocationIndex::BuildPolyominoTable() {
-  constexpr uint32_t kUnlabelled = ~uint32_t{0};
-  cell_polyomino_.assign(cells_.size(), kUnlabelled);
-  num_polyominoes_ = 0;
-  std::vector<uint64_t> stack;
-  for (uint64_t start = 0; start < cells_.size(); ++start) {
-    if (cell_polyomino_[start] != kUnlabelled) continue;
-    const uint32_t label = num_polyominoes_++;
-    const SetId set = cells_[start];
-    cell_polyomino_[start] = label;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const uint64_t cell = stack.back();
-      stack.pop_back();
-      const uint32_t cx = static_cast<uint32_t>(cell % num_columns_);
-      const uint32_t cy = static_cast<uint32_t>(cell / num_columns_);
-      const auto visit = [&](uint64_t next) {
-        if (cell_polyomino_[next] == kUnlabelled && cells_[next] == set) {
-          cell_polyomino_[next] = label;
-          stack.push_back(next);
-        }
-      };
-      if (cx > 0) visit(cell - 1);
-      if (cx + 1 < num_columns_) visit(cell + 1);
-      if (cy > 0) visit(cell - num_columns_);
-      if (cy + 1 < num_rows_) visit(cell + num_columns_);
-    }
-  }
-}
-
-uint64_t PointLocationIndex::OwnedBytes() const {
-  return (x_lines_.capacity() + y_lines_.capacity()) * sizeof(int64_t) +
-         cell_polyomino_.capacity() * sizeof(uint32_t);
-}
-
 }  // namespace skydia

@@ -22,18 +22,23 @@
 //     extends to -inf, the last column to +inf, so every integer query —
 //     including positions outside the data's bounding box and negative
 //     coordinates — locates to a cell.
-//   * Quadrant semantics: the convention is exact for EVERY query position,
-//     including queries on grid lines and on data points. The first-quadrant
-//     candidate set {p : p.x >= q.x, p.y >= q.y} is constant on each
-//     half-open cell, lines included (see src/geometry/grid.h).
-//   * Global and dynamic semantics: exact for queries in the open interior
-//     of a cell/subcell. A query exactly on a line is answered with the
-//     adjacent interior result on the line's left/below side, which can
-//     differ from the true boundary answer when the tie flips a dominance
-//     pair. Boundary-exact answers go through NeedsOracle (diagram.h),
-//     the one exact-answer rule behind SkylineDiagram::QueryExact and
-//     QueryEngine::Answer(q, {.exact = true}): it detects boundary hits via
-//     OnBoundary() and falls back to the O(n log n) oracle.
+//   * Quadrant and global semantics: the convention is exact for EVERY
+//     query position, including queries on grid lines and on data points.
+//     Each quadrant's candidate set is constant on a half-open cell, lines
+//     included: for q in column cx, {p : p.x >= q.x} = {p : p.x >= line[cx]}
+//     and {p : p.x < q.x} = {p : p.x <= line[cx-1]} (see
+//     src/geometry/grid.h). Moving q inside one quadrant shifts every
+//     distance by the same amount, so dominance and ties do not change, and
+//     the global answer (Definition 3: the union of the four quadrant
+//     skylines) is constant on the cell too.
+//   * Dynamic semantics: exact for queries in the open interior of a
+//     subcell. The bisector lines are exactly where two mapped distances
+//     tie, so a query on a line, answered with the adjacent interior result
+//     on the line's left/below side, can differ from the true answer there.
+//     Boundary-exact answers go through NeedsOracle (diagram.h), the one
+//     exact-answer rule behind SkylineDiagram::QueryExact and
+//     QueryEngine::Answer(q, {.exact = true}): it detects those positions
+//     via OnBoundary() and falls back to the O(n log n) oracle.
 //   * Dynamic diagrams also cut on bisector lines, which live on
 //     half-integers; the index stores those axes in doubled coordinates and
 //     scales queries by 2 internally. Integer queries therefore never land
@@ -89,8 +94,8 @@ class PointLocationIndex {
   }
 
   /// True when `q` lies exactly on a grid line (or, for dynamic diagrams, a
-  /// bisector line) of either axis — the positions where global/dynamic
-  /// answers carry the interior-adjacent convention instead of being exact.
+  /// bisector line) of either axis — the positions where dynamic answers
+  /// carry the interior-adjacent convention instead of being exact.
   bool OnBoundary(const Point2D& q) const {
     return OnLine(x_lines_, scale_ * q.x) || OnLine(y_lines_, scale_ * q.y);
   }
@@ -108,24 +113,6 @@ class PointLocationIndex {
   /// Members of an interned set (for callers holding SetIds from LocateSet).
   std::span<const PointId> Get(SetId id) const { return pool_->Get(id); }
 
-  /// Builds the cell -> polyomino table: connected components of 4-adjacent
-  /// cells with the same interned result (Definition 6's maximal constant-
-  /// skyline regions, generalized to subcell grids). Optional because it
-  /// costs O(cells) memory; PolyominoOf requires it.
-  void BuildPolyominoTable();
-  bool has_polyomino_table() const { return !cell_polyomino_.empty(); }
-  uint32_t num_polyominoes() const { return num_polyominoes_; }
-
-  /// Polyomino id of the located cell (requires BuildPolyominoTable).
-  uint32_t PolyominoOf(const Point2D& q) const {
-    const CellRef c = Locate(q);
-    return cell_polyomino_[static_cast<uint64_t>(c.cy) * num_columns_ + c.cx];
-  }
-
-  /// Heap footprint of the structures the index owns (excludes the diagram's
-  /// cell table and arena, which it only references).
-  uint64_t OwnedBytes() const;
-
  private:
   static uint32_t SlabOf(const std::vector<int64_t>& lines, int64_t v);
   static bool OnLine(const std::vector<int64_t>& lines, int64_t v);
@@ -137,8 +124,6 @@ class PointLocationIndex {
   uint32_t num_rows_ = 0;
   std::span<const SetId> cells_;  // the diagram's row-major cell table
   const SkylineSetPool* pool_ = nullptr;
-  std::vector<uint32_t> cell_polyomino_;  // empty until BuildPolyominoTable
-  uint32_t num_polyominoes_ = 0;
 };
 
 }  // namespace skydia

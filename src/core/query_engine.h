@@ -9,10 +9,10 @@
 //     across a ThreadPool, one index lookup per query. Repeated answers are
 //     the serve layer's per-snapshot ResultCache's job, not the engine's.
 //   * Answer(q, {.exact = true}) — boundary-exact answers under the one
-//     exact-answer rule, NeedsOracle (diagram.h): quadrant answers are exact
-//     everywhere by construction; global/dynamic queries that land exactly
-//     on a grid/bisector line fall back to the O(n log n) oracle
-//     (src/skyline/query.h). See point_location.h for the convention.
+//     exact-answer rule, NeedsOracle (diagram.h): quadrant and global
+//     answers are exact everywhere by construction; dynamic queries that
+//     land exactly on a grid/bisector line fall back to the O(n log n)
+//     oracle (src/skyline/query.h). See point_location.h for the convention.
 //
 // The engine keeps lightweight serving counters — queries served, batches,
 // oracle fallbacks, and a sampled log-bucket latency histogram (every 32nd
@@ -88,7 +88,7 @@ struct QueryEngineStats {
 /// paths (replaces the earlier positional-bool spellings).
 struct QueryOptions {
   /// Answer exactly at every position: queries on grid/bisector lines of a
-  /// global or dynamic diagram fall back to the O(n log n) oracle (quadrant
+  /// dynamic diagram fall back to the O(n log n) oracle (quadrant and global
   /// diagrams are exact everywhere by construction and never fall back).
   bool exact = false;
   /// The semantics the caller expects. Unset means "whatever this engine
@@ -102,8 +102,8 @@ struct QueryOptions {
 /// diagram must outlive the engine (ServableDiagram bundles ownership).
 class QueryEngine {
  public:
-  /// Serves a cell diagram. `semantics` selects the exact-answer fallback
-  /// oracle (kQuadrant or kGlobal; a cell diagram never encodes kDynamic).
+  /// Serves a cell diagram. `semantics` names the semantics it encodes
+  /// (kQuadrant or kGlobal; a cell diagram never encodes kDynamic).
   QueryEngine(const Dataset& dataset, const CellDiagram& diagram,
               SkylineQueryType semantics,
               const QueryEngineOptions& options = {});
@@ -111,8 +111,9 @@ class QueryEngine {
   QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram,
               const QueryEngineOptions& options = {});
 
-  /// One query via point location: sorted ids, interior-exact contract (see
-  /// point_location.h). The span points into the diagram's arena.
+  /// One query via point location: sorted ids, under the index's cell
+  /// convention (see point_location.h). The span points into the diagram's
+  /// arena.
   std::span<const PointId> Answer(const Point2D& q) const;
 
   /// One query, returning the interned result-set id (compact answer for
@@ -142,7 +143,7 @@ class QueryEngine {
   /// Range query: the union/intersection/distinct-count summary of the
   /// skyline over every position in the closed rectangle (see
   /// range_query.h). Positions carry the index's cell convention — exact
-  /// for quadrant diagrams, interior-exact for global/dynamic.
+  /// for quadrant and global diagrams, interior-exact for dynamic ones.
   StatusOr<RangeSkylineSummary> AnswerRange(const QueryRange& range) const;
 
   /// Members of an interned result set.
@@ -192,10 +193,9 @@ class QueryEngine {
 class ServableDiagram {
  public:
   /// Loads a serialized cell or subcell diagram (LoadDiagram: the blob's
-  /// kind byte decides) and wraps it. `cell_semantics` tells the engine
-  /// which exact-answer oracle a cell blob encodes — the file format does
-  /// not record quadrant vs global (kDynamic is inferred from subcell blobs
-  /// and must not be passed here).
+  /// kind byte decides) and wraps it. `cell_semantics` names the semantics a
+  /// cell blob serves — the file format does not record quadrant vs global
+  /// (kDynamic is inferred from subcell blobs and must not be passed here).
   static StatusOr<ServableDiagram> Load(
       const std::string& path, const QueryEngineOptions& options = {},
       SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant);

@@ -37,9 +37,9 @@ struct RangeSkylineSummary {
 /// Summarizes one range over any diagram kind through its
 /// PointLocationIndex (this is what QueryEngine::AnswerRange and the line
 /// protocol use). Positions carry the index's cell convention: exact
-/// everywhere for quadrant diagrams, interior-exact for global/dynamic (a
-/// range edge exactly on a grid line resolves to the line's lower/left
-/// cell). InvalidArgument when the range is inverted.
+/// everywhere for quadrant and global diagrams, interior-exact for dynamic
+/// ones (a range edge exactly on a grid or bisector line resolves to the
+/// line's lower/left subcell). InvalidArgument when the range is inverted.
 StatusOr<RangeSkylineSummary> RangeSkylineSummarize(
     const PointLocationIndex& index, const QueryRange& range);
 

@@ -45,7 +45,7 @@ int64_t SubcellAxis::Representative4(uint32_t slab) const {
 uint32_t SubcellAxis::SlabOfDoubled(int64_t v2) const {
   // Half-open convention matching CellGrid::ColumnOf: a query exactly on a
   // line is assigned to the slab on the line's left. Exactness is only
-  // guaranteed for interior positions (see global_diagram.h contract).
+  // guaranteed for interior positions (see subcell_diagram.h contract).
   return static_cast<uint32_t>(
       std::lower_bound(lines_.begin(), lines_.end(), v2) - lines_.begin());
 }

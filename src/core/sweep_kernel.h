@@ -1,10 +1,9 @@
-// Shared sweep machinery for the diagram builders — the one implementation of
-// the primitives that the sequential and parallel constructions both replay:
+// Shared sweep machinery for the diagram builders:
 //
 //  * the DSG sweep (SweepState / InitialSweepState / RemoveBatch): the
 //    paper's tempDSG walk that retires point batches as the sweep crosses
 //    grid lines and promotes newly exposed children onto the skyline. Used
-//    by the quadrant DSG builder and its stripe-parallel variant.
+//    by the quadrant DSG builder.
 //  * the dynamic scanning row walk (DynamicRowScanner): Algorithm 7's
 //    incremental candidate propagation across one subcell row, shared by the
 //    sequential scanning builder and the stripe-parallel one.

@@ -8,7 +8,8 @@
 //   query   := {"q":[X,Y]}                 point-location skyline query
 //              optional fields:
 //                "exact":true              boundary-exact answer (oracle
-//                                          fallback on grid/bisector lines)
+//                                          fallback on a dynamic diagram's
+//                                          grid/bisector lines)
 //                "labels":true             reply with dataset labels instead
 //                                          of point ids
 //                "semantics":"quadrant"|"global"|"dynamic"

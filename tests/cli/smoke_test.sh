@@ -43,6 +43,20 @@ expect_ok "build global" "$SKYDIA" build --in points.csv --type global \
 expect_ok "build dynamic" "$SKYDIA" build --in points.csv --type dynamic \
   --out dynamic.skd
 
+step "--threads parallelises only dynamic scanning; the bytes never change"
+for type in quadrant global dynamic; do
+  if ! "$SKYDIA" build --in points.csv --type "$type" --threads 4 \
+      --out "$type.t4.skd" > "$type.t4.out"; then
+    fail "build $type --threads 4: expected exit 0"
+  fi
+  cmp -s "$type.skd" "$type.t4.skd" ||
+    fail "build $type --threads 4 wrote other bytes than --threads 1"
+done
+grep -qF "(scanning, 1 thread(s))" quadrant.t4.out ||
+  fail "build quadrant --threads 4 does not name the sequential build"
+grep -qF "(scanning, 4 thread(s))" dynamic.t4.out ||
+  fail "build dynamic --threads 4 does not name its 4 threads"
+
 step "check validates every blob"
 expect_ok "check quadrant" "$SKYDIA" check quadrant.skd
 expect_ok "check global" "$SKYDIA" check global.skd --allow-duplicate-sets
@@ -90,7 +104,7 @@ grep -q "ns/query" bench.out || fail "bench output is missing ns/query lines"
 
 step "--trace writes loadable Chrome-trace JSON (build and query)"
 expect_ok "build --report --trace" "$SKYDIA" build --in points.csv \
-  --type quadrant --threads 2 --report --trace build_trace.json \
+  --type dynamic --threads 2 --report --trace build_trace.json \
   --out traced.skd
 if ! "$SKYDIA" build --in points.csv --type quadrant --report \
     --out traced.skd | grep -q "build report:"; then
@@ -120,7 +134,7 @@ def names(path, key):
     return {e[key] for e in events if key in e}
 
 build_names = names(sys.argv[1], "name")
-for want in ("build", "grid", "stripes", "merge", "freeze", "stripe.dsg"):
+for want in ("build", "grid", "stripes", "merge", "freeze", "stripe.scan"):
     assert want in build_names, f"build trace missing span {want!r}"
 assert "thread_name" in build_names, "build trace has no named tracks"
 

@@ -63,8 +63,6 @@ const BuilderCase kBuilders[] = {
      BuildAlgorithm::kScanning, 1, kSweepN},
     {"quadrant/dsg", SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, 1,
      kSweepN},
-    {"quadrant/dsg-parallel", SkylineQueryType::kQuadrant,
-     BuildAlgorithm::kDsg, 4, kSweepN},
     {"global/scanning", SkylineQueryType::kGlobal, BuildAlgorithm::kScanning,
      1, kSweepN},
     {"dynamic/scanning", SkylineQueryType::kDynamic,
@@ -122,8 +120,8 @@ TEST(BuildReportTest, StructureCountsArePopulated) {
 }
 
 TEST(BuildReportTest, ParallelBuildRecordsStripeAndMergePhases) {
-  const BuildReport report =
-      BuildWithReport(SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, 4);
+  const BuildReport report = BuildWithReport(
+      SkylineQueryType::kDynamic, BuildAlgorithm::kScanning, 4, 64);
   const auto has_phase = [&](const std::string& name) {
     for (const BuildPhaseTiming& phase : report.phases) {
       if (phase.name == name) return true;
@@ -131,11 +129,10 @@ TEST(BuildReportTest, ParallelBuildRecordsStripeAndMergePhases) {
     return false;
   };
   EXPECT_TRUE(has_phase("grid"));
-  EXPECT_TRUE(has_phase("dsg"));
   EXPECT_TRUE(has_phase("stripes"));
   EXPECT_TRUE(has_phase("merge"));
   EXPECT_TRUE(has_phase("freeze"));
-  EXPECT_EQ(report.algorithm, "dsg");
+  EXPECT_EQ(report.algorithm, "scanning");
   EXPECT_EQ(report.parallelism, 4);
 }
 
@@ -143,9 +140,12 @@ TEST(BuildReportTest, AutoAlgorithmIsReportedResolved) {
   const BuildReport sequential =
       BuildWithReport(SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto, 1);
   EXPECT_EQ(sequential.algorithm, "scanning");
+  // Quadrant diagrams have no parallel construction: the report names the
+  // sequential build that ran, not the requested thread count.
   const BuildReport parallel =
       BuildWithReport(SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto, 2);
-  EXPECT_EQ(parallel.algorithm, "dsg");
+  EXPECT_EQ(parallel.algorithm, "scanning");
+  EXPECT_EQ(parallel.parallelism, 1);
 }
 
 TEST(BuildReportTest, ReportIsOverwrittenNotAppended) {

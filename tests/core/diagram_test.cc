@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/build_report.h"
+#include "src/core/serialize.h"
 #include "src/datagen/real_data.h"
 #include "src/datagen/workload.h"
 #include "src/skyline/query.h"
@@ -76,7 +78,7 @@ TEST(SkylineDiagramTest, AllCellAlgorithmsAgreeThroughFacade) {
   }
 }
 
-TEST(SkylineDiagramTest, AllDynamicAlgorithmsAgreeThroughFacade) {
+TEST(SkylineDiagramTest, AllDynamicBuildAlgorithmsAgreeThroughFacade) {
   const Dataset reference = RandomDataset(8, 12, 11);
   for (const BuildAlgorithm algo :
        {BuildAlgorithm::kAuto, BuildAlgorithm::kBaseline,
@@ -103,24 +105,87 @@ TEST(SkylineDiagramTest, RejectsAlgorithmSemanticsMismatch) {
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SkylineDiagramTest, RejectsBadParallelismCombinations) {
-  SkylineDiagram::BuildOptions options;
-  options.parallelism = 0;
-  EXPECT_FALSE(SkylineDiagram::Build(RandomDataset(10, 16, 13),
-                                     SkylineQueryType::kQuadrant, options)
-                   .ok());
-  // Global diagrams have no parallel construction.
-  options.parallelism = 4;
-  auto global = SkylineDiagram::Build(RandomDataset(10, 16, 13),
-                                      SkylineQueryType::kGlobal, options);
-  ASSERT_FALSE(global.ok());
-  EXPECT_EQ(global.status().code(), StatusCode::kInvalidArgument);
-  // A parallel quadrant build only exists for the DSG construction.
-  options.algorithm = BuildAlgorithm::kScanning;
-  EXPECT_FALSE(SkylineDiagram::Build(RandomDataset(10, 16, 13),
-                                     SkylineQueryType::kQuadrant, options)
-                   .ok());
+TEST(SkylineDiagramTest, RejectsParallelismBelowOne) {
+  for (const SkylineQueryType type :
+       {SkylineQueryType::kQuadrant, SkylineQueryType::kGlobal,
+        SkylineQueryType::kDynamic}) {
+    for (const int parallelism : {0, -1}) {
+      SkylineDiagram::BuildOptions options;
+      options.parallelism = parallelism;
+      auto built =
+          SkylineDiagram::Build(RandomDataset(10, 16, 13), type, options);
+      ASSERT_FALSE(built.ok()) << SkylineQueryTypeName(type);
+      EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
+
+struct BuildRequest {
+  SkylineQueryType type;
+  BuildAlgorithm algorithm;
+};
+
+class ParallelismRuleTest : public ::testing::TestWithParam<BuildRequest> {};
+
+// Only the dynamic scanning construction (kAuto or kScanning) has a
+// parallel form. Every other request at parallelism 4 builds sequentially.
+// Either way the saved blob is byte-identical to the one-thread build's, and
+// the report names the algorithm and the thread count that ran.
+TEST_P(ParallelismRuleTest, FourThreadsSaveWhatOneThreadSaves) {
+  const auto [type, algorithm] = GetParam();
+  const auto build = [&](int parallelism, BuildReport* report) {
+    SkylineDiagram::BuildOptions options;
+    options.algorithm = algorithm;
+    options.parallelism = parallelism;
+    options.report = report;
+    auto built =
+        SkylineDiagram::Build(RandomDataset(12, 16, 13), type, options);
+    EXPECT_TRUE(built.ok()) << built.status();
+    if (!built.ok()) return std::string();
+    return type == SkylineQueryType::kDynamic
+               ? SerializeSubcellDiagram(built->dataset(),
+                                         *built->subcell_diagram())
+               : SerializeCellDiagram(built->dataset(),
+                                      *built->cell_diagram());
+  };
+  BuildReport one;
+  BuildReport four;
+  const std::string sequential = build(1, &one);
+  const std::string parallel = build(4, &four);
+  ASSERT_FALSE(sequential.empty());
+  EXPECT_EQ(parallel, sequential);
+
+  const char* ran = algorithm == BuildAlgorithm::kAuto
+                        ? "scanning"
+                        : BuildAlgorithmName(algorithm);
+  EXPECT_EQ(one.algorithm, ran);
+  EXPECT_EQ(four.algorithm, ran);
+  EXPECT_EQ(one.parallelism, 1);
+  const bool striped = type == SkylineQueryType::kDynamic &&
+                       std::string(ran) == "scanning";
+  EXPECT_EQ(four.parallelism, striped ? 4 : 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRequests, ParallelismRuleTest,
+    ::testing::Values(
+        BuildRequest{SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto},
+        BuildRequest{SkylineQueryType::kQuadrant, BuildAlgorithm::kBaseline},
+        BuildRequest{SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg},
+        BuildRequest{SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning},
+        BuildRequest{SkylineQueryType::kGlobal, BuildAlgorithm::kAuto},
+        BuildRequest{SkylineQueryType::kGlobal, BuildAlgorithm::kBaseline},
+        BuildRequest{SkylineQueryType::kGlobal, BuildAlgorithm::kDsg},
+        BuildRequest{SkylineQueryType::kGlobal, BuildAlgorithm::kScanning},
+        BuildRequest{SkylineQueryType::kDynamic, BuildAlgorithm::kAuto},
+        BuildRequest{SkylineQueryType::kDynamic, BuildAlgorithm::kBaseline},
+        BuildRequest{SkylineQueryType::kDynamic, BuildAlgorithm::kSubset},
+        BuildRequest{SkylineQueryType::kDynamic, BuildAlgorithm::kDsg},
+        BuildRequest{SkylineQueryType::kDynamic, BuildAlgorithm::kScanning}),
+    [](const ::testing::TestParamInfo<BuildRequest>& info) {
+      return std::string(SkylineQueryTypeName(info.param.type)) + "_" +
+             BuildAlgorithmName(info.param.algorithm);
+    });
 
 TEST(SkylineDiagramTest, HotelExampleAllThreeSemantics) {
   const Point2D q = HotelExampleQuery();
@@ -202,7 +267,6 @@ TEST(SkylineDiagramTest, EnumNames) {
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kQuadrant), "quadrant");
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kGlobal), "global");
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kDynamic), "dynamic");
-  EXPECT_STREQ(DynamicAlgorithmName(DynamicAlgorithm::kSubset), "subset");
   EXPECT_STREQ(QuadrantAlgorithmName(QuadrantAlgorithm::kDsg), "dsg");
   EXPECT_STREQ(BuildAlgorithmName(BuildAlgorithm::kAuto), "auto");
   EXPECT_STREQ(BuildAlgorithmName(BuildAlgorithm::kScanning), "scanning");

@@ -60,6 +60,37 @@ TEST_P(GlobalDiagramTest, TieHeavyInteriorQueries) {
   }
 }
 
+// The global skyline is the union of the four quadrant skylines, and each
+// quadrant's candidate set is constant on a half-open cell, grid lines
+// included. So point location is exact at every position, not only in cell
+// interiors: every integer query of tie-heavy datasets, one step past the
+// domain on each side, matches the oracle.
+TEST_P(GlobalDiagramTest, EveryIntegerQueryIncludingGridLines) {
+  for (const Distribution distribution :
+       {Distribution::kIndependent, Distribution::kCorrelated,
+        Distribution::kAnticorrelated}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const int64_t domain = 8 + 8 * static_cast<int64_t>(seed);
+      const Dataset ds = testing::GeneratedDataset(
+          10 + 3 * seed, domain, distribution, seed);
+      const SkylineDiagram built = Build(ds);
+      uint64_t on_line = 0;
+      for (int64_t x = -1; x <= domain; ++x) {
+        for (int64_t y = -1; y <= domain; ++y) {
+          const Point2D q{x, y};
+          if (built.index().OnBoundary(q)) ++on_line;
+          const auto got = built.Query(q);
+          ASSERT_EQ(std::vector<PointId>(got.begin(), got.end()),
+                    GlobalSkyline(ds, q))
+              << DistributionName(distribution) << " seed " << seed
+              << " q = " << q;
+        }
+      }
+      EXPECT_GT(on_line, 0u) << DistributionName(distribution);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBuilders, GlobalDiagramTest,
                          ::testing::Values(BuildAlgorithm::kBaseline,
                                            BuildAlgorithm::kDsg,

@@ -1,6 +1,6 @@
 // Concurrency stress tests, written to be run under ThreadSanitizer (the
 // `tsan` CMake preset / CI job). They hammer the ThreadPool primitive and the
-// two parallel diagram builders at varying thread counts, maximising
+// parallel dynamic scanning builder at varying thread counts, maximising
 // cross-thread interleavings: plain (non-atomic) writes that must be
 // published by the pool's mutex handshake, pool reuse across rounds, nested
 // submission, and teardown with a loaded queue. Under TSan any missing
@@ -99,21 +99,6 @@ TEST(ThreadPoolStressTest, DestructorDrainsLoadedQueue) {
   }
 }
 
-TEST(ParallelBuilderStressTest, QuadrantMatchesSequentialUnderRepetition) {
-  const Dataset ds = RandomDataset(80, 64, 29);
-  const SkylineDiagram sequential =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg);
-  for (int round = 0; round < 3; ++round) {
-    for (const int threads : {2, 3, 5, 8, 13}) {
-      const SkylineDiagram parallel = BuildDiagram(
-          ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, threads);
-      EXPECT_TRUE(
-          parallel.cell_diagram()->SameResults(*sequential.cell_diagram()))
-          << "round " << round << ", " << threads << " threads";
-    }
-  }
-}
-
 TEST(ParallelBuilderStressTest, DynamicMatchesSequentialUnderRepetition) {
   const Dataset ds = RandomDataset(36, 48, 31);
   const SkylineDiagram sequential =
@@ -177,12 +162,13 @@ TEST(TraceStressTest, EightThreadsEmitSpansDuringParallelBuildWhileDraining) {
     });
   }
 
-  const Dataset ds = RandomDataset(120, 256, 41);
+  // ~127 subcell rows per axis, so each of the 8 workers gets a stripe.
+  const Dataset ds = RandomDataset(40, 64, 41);
   for (int round = 0; round < 3; ++round) {
     const SkylineDiagram parallel =
-        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg,
+        BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning,
                      /*parallelism=*/8);
-    ASSERT_NE(parallel.cell_diagram(), nullptr);
+    ASSERT_NE(parallel.subcell_diagram(), nullptr);
   }
 
   for (std::thread& emitter : emitters) emitter.join();
@@ -197,7 +183,7 @@ TEST(TraceStressTest, EightThreadsEmitSpansDuringParallelBuildWhileDraining) {
   for (const trace::ThreadTrack& track : final_snapshot.threads) {
     for (const trace::TraceEvent& event : track.events) {
       const std::string name = event.name;
-      saw_stripe |= name == "stripe.dsg" || name == "sweep.row";
+      saw_stripe |= name == "stripe.scan" || name == "scan.row";
       saw_emitter |= name == "stress.outer";
     }
   }
@@ -207,28 +193,6 @@ TEST(TraceStressTest, EightThreadsEmitSpansDuringParallelBuildWhileDraining) {
   trace::SetEnabled(false);
   trace::Reset();
   trace::SetRingCapacity(16384);
-}
-
-TEST(ParallelBuilderStressTest, InterleavedFamiliesShareNothing) {
-  // Both builders create private pools; alternating them back-to-back would
-  // surface any accidental shared mutable state between the two paths.
-  const Dataset ds = RandomDataset(48, 48, 37);
-  const SkylineDiagram cell_reference =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg);
-  const SkylineDiagram subcell_reference =
-      BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
-  for (int round = 0; round < 4; ++round) {
-    const int threads = 2 + round;
-    EXPECT_TRUE(
-        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg,
-                     threads)
-            .cell_diagram()
-            ->SameResults(*cell_reference.cell_diagram()));
-    EXPECT_TRUE(BuildDiagram(ds, SkylineQueryType::kDynamic,
-                             BuildAlgorithm::kScanning, threads)
-                    .subcell_diagram()
-                    ->SameResults(*subcell_reference.subcell_diagram()));
-  }
 }
 
 }  // namespace

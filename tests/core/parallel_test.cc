@@ -1,6 +1,7 @@
-// Parallel builders must agree exactly with their sequential references.
-// Every construction goes through the SkylineDiagram::Build facade: the
-// parallelism knob is the only thing that changes between the two sides.
+// The parallel dynamic scanning builder must agree exactly with its
+// sequential reference. Every construction goes through the
+// SkylineDiagram::Build facade: the parallelism knob is the only thing that
+// changes between the two sides.
 #include <gtest/gtest.h>
 
 #include "src/core/diagram.h"
@@ -12,62 +13,6 @@ namespace {
 
 using skydia::testing::BuildDiagram;
 using skydia::testing::RandomDataset;
-
-TEST(ParallelDsgTest, MatchesSequentialAcrossThreadCounts) {
-  const Dataset ds = RandomDataset(60, 48, 3);
-  const SkylineDiagram sequential =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg);
-  for (const int threads : {1, 2, 3, 4, 7}) {
-    const SkylineDiagram parallel = BuildDiagram(
-        ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, threads);
-    EXPECT_TRUE(parallel.cell_diagram()->SameResults(*sequential.cell_diagram()))
-        << threads << " threads";
-  }
-}
-
-TEST(ParallelDsgTest, MatchesBaselineOnTieHeavyData) {
-  const Dataset ds = RandomDataset(80, 8, 5);
-  const SkylineDiagram baseline =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kBaseline);
-  const SkylineDiagram parallel =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, 4);
-  EXPECT_TRUE(parallel.cell_diagram()->SameResults(*baseline.cell_diagram()));
-}
-
-TEST(ParallelDsgTest, MoreThreadsThanRows) {
-  auto ds = Dataset::Create({{1, 1}, {2, 2}}, 8);
-  ASSERT_TRUE(ds.ok());
-  const SkylineDiagram sequential =
-      BuildDiagram(*ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg);
-  const SkylineDiagram parallel =
-      BuildDiagram(*ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, 16);
-  EXPECT_TRUE(parallel.cell_diagram()->SameResults(*sequential.cell_diagram()));
-}
-
-TEST(ParallelDsgTest, DistributionSweep) {
-  for (const Distribution dist :
-       {Distribution::kIndependent, Distribution::kCorrelated,
-        Distribution::kAnticorrelated}) {
-    const Dataset ds = testing::GeneratedDataset(50, 64, dist, 9);
-    const SkylineDiagram sequential =
-        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg);
-    // kAuto with parallelism > 1 must select the striped DSG construction.
-    const SkylineDiagram parallel =
-        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto, 3);
-    EXPECT_TRUE(
-        parallel.cell_diagram()->SameResults(*sequential.cell_diagram()))
-        << DistributionName(dist);
-  }
-}
-
-TEST(ParallelDsgTest, SinglePoint) {
-  auto ds = Dataset::Create({{3, 3}}, 8);
-  ASSERT_TRUE(ds.ok());
-  const SkylineDiagram parallel =
-      BuildDiagram(*ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, 4);
-  EXPECT_EQ(parallel.cell_diagram()->CellSkyline(0, 0).size(), 1u);
-  EXPECT_TRUE(parallel.cell_diagram()->CellSkyline(1, 1).empty());
-}
 
 TEST(ParallelDynamicTest, MatchesSequentialAcrossThreadsAndDistributions) {
   for (const Distribution dist :

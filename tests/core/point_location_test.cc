@@ -11,14 +11,11 @@
 #include <vector>
 
 #include "src/core/diagram.h"
-#include "src/core/merge.h"
 #include "src/skyline/query.h"
 #include "tests/testing/util.h"
 
 namespace skydia {
 namespace {
-
-using skydia::testing::GeneratedDataset;
 
 // Three points in general position: x lines {2, 4, 5}, y lines {1, 3, 6}.
 Dataset ThreePoints() {
@@ -109,6 +106,8 @@ TEST(PointLocationTest, GlobalBoundaryQueriesAnswerWithTheLeftBelowCell) {
   // q on the vertical line x=2, interior in y: the stored answer must be
   // the global skyline just LEFT of the line (the half-open convention's
   // adjacent interior cell), i.e. at the 4x representative x4 = 4*2 - 2.
+  // Each quadrant's candidate set is the same on the line as just left of
+  // it, so that answer is also the exact one at q.
   const Point2D q{2, 2};
   ASSERT_TRUE(index.OnBoundary(q));
   const std::vector<PointId> left = GlobalSkylineAt4(ds, 4 * 2 - 2, 4 * 2);
@@ -116,6 +115,7 @@ TEST(PointLocationTest, GlobalBoundaryQueriesAnswerWithTheLeftBelowCell) {
   EXPECT_TRUE(got.size() == left.size() &&
               std::equal(got.begin(), got.end(), left.begin()))
       << "global boundary answer is not the left-adjacent interior result";
+  EXPECT_EQ(left, GlobalSkyline(ds, q));
 }
 
 TEST(PointLocationTest, DynamicBisectorsAreBoundariesAndAnswerLeftBelow) {
@@ -140,57 +140,6 @@ TEST(PointLocationTest, DynamicBisectorsAreBoundariesAndAnswerLeftBelow) {
   EXPECT_TRUE(got.size() == expected.size() &&
               std::equal(got.begin(), got.end(), expected.begin()))
       << "dynamic boundary answer is not the left/below interior result";
-}
-
-TEST(PointLocationTest, PolyominoTableMatchesMergeCells) {
-  const Dataset ds =
-      GeneratedDataset(20, 32, Distribution::kIndependent, 13);
-  const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  const CellDiagram& cells = *diagram.cell_diagram();
-  PointLocationIndex index(cells);
-  EXPECT_FALSE(index.has_polyomino_table());
-  index.BuildPolyominoTable();
-  ASSERT_TRUE(index.has_polyomino_table());
-
-  const MergedPolyominoes merged = MergeCells(cells);
-  EXPECT_EQ(index.num_polyominoes(), merged.num_polyominoes());
-
-  // The labellings must induce the same partition (label values may differ).
-  const CellGrid& grid = cells.grid();
-  std::vector<uint32_t> mine_to_theirs(index.num_polyominoes(), ~uint32_t{0});
-  std::vector<uint32_t> theirs_to_mine(merged.num_polyominoes(), ~uint32_t{0});
-  for (uint32_t cy = 0; cy < grid.num_rows(); ++cy) {
-    for (uint32_t cx = 0; cx < grid.num_columns(); ++cx) {
-      // Any interior-convention query position inside cell (cx, cy) works;
-      // the cell's own grid position is one (lines belong to their cell).
-      const Point2D q{
-          cx < grid.num_distinct_x()
-              ? grid.x_value(cx)
-              : grid.x_value(grid.num_distinct_x() - 1) + 1,
-          cy < grid.num_distinct_y()
-              ? grid.y_value(cy)
-              : grid.y_value(grid.num_distinct_y() - 1) + 1};
-      const uint32_t mine = index.PolyominoOf(q);
-      const uint32_t theirs =
-          merged.cell_to_polyomino[grid.CellIndex(cx, cy)];
-      if (mine_to_theirs[mine] == ~uint32_t{0}) {
-        mine_to_theirs[mine] = theirs;
-        EXPECT_EQ(theirs_to_mine[theirs], ~uint32_t{0})
-            << "two index polyominoes map to one MergeCells polyomino";
-        theirs_to_mine[theirs] = mine;
-      }
-      ASSERT_EQ(mine_to_theirs[mine], theirs)
-          << "partition mismatch at cell (" << cx << ", " << cy << ")";
-    }
-  }
-}
-
-TEST(PointLocationTest, OwnedBytesCountsTheLineArrays) {
-  const Dataset ds = ThreePoints();
-  const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  const PointLocationIndex index(*diagram.cell_diagram());
-  // 3 x-lines + 3 y-lines at 8 bytes each, at minimum.
-  EXPECT_GE(index.OwnedBytes(), 48u);
 }
 
 }  // namespace

@@ -90,9 +90,9 @@ void CheckEngineAgainstOracle(const QueryEngine& engine, Rng& rng,
         break;
       case SkylineQueryType::kGlobal:
         expected = GlobalSkyline(ds, q);
-        if (!engine.index().OnBoundary(q)) {
-          ExpectSameIds(engine.Answer(q), expected, q, "global Answer");
-        }
+        // Global answers are exact on grid lines too: each quadrant's
+        // candidate set is constant on a half-open cell.
+        ExpectSameIds(engine.Answer(q), expected, q, "global Answer");
         break;
       case SkylineQueryType::kDynamic:
         expected = DynamicSkyline(ds, q);
@@ -275,11 +275,12 @@ TEST(QueryEngineStatsTest, ParallelBatchCountsEveryQueryOnce) {
 }
 
 // The QueryOptions batch answers through the SetId path and patches in the
-// oracle exactly where NeedsOracle holds; every query is counted once, and
-// a semantics override is all-oracle (and rejected without `exact`).
+// oracle exactly where NeedsOracle holds (dynamic diagrams are the ones with
+// such positions); every query is counted once, and a semantics override is
+// all-oracle (and rejected without `exact`).
 TEST(QueryEngineStatsTest, ExactBatchFallsBackOnlyOnBoundaries) {
   const Dataset ds = RandomDataset(24, 16, 29);  // tie-heavy: many lines
-  const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kGlobal);
+  const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kDynamic);
   const QueryEngine engine = MakeEngine(diagram);
 
   std::vector<Point2D> queries;
@@ -294,8 +295,8 @@ TEST(QueryEngineStatsTest, ExactBatchFallsBackOnlyOnBoundaries) {
   uint64_t boundary = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     const Point2D& q = queries[i];
-    if (NeedsOracle(SkylineQueryType::kGlobal, engine.index(), q)) ++boundary;
-    EXPECT_EQ((*answers)[i], GlobalSkyline(ds, q)) << "q = " << q;
+    if (NeedsOracle(SkylineQueryType::kDynamic, engine.index(), q)) ++boundary;
+    EXPECT_EQ((*answers)[i], DynamicSkyline(ds, q)) << "q = " << q;
   }
   EXPECT_GT(boundary, 0u);
   QueryEngineStats stats = engine.Stats();
@@ -303,14 +304,14 @@ TEST(QueryEngineStatsTest, ExactBatchFallsBackOnlyOnBoundaries) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.oracle_fallbacks, boundary);
 
-  QueryOptions dynamic;
-  dynamic.exact = true;
-  dynamic.semantics = SkylineQueryType::kDynamic;
+  QueryOptions global;
+  global.exact = true;
+  global.semantics = SkylineQueryType::kGlobal;
   const std::span<const Point2D> first(queries.data(), 10);
-  const auto overridden = engine.AnswerBatch(first, dynamic);
+  const auto overridden = engine.AnswerBatch(first, global);
   ASSERT_TRUE(overridden.ok()) << overridden.status();
   for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ((*overridden)[i], DynamicSkyline(ds, first[i]));
+    EXPECT_EQ((*overridden)[i], GlobalSkyline(ds, first[i]));
   }
   stats = engine.Stats();
   EXPECT_EQ(stats.queries_served, queries.size() + first.size());
@@ -318,51 +319,11 @@ TEST(QueryEngineStatsTest, ExactBatchFallsBackOnlyOnBoundaries) {
   EXPECT_EQ(stats.oracle_fallbacks, boundary + first.size());
 
   QueryOptions loose;
-  loose.semantics = SkylineQueryType::kDynamic;
+  loose.semantics = SkylineQueryType::kGlobal;
   const auto rejected = engine.AnswerBatch(first, loose);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
-
-class ExactAnswerRuleTest
-    : public ::testing::TestWithParam<SkylineQueryType> {};
-
-// SkylineDiagram::QueryExact and the engine's exact Answer share one rule,
-// NeedsOracle. At every position of a tie-heavy domain, and one step outside
-// it, both return the oracle's answer, and the engine falls back exactly at
-// the positions the rule names: never for quadrant diagrams.
-TEST_P(ExactAnswerRuleTest, DiagramAndEngineFallBackAtTheSamePositions) {
-  const SkylineQueryType type = GetParam();
-  const Dataset ds = RandomDataset(14, 10, 37);
-  const SkylineDiagram diagram = BuildOrDie(ds, type);
-  const QueryEngine engine = MakeEngine(diagram);
-
-  uint64_t needs_oracle = 0;
-  for (int64_t x = -1; x <= 10; ++x) {
-    for (int64_t y = -1; y <= 10; ++y) {
-      const Point2D q{x, y};
-      if (NeedsOracle(type, diagram.index(), q)) ++needs_oracle;
-      const std::vector<PointId> expected = OracleSkyline(ds, type, q);
-      EXPECT_EQ(diagram.QueryExact(q), expected) << "q = " << q;
-      EXPECT_EQ(ExactAnswer(engine, q), expected) << "q = " << q;
-    }
-  }
-  EXPECT_EQ(engine.Stats().oracle_fallbacks, needs_oracle);
-  if (type == SkylineQueryType::kQuadrant) {
-    EXPECT_EQ(needs_oracle, 0u);
-  } else {
-    EXPECT_GT(needs_oracle, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSemantics, ExactAnswerRuleTest,
-                         ::testing::Values(SkylineQueryType::kQuadrant,
-                                           SkylineQueryType::kGlobal,
-                                           SkylineQueryType::kDynamic),
-                         [](const auto& info) {
-                           return std::string(
-                               SkylineQueryTypeName(info.param));
-                         });
 
 // A temporary file path inside the build tree's test working directory.
 std::string TempBlobPath(const char* name) {
@@ -387,6 +348,57 @@ StatusOr<ServableDiagram> SaveAndLoad(const SkylineDiagram& built,
   std::remove(path.c_str());
   return loaded;
 }
+
+class ExactAnswerRuleTest
+    : public ::testing::TestWithParam<SkylineQueryType> {};
+
+// SkylineDiagram::QueryExact and the engine's exact Answer share one rule,
+// NeedsOracle. At every position of a tie-heavy domain, and one step outside
+// it, the diagram, an engine over it and an engine over its loaded blob all
+// return the oracle's answer, and both engines fall back exactly at the
+// positions the rule names: only for dynamic diagrams, whose bisector lines
+// are where two mapped distances tie.
+TEST_P(ExactAnswerRuleTest, DiagramAndEngineFallBackAtTheSamePositions) {
+  const SkylineQueryType type = GetParam();
+  const Dataset ds = RandomDataset(14, 10, 37);
+  const SkylineDiagram diagram = BuildOrDie(ds, type);
+  const QueryEngine engine = MakeEngine(diagram);
+  const std::string name =
+      std::string("exact_rule_") + SkylineQueryTypeName(type) + ".skd";
+  auto loaded = SaveAndLoad(diagram, TempBlobPath(name.c_str()), {});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  uint64_t needs_oracle = 0;
+  uint64_t on_line = 0;
+  for (int64_t x = -1; x <= 10; ++x) {
+    for (int64_t y = -1; y <= 10; ++y) {
+      const Point2D q{x, y};
+      if (NeedsOracle(type, diagram.index(), q)) ++needs_oracle;
+      if (diagram.index().OnBoundary(q)) ++on_line;
+      const std::vector<PointId> expected = OracleSkyline(ds, type, q);
+      EXPECT_EQ(diagram.QueryExact(q), expected) << "q = " << q;
+      EXPECT_EQ(ExactAnswer(engine, q), expected) << "q = " << q;
+      EXPECT_EQ(ExactAnswer(loaded->engine(), q), expected) << "q = " << q;
+    }
+  }
+  EXPECT_GT(on_line, 0u);
+  EXPECT_EQ(engine.Stats().oracle_fallbacks, needs_oracle);
+  EXPECT_EQ(loaded->engine().Stats().oracle_fallbacks, needs_oracle);
+  if (type == SkylineQueryType::kDynamic) {
+    EXPECT_GT(needs_oracle, 0u);
+  } else {
+    EXPECT_EQ(needs_oracle, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSemantics, ExactAnswerRuleTest,
+                         ::testing::Values(SkylineQueryType::kQuadrant,
+                                           SkylineQueryType::kGlobal,
+                                           SkylineQueryType::kDynamic),
+                         [](const auto& info) {
+                           return std::string(
+                               SkylineQueryTypeName(info.param));
+                         });
 
 // Positions that stress the half-open convention: domain corners, points
 // outside the domain, every data point (on both of its grid lines), one step

@@ -16,8 +16,8 @@ Zero dependencies beyond the standard library, by design.
 
 Usage:
   python3 tools/bench_regression_check.py \
-      --baseline bench/baselines/BENCH_serve_throughput.json \
-      --current build/bench-json/BENCH_serve_throughput.json \
+      --baseline bench/baselines/BENCH_bench_query_throughput.json \
+      --current build/bench-json/BENCH_bench_query_throughput.json \
       [--threshold-pct 15]
 
 Exit code 0 when no matched row regresses past the threshold; 1 otherwise.

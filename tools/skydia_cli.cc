@@ -229,8 +229,9 @@ int CmdBuild(const Flags& flags) {
   build.parallelism = static_cast<int>(flags.GetInt("threads", 1));
 
   const std::string trace_path = EnableTraceIfRequested(flags);
+  // Always collected: the summary line names what actually ran.
   BuildReport report;
-  if (flags.GetBool("report") || trace::Enabled()) build.report = &report;
+  build.report = &report;
 
   auto diagram = SkylineDiagram::Build(*std::move(dataset), *type, build);
   if (!diagram.ok()) return Fail(diagram.status().ToString());
@@ -242,10 +243,12 @@ int CmdBuild(const Flags& flags) {
                                *diagram->subcell_diagram(), out);
   if (!saved.ok()) return Fail(saved.ToString());
   std::cout << "built " << SkylineQueryTypeName(*type) << " diagram ("
-            << BuildAlgorithmName(build.algorithm) << ", "
-            << build.parallelism << " thread(s)) over "
-            << diagram->dataset().size() << " points -> " << out << "\n";
-  if (build.report != nullptr) std::cout << report.ToString();
+            << report.algorithm << ", " << report.parallelism
+            << " thread(s)) over " << diagram->dataset().size()
+            << " points -> " << out << "\n";
+  if (flags.GetBool("report") || trace::Enabled()) {
+    std::cout << report.ToString();
+  }
   return FinishTrace(trace_path);
 }
 
@@ -394,8 +397,8 @@ int CmdQuery(const Flags& flags,
       ParseSkylineQueryType(flags.GetString("semantics", "quadrant"));
   if (!cell_semantics.ok()) return Fail(cell_semantics.status().ToString());
   if (*cell_semantics == SkylineQueryType::kDynamic) {
-    return Fail("--semantics selects the cell-blob oracle (quadrant|global);"
-                " dynamic is inferred from subcell blobs");
+    return Fail("--semantics names the semantics a cell blob serves"
+                " (quadrant|global); dynamic is inferred from subcell blobs");
   }
 
   const std::string trace_path = EnableTraceIfRequested(flags);
@@ -569,8 +572,8 @@ int CmdServe(const Flags& flags, const std::string& positional_path) {
       ParseSkylineQueryType(flags.GetString("semantics", "quadrant"));
   if (!cell_semantics.ok()) return Fail(cell_semantics.status().ToString());
   if (*cell_semantics == SkylineQueryType::kDynamic) {
-    return Fail("--semantics selects the cell-blob oracle (quadrant|global);"
-                " dynamic is inferred from subcell blobs");
+    return Fail("--semantics names the semantics a cell blob serves"
+                " (quadrant|global); dynamic is inferred from subcell blobs");
   }
 
   serve::ServerOptions options;
