@@ -1,9 +1,5 @@
 // Ablation experiments for the design choices DESIGN.md calls out.
 //
-// abl-intern: result-set interning (hash-consing) on vs off for the scanning
-//   builder. Interning is what keeps the O(n^3) output structure compact in
-//   practice; without it every cell stores a private copy.
-//
 // abl-candidates: dynamic scanning's candidate pruning (previous skyline +
 //   line contributors) vs recomputing each subcell from the containing
 //   cell's global skyline (the subset algorithm) vs recomputing from all n
@@ -16,54 +12,6 @@
 
 namespace skydia::bench {
 namespace {
-
-void BM_InternOn(benchmark::State& state) {
-  const Dataset ds =
-      MakeDataset(state.range(0), 1 << 16, Distribution::kIndependent);
-  CellDiagram::Stats stats;
-  for (auto _ : state) {
-    DiagramOptions options;
-    options.intern_result_sets = true;
-    const SkylineDiagram diagram =
-        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning,
-                     /*parallelism=*/1, options);
-    stats = diagram.cell_diagram()->ComputeStats();
-  }
-  state.counters["bytes"] = static_cast<double>(stats.approx_bytes);
-  state.counters["pool_bytes"] = static_cast<double>(stats.pool_bytes);
-  state.counters["distinct_sets"] = static_cast<double>(stats.num_distinct_sets);
-}
-BENCHMARK(BM_InternOn)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->ArgNames({"n"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_InternOff(benchmark::State& state) {
-  const Dataset ds =
-      MakeDataset(state.range(0), 1 << 16, Distribution::kIndependent);
-  CellDiagram::Stats stats;
-  for (auto _ : state) {
-    DiagramOptions options;
-    options.intern_result_sets = false;
-    const SkylineDiagram diagram =
-        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning,
-                     /*parallelism=*/1, options);
-    stats = diagram.cell_diagram()->ComputeStats();
-  }
-  state.counters["bytes"] = static_cast<double>(stats.approx_bytes);
-  state.counters["pool_bytes"] = static_cast<double>(stats.pool_bytes);
-  state.counters["distinct_sets"] = static_cast<double>(stats.num_distinct_sets);
-}
-BENCHMARK(BM_InternOff)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->ArgNames({"n"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 void CandidateArgs(benchmark::internal::Benchmark* b) {
   b->Arg(32)->Arg(64)->ArgNames({"n"})->Unit(benchmark::kMillisecond)->Iterations(1);

@@ -88,12 +88,10 @@ inline Dataset CopyDataset(const Dataset& ds) {
 // by the build itself.
 inline SkylineDiagram BuildDiagram(
     const Dataset& ds, SkylineQueryType type,
-    BuildAlgorithm algorithm = BuildAlgorithm::kAuto, int parallelism = 1,
-    const DiagramOptions& diagram_options = {}) {
+    BuildAlgorithm algorithm = BuildAlgorithm::kAuto, int parallelism = 1) {
   SkylineBuildOptions options;
   options.algorithm = algorithm;
   options.parallelism = parallelism;
-  options.diagram = diagram_options;
   auto built = SkylineDiagram::Build(CopyDataset(ds), type, options);
   SKYDIA_CHECK(built.ok());
   return std::move(built).value();
@@ -127,7 +125,7 @@ class JsonBaselineReporter : public benchmark::ConsoleReporter {
     out += ",\n  \"version\": ";
     Quoted(kVersion, &out);
     out += ",\n  \"commit\": ";
-    Quoted(CommitStamp(), &out);
+    Quoted(BuildCommit(), &out);
     out += ",\n  \"build_type\": ";
 #ifdef NDEBUG
     Quoted("release", &out);
@@ -210,15 +208,6 @@ class JsonBaselineReporter : public benchmark::ConsoleReporter {
     std::snprintf(buf, sizeof(buf), "%.3f", value);
     out->append(buf);
   }
-  /// CI stamps commits via SKYDIA_GIT_COMMIT at compile time or GITHUB_SHA
-  /// in the environment; local builds fall back to "unknown".
-  static std::string CommitStamp() {
-    const std::string compiled = BuildCommit();
-    if (compiled != "unknown") return compiled;
-    const char* sha = std::getenv("GITHUB_SHA");
-    return sha != nullptr && sha[0] != '\0' ? sha : "unknown";
-  }
-
   std::string bench_name_;
   std::vector<Run> runs_;
 };

@@ -29,7 +29,7 @@ void HighDimArgs(benchmark::internal::Benchmark* b) {
 void BM_NdBaseline(benchmark::State& state) {
   const DatasetNd ds = MakeNd(state.range(1), static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const NdCellDiagram diagram = BuildNdBaseline(ds, {});
+    const NdCellDiagram diagram = BuildNdBaseline(ds);
     benchmark::DoNotOptimize(diagram.CellSkyline(0).data());
   }
 }
@@ -38,7 +38,7 @@ BENCHMARK(BM_NdBaseline)->Apply(HighDimArgs);
 void BM_NdDsg(benchmark::State& state) {
   const DatasetNd ds = MakeNd(state.range(1), static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const NdCellDiagram diagram = BuildNdDsg(ds, {});
+    const NdCellDiagram diagram = BuildNdDsg(ds);
     benchmark::DoNotOptimize(diagram.CellSkyline(0).data());
   }
 }
@@ -47,7 +47,7 @@ BENCHMARK(BM_NdDsg)->Apply(HighDimArgs);
 void BM_NdScanning(benchmark::State& state) {
   const DatasetNd ds = MakeNd(state.range(1), static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const NdCellDiagram diagram = BuildNdScanning(ds, {});
+    const NdCellDiagram diagram = BuildNdScanning(ds);
     benchmark::DoNotOptimize(diagram.CellSkyline(0).data());
   }
 }
@@ -56,7 +56,7 @@ BENCHMARK(BM_NdScanning)->Apply(HighDimArgs);
 void BM_NdScanningInclusionExclusion(benchmark::State& state) {
   const DatasetNd ds = MakeNd(state.range(1), static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const NdCellDiagram diagram = BuildNdScanningInclusionExclusion(ds, {});
+    const NdCellDiagram diagram = BuildNdScanningInclusionExclusion(ds);
     benchmark::DoNotOptimize(diagram.CellSkyline(0).data());
   }
 }

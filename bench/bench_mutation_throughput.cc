@@ -262,12 +262,7 @@ bool WriteBaseline(const std::string& bench_name, int readers, int pipeline,
   out += ",\n  \"version\": ";
   AppendQuoted(kVersion, &out);
   out += ",\n  \"commit\": ";
-  std::string commit = BuildCommit();
-  if (commit == "unknown") {
-    const char* sha = std::getenv("GITHUB_SHA");
-    if (sha != nullptr && sha[0] != '\0') commit = sha;
-  }
-  AppendQuoted(commit, &out);
+  AppendQuoted(BuildCommit(), &out);
   out += ",\n  \"build_type\": ";
 #ifdef NDEBUG
   AppendQuoted("release", &out);

@@ -22,7 +22,7 @@ namespace skydia {
 /// Synchronization protocol, compiler-checked via the SKYDIA_GUARDED_BY
 /// annotations below (a Clang -Wthread-safety build rejects any access
 /// outside `mu_`; the TSan CI job cross-checks the dynamic side via
-/// tests/core/parallel_stress_test.cc): every shared member — `queue_`,
+/// tests/core/concurrency_stress_test.cc): every shared member — `queue_`,
 /// `active_`, `shutdown_` — is read and written only under `mu_`. Task side
 /// effects are published to the caller through a mutex handshake: a worker
 /// finishes a task, then takes `mu_` to decrement `active_`; WaitIdle()

@@ -19,7 +19,7 @@
 //      atomic word and each slot carries a sequence number written around
 //      the payload, so a reader either observes a consistent event or skips
 //      the slot — torn events are rejected, never surfaced. This protocol is
-//      exercised under TSan by tests/core/parallel_stress_test.cc.
+//      exercised under TSan by tests/core/concurrency_stress_test.cc.
 //
 // Recording modes. The recorder is a three-state machine:
 //   * off      — spans are inert (the historical default outside serving).

@@ -8,15 +8,10 @@ namespace skydia {
 
 inline constexpr const char* kVersion = "0.6.0";
 
-/// The commit the binary was built from: SKYDIA_GIT_COMMIT when the build
-/// system provides it, else "unknown" (local builds).
-inline const char* BuildCommit() {
-#ifdef SKYDIA_GIT_COMMIT
-  return SKYDIA_GIT_COMMIT;
-#else
-  return "unknown";
-#endif
-}
+/// The commit the library was built from: `git rev-parse HEAD` of the source
+/// checkout, stamped into src/common/version.cc at build time, or "unknown"
+/// when the source is not a git checkout.
+const char* BuildCommit();
 
 }  // namespace skydia
 

@@ -6,7 +6,10 @@
 #include "src/core/dynamic_baseline.h"
 #include "src/core/dynamic_scanning.h"
 #include "src/core/dynamic_subset.h"
-#include "src/core/parallel.h"
+#include "src/core/global_diagram.h"
+#include "src/core/quadrant_baseline.h"
+#include "src/core/quadrant_dsg.h"
+#include "src/core/quadrant_scanning.h"
 #include "src/core/validate.h"
 #include "src/skyline/query.h"
 
@@ -20,11 +23,9 @@ namespace {
 #ifndef NDEBUG
 constexpr size_t kDebugValidateSamples = 4;
 
-void DebugValidate(const SkylineDiagram& diagram,
-                   const SkylineBuildOptions& options) {
+void DebugValidate(const SkylineDiagram& diagram) {
   ValidateOptions validate;
   validate.sample_queries = kDebugValidateSamples;
-  validate.require_canonical_pool = options.diagram.intern_result_sets;
   Status status;
   if (diagram.cell_diagram() != nullptr) {
     validate.semantics = diagram.type() == SkylineQueryType::kQuadrant
@@ -108,55 +109,63 @@ StatusOr<BuildAlgorithm> ParseBuildAlgorithm(const std::string& name) {
 
 namespace {
 
-/// Builds the cell diagram (quadrant or global), always sequentially.
-StatusOr<CellDiagram> BuildCell(const Dataset& dataset, SkylineQueryType type,
-                                const SkylineBuildOptions& options) {
-  QuadrantAlgorithm cell = QuadrantAlgorithm::kScanning;
-  switch (options.algorithm) {
+/// Runs the construction `algorithm` names for `type` into `cell` (quadrant,
+/// global) or `subcell` (dynamic): the one place a BuildAlgorithm picks a
+/// construction. Quadrant and global diagrams run a first-quadrant
+/// construction (Algorithms 1-3), global ones on the four reflections.
+/// Dynamic diagrams run Algorithm 5, Algorithm 7 on `parallelism` threads, or
+/// Algorithm 6 over a global diagram of the named quadrant construction.
+Status Construct(const Dataset& dataset, SkylineQueryType type,
+                 BuildAlgorithm algorithm, int parallelism,
+                 std::unique_ptr<CellDiagram>* cell,
+                 std::unique_ptr<SubcellDiagram>* subcell) {
+  const bool dynamic = type == SkylineQueryType::kDynamic;
+  internal::QuadrantBuilder quadrant = nullptr;
+  switch (algorithm) {
     case BuildAlgorithm::kAuto:
     case BuildAlgorithm::kScanning:
-      cell = QuadrantAlgorithm::kScanning;
-      break;
-    case BuildAlgorithm::kBaseline:
-      cell = QuadrantAlgorithm::kBaseline;
-      break;
-    case BuildAlgorithm::kDsg:
-      cell = QuadrantAlgorithm::kDsg;
-      break;
-    case BuildAlgorithm::kSubset:
-      return Status::InvalidArgument(
-          "the subset construction builds dynamic diagrams only");
-  }
-  return type == SkylineQueryType::kQuadrant
-             ? BuildQuadrantDiagram(dataset, cell, options.diagram)
-             : BuildGlobalDiagram(dataset, cell, options.diagram);
-}
-
-/// Builds the subcell diagram (dynamic semantics) on `parallelism` threads
-/// (see ResolvedParallelism).
-StatusOr<SubcellDiagram> BuildSubcell(const Dataset& dataset,
-                                      const SkylineBuildOptions& options,
-                                      int parallelism) {
-  switch (options.algorithm) {
-    case BuildAlgorithm::kAuto:
-    case BuildAlgorithm::kScanning:
-      if (parallelism > 1) {
-        return BuildDynamicScanningParallel(dataset, parallelism,
-                                            options.diagram);
+      if (dynamic) {
+        *subcell = std::make_unique<SubcellDiagram>(
+            internal::BuildDynamicScanning(dataset, parallelism));
+        return Status::OK();
       }
-      return BuildDynamicScanning(dataset, options.diagram);
+      quadrant = internal::BuildQuadrantScanning;
+      break;
     case BuildAlgorithm::kBaseline:
-      return BuildDynamicBaseline(dataset, options.diagram);
-    case BuildAlgorithm::kSubset:
-      return BuildDynamicSubset(dataset, QuadrantAlgorithm::kScanning,
-                                options.diagram);
+      if (dynamic) {
+        *subcell = std::make_unique<SubcellDiagram>(
+            internal::BuildDynamicBaseline(dataset));
+        return Status::OK();
+      }
+      quadrant = internal::BuildQuadrantBaseline;
+      break;
     case BuildAlgorithm::kDsg:
-      // The DSG spelling of a dynamic build: the subset construction over a
-      // DSG-built global diagram.
-      return BuildDynamicSubset(dataset, QuadrantAlgorithm::kDsg,
-                                options.diagram);
+      // For a dynamic diagram, the DSG spelling is the subset construction
+      // over a DSG-built global diagram.
+      quadrant = internal::BuildQuadrantDsg;
+      break;
+    case BuildAlgorithm::kSubset:
+      if (!dynamic) {
+        return Status::InvalidArgument(
+            "the subset construction builds dynamic diagrams only");
+      }
+      quadrant = internal::BuildQuadrantScanning;
+      break;
   }
-  return Status::Internal("unreachable dynamic algorithm");
+  switch (type) {
+    case SkylineQueryType::kQuadrant:
+      *cell = std::make_unique<CellDiagram>(quadrant(dataset));
+      break;
+    case SkylineQueryType::kGlobal:
+      *cell = std::make_unique<CellDiagram>(
+          internal::BuildGlobalDiagram(dataset, quadrant));
+      break;
+    case SkylineQueryType::kDynamic:
+      *subcell = std::make_unique<SubcellDiagram>(
+          internal::BuildDynamicSubset(dataset, quadrant));
+      break;
+  }
+  return Status::OK();
 }
 
 /// The threads a build runs on: the requested count for the dynamic
@@ -172,9 +181,9 @@ int ResolvedParallelism(SkylineQueryType type,
 
 }  // namespace
 
-StatusOr<SkylineDiagram> SkylineDiagram::Build(Dataset dataset,
-                                               SkylineQueryType type,
-                                               const BuildOptions& options) {
+StatusOr<SkylineDiagram> SkylineDiagram::Build(
+    Dataset dataset, SkylineQueryType type,
+    const SkylineBuildOptions& options) {
   if (dataset.empty()) {
     return Status::InvalidArgument("cannot build a diagram of zero points");
   }
@@ -197,16 +206,10 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(Dataset dataset,
     SKYDIA_TRACE_SPAN("build");
     build_report_internal::ReportInstaller installer(report);
     const uint64_t start_ns = trace::NowNanos();
-    if (type == SkylineQueryType::kDynamic) {
-      auto subcell = BuildSubcell(diagram.dataset_, options, parallelism);
-      if (!subcell.ok()) return subcell.status();
-      diagram.subcell_ =
-          std::make_unique<SubcellDiagram>(std::move(subcell).value());
-    } else {
-      auto cell = BuildCell(diagram.dataset_, type, options);
-      if (!cell.ok()) return cell.status();
-      diagram.cell_ = std::make_unique<CellDiagram>(std::move(cell).value());
-    }
+    const Status status =
+        Construct(diagram.dataset_, type, options.algorithm, parallelism,
+                  &diagram.cell_, &diagram.subcell_);
+    if (!status.ok()) return status;
     if (report != nullptr) {
       report->total_seconds =
           static_cast<double>(trace::NowNanos() - start_ns) / 1e9;
@@ -235,7 +238,7 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(Dataset dataset,
     diagram.index_.emplace(*diagram.subcell_);
   }
 #ifndef NDEBUG
-  DebugValidate(diagram, options);
+  DebugValidate(diagram);
 #endif
   return diagram;
 }

@@ -21,8 +21,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/core/global_diagram.h"
-#include "src/core/options.h"
 #include "src/core/point_location.h"
 #include "src/core/skyline_cell.h"
 #include "src/core/subcell_diagram.h"
@@ -83,7 +81,6 @@ struct SkylineBuildOptions {
   /// request builds sequentially, and BuildReport::parallelism records the
   /// thread count that ran.
   int parallelism = 1;
-  DiagramOptions diagram;
   /// When non-null, Build() fills this with per-phase wall times and
   /// structure counts (see src/core/build_report.h). The pointee must
   /// outlive the Build() call; it is overwritten, not appended to.
@@ -93,12 +90,12 @@ struct SkylineBuildOptions {
 /// A built skyline diagram with its source dataset. Movable, not copyable.
 class SkylineDiagram {
  public:
-  using BuildOptions = SkylineBuildOptions;
-
-  /// Builds the diagram. Takes ownership of the dataset (queries need it for
-  /// labels and for the boundary fallback).
-  static StatusOr<SkylineDiagram> Build(Dataset dataset, SkylineQueryType type,
-                                        const BuildOptions& options = {});
+  /// Builds the diagram: the one way to build a 2-D diagram. Takes ownership
+  /// of the dataset (queries need it for labels and for the boundary
+  /// fallback).
+  static StatusOr<SkylineDiagram> Build(
+      Dataset dataset, SkylineQueryType type,
+      const SkylineBuildOptions& options = {});
 
   SkylineDiagram(SkylineDiagram&&) = default;
   SkylineDiagram& operator=(SkylineDiagram&&) = default;

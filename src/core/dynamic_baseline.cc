@@ -7,7 +7,7 @@
 
 #include "src/core/build_report.h"
 
-namespace skydia {
+namespace skydia::internal {
 
 namespace {
 
@@ -62,11 +62,10 @@ ColumnOrder BuildColumnOrder(const Dataset& dataset,
 
 }  // namespace
 
-SubcellDiagram BuildDynamicBaseline(const Dataset& dataset,
-                                    const DiagramOptions& options) {
+SubcellDiagram BuildDynamicBaseline(const Dataset& dataset) {
   SubcellDiagram diagram = [&] {
     PhaseScope phase("grid");
-    return SubcellDiagram(dataset, options.intern_result_sets);
+    return SubcellDiagram(dataset);
   }();
   const SubcellGrid& grid = diagram.grid();
   const size_t n = dataset.size();
@@ -124,4 +123,4 @@ SubcellDiagram BuildDynamicBaseline(const Dataset& dataset,
   return diagram;
 }
 
-}  // namespace skydia
+}  // namespace skydia::internal

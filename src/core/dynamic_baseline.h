@@ -10,18 +10,14 @@
 #ifndef SKYDIA_SRC_CORE_DYNAMIC_BASELINE_H_
 #define SKYDIA_SRC_CORE_DYNAMIC_BASELINE_H_
 
-#include "src/core/options.h"
 #include "src/core/subcell_diagram.h"
 #include "src/geometry/dataset.h"
 
-namespace skydia {
+namespace skydia::internal {
 
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
 /// Builds the dynamic skyline diagram with the baseline algorithm.
-SubcellDiagram BuildDynamicBaseline(const Dataset& dataset,
-                                    const DiagramOptions& options = {});
+SubcellDiagram BuildDynamicBaseline(const Dataset& dataset);
 
-}  // namespace skydia
+}  // namespace skydia::internal
 
 #endif  // SKYDIA_SRC_CORE_DYNAMIC_BASELINE_H_

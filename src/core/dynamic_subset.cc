@@ -5,7 +5,7 @@
 #include "src/core/build_report.h"
 #include "src/skyline/query.h"
 
-namespace skydia {
+namespace skydia::internal {
 
 namespace {
 
@@ -40,21 +40,14 @@ std::vector<int64_t> DoubledDistinct(const Dataset& dataset, bool use_x) {
 }  // namespace
 
 SubcellDiagram BuildDynamicSubset(const Dataset& dataset,
-                                  QuadrantAlgorithm algorithm,
-                                  const DiagramOptions& options) {
+                                  QuadrantBuilder build_quadrant) {
   const CellDiagram global = [&] {
     PhaseScope phase("global");
-    return BuildGlobalDiagram(dataset, algorithm, options);
+    return BuildGlobalDiagram(dataset, build_quadrant);
   }();
-  return BuildDynamicSubsetWithGlobal(dataset, global, options);
-}
-
-SubcellDiagram BuildDynamicSubsetWithGlobal(const Dataset& dataset,
-                                            const CellDiagram& global,
-                                            const DiagramOptions& options) {
   SubcellDiagram diagram = [&] {
     PhaseScope phase("grid");
-    return SubcellDiagram(dataset, options.intern_result_sets);
+    return SubcellDiagram(dataset);
   }();
   const SubcellGrid& grid = diagram.grid();
 
@@ -86,4 +79,4 @@ SubcellDiagram BuildDynamicSubsetWithGlobal(const Dataset& dataset,
   return diagram;
 }
 
-}  // namespace skydia
+}  // namespace skydia::internal

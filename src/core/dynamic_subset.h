@@ -10,28 +10,16 @@
 #define SKYDIA_SRC_CORE_DYNAMIC_SUBSET_H_
 
 #include "src/core/global_diagram.h"
-#include "src/core/options.h"
 #include "src/core/subcell_diagram.h"
 #include "src/geometry/dataset.h"
 
-namespace skydia {
+namespace skydia::internal {
 
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
-/// Builds the dynamic skyline diagram via the subset algorithm. `algorithm`
-/// selects the underlying global-diagram construction (default: scanning,
-/// the fastest cell-based builder).
-SubcellDiagram BuildDynamicSubset(
-    const Dataset& dataset,
-    QuadrantAlgorithm algorithm = QuadrantAlgorithm::kScanning,
-    const DiagramOptions& options = {});
+/// Builds the dynamic skyline diagram via the subset algorithm, over a global
+/// diagram whose four quadrant constructions run `build_quadrant`.
+SubcellDiagram BuildDynamicSubset(const Dataset& dataset,
+                                  QuadrantBuilder build_quadrant);
 
-/// Variant reusing an already-built global diagram (must come from the same
-/// dataset).
-SubcellDiagram BuildDynamicSubsetWithGlobal(const Dataset& dataset,
-                                            const CellDiagram& global,
-                                            const DiagramOptions& options = {});
-
-}  // namespace skydia
+}  // namespace skydia::internal
 
 #endif  // SKYDIA_SRC_CORE_DYNAMIC_SUBSET_H_

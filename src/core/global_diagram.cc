@@ -5,11 +5,8 @@
 
 #include "src/common/logging.h"
 #include "src/core/build_report.h"
-#include "src/core/quadrant_baseline.h"
-#include "src/core/quadrant_dsg.h"
-#include "src/core/quadrant_scanning.h"
 
-namespace skydia {
+namespace skydia::internal {
 
 namespace {
 
@@ -28,36 +25,8 @@ Dataset Reflect(const Dataset& dataset, bool flip_x, bool flip_y) {
 
 }  // namespace
 
-const char* QuadrantAlgorithmName(QuadrantAlgorithm algorithm) {
-  switch (algorithm) {
-    case QuadrantAlgorithm::kBaseline:
-      return "baseline";
-    case QuadrantAlgorithm::kDsg:
-      return "dsg";
-    case QuadrantAlgorithm::kScanning:
-      return "scanning";
-  }
-  return "?";
-}
-
-CellDiagram BuildQuadrantDiagram(const Dataset& dataset,
-                                 QuadrantAlgorithm algorithm,
-                                 const DiagramOptions& options) {
-  switch (algorithm) {
-    case QuadrantAlgorithm::kBaseline:
-      return BuildQuadrantBaseline(dataset, options);
-    case QuadrantAlgorithm::kDsg:
-      return BuildQuadrantDsg(dataset, options);
-    case QuadrantAlgorithm::kScanning:
-      return BuildQuadrantScanning(dataset, options);
-  }
-  SKYDIA_CHECK(false);
-  return BuildQuadrantBaseline(dataset, options);
-}
-
 CellDiagram BuildGlobalDiagram(const Dataset& dataset,
-                               QuadrantAlgorithm algorithm,
-                               const DiagramOptions& options) {
+                               QuadrantBuilder build_quadrant) {
   // Quadrant diagrams of the four reflections. Index k matches
   // QuadrantOf(): 0 = (+x, +y), 1 = (-x, +y), 2 = (-x, -y), 3 = (+x, -y).
   // The nested quadrant builds open their own phases; they show up in the
@@ -65,16 +34,10 @@ CellDiagram BuildGlobalDiagram(const Dataset& dataset,
   const std::array<CellDiagram, 4> quads = [&] {
     PhaseScope phase("quadrants");
     return std::array<CellDiagram, 4>{
-        BuildQuadrantDiagram(dataset, algorithm, options),
-        BuildQuadrantDiagram(Reflect(dataset, /*flip_x=*/true,
-                                     /*flip_y=*/false),
-                             algorithm, options),
-        BuildQuadrantDiagram(Reflect(dataset, /*flip_x=*/true,
-                                     /*flip_y=*/true),
-                             algorithm, options),
-        BuildQuadrantDiagram(Reflect(dataset, /*flip_x=*/false,
-                                     /*flip_y=*/true),
-                             algorithm, options)};
+        build_quadrant(dataset),
+        build_quadrant(Reflect(dataset, /*flip_x=*/true, /*flip_y=*/false)),
+        build_quadrant(Reflect(dataset, /*flip_x=*/true, /*flip_y=*/true)),
+        build_quadrant(Reflect(dataset, /*flip_x=*/false, /*flip_y=*/true))};
   }();
   const CellDiagram& q1 = quads[0];
   const CellDiagram& q2 = quads[1];
@@ -83,7 +46,7 @@ CellDiagram BuildGlobalDiagram(const Dataset& dataset,
 
   CellDiagram global = [&] {
     PhaseScope phase("grid");
-    return CellDiagram(dataset, options.intern_result_sets);
+    return CellDiagram(dataset);
   }();
   const CellGrid& grid = global.grid();
   const uint32_t cols = grid.num_columns();
@@ -125,4 +88,4 @@ CellDiagram BuildGlobalDiagram(const Dataset& dataset,
   return global;
 }
 
-}  // namespace skydia
+}  // namespace skydia::internal

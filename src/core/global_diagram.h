@@ -13,36 +13,21 @@
 #ifndef SKYDIA_SRC_CORE_GLOBAL_DIAGRAM_H_
 #define SKYDIA_SRC_CORE_GLOBAL_DIAGRAM_H_
 
-#include "src/core/options.h"
 #include "src/core/skyline_cell.h"
 #include "src/geometry/dataset.h"
 
-namespace skydia {
+namespace skydia::internal {
 
-/// Which cell-based construction runs underneath.
-enum class QuadrantAlgorithm {
-  kBaseline,  // Algorithm 1
-  kDsg,       // Algorithm 2
-  kScanning,  // Algorithm 3
-};
+/// A first-quadrant cell construction: BuildQuadrantBaseline, BuildQuadrantDsg
+/// or BuildQuadrantScanning (Algorithms 1-3).
+using QuadrantBuilder = CellDiagram (*)(const Dataset&);
 
-const char* QuadrantAlgorithmName(QuadrantAlgorithm algorithm);
-
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
-/// Dispatches to the chosen first-quadrant builder.
-CellDiagram BuildQuadrantDiagram(const Dataset& dataset,
-                                 QuadrantAlgorithm algorithm,
-                                 const DiagramOptions& options = {});
-
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
 /// Builds the global skyline diagram (union of the four quadrant skylines per
-/// cell) using `algorithm` for each of the four reflected constructions.
+/// cell), running `build_quadrant` for each of the four reflected
+/// constructions.
 CellDiagram BuildGlobalDiagram(const Dataset& dataset,
-                               QuadrantAlgorithm algorithm,
-                               const DiagramOptions& options = {});
+                               QuadrantBuilder build_quadrant);
 
-}  // namespace skydia
+}  // namespace skydia::internal
 
 #endif  // SKYDIA_SRC_CORE_GLOBAL_DIAGRAM_H_

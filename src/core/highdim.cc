@@ -106,9 +106,8 @@ bool NextIndex(const NdGrid& grid, std::vector<uint32_t>* idx, int upto_dim) {
 
 }  // namespace
 
-NdCellDiagram BuildNdBaseline(const DatasetNd& dataset,
-                              const DiagramOptions& options) {
-  NdCellDiagram diagram(dataset, options.intern_result_sets);
+NdCellDiagram BuildNdBaseline(const DatasetNd& dataset) {
+  NdCellDiagram diagram(dataset);
   const NdGrid& grid = diagram.grid();
   const size_t n = dataset.size();
 
@@ -126,9 +125,8 @@ NdCellDiagram BuildNdBaseline(const DatasetNd& dataset,
   return diagram;
 }
 
-NdCellDiagram BuildNdDsg(const DatasetNd& dataset,
-                         const DiagramOptions& options) {
-  NdCellDiagram diagram(dataset, options.intern_result_sets);
+NdCellDiagram BuildNdDsg(const DatasetNd& dataset) {
+  NdCellDiagram diagram(dataset);
   const NdGrid& grid = diagram.grid();
   const DirectedSkylineGraph dsg(dataset);
   const size_t n = dataset.size();
@@ -208,9 +206,8 @@ namespace {
 // all upper neighbours are final, applies the corner special case, and
 // delegates the neighbour combination to `combine`.
 template <typename Combine>
-NdCellDiagram ScanNd(const DatasetNd& dataset, const DiagramOptions& options,
-                     Combine combine) {
-  NdCellDiagram diagram(dataset, options.intern_result_sets);
+NdCellDiagram ScanNd(const DatasetNd& dataset, Combine combine) {
+  NdCellDiagram diagram(dataset);
   const NdGrid& grid = diagram.grid();
   const int dims = grid.dims();
 
@@ -258,10 +255,9 @@ NdCellDiagram ScanNd(const DatasetNd& dataset, const DiagramOptions& options,
 
 }  // namespace
 
-NdCellDiagram BuildNdScanning(const DatasetNd& dataset,
-                              const DiagramOptions& options) {
+NdCellDiagram BuildNdScanning(const DatasetNd& dataset) {
   return ScanNd(
-      dataset, options,
+      dataset,
       [&dataset](NdCellDiagram& diagram, const std::vector<uint32_t>& idx,
                  std::vector<uint32_t>* nbr) -> SetId {
         const NdGrid& grid = diagram.grid();
@@ -280,10 +276,9 @@ NdCellDiagram BuildNdScanning(const DatasetNd& dataset,
       });
 }
 
-NdCellDiagram BuildNdScanningInclusionExclusion(const DatasetNd& dataset,
-                                                const DiagramOptions& options) {
+NdCellDiagram BuildNdScanningInclusionExclusion(const DatasetNd& dataset) {
   return ScanNd(
-      dataset, options,
+      dataset,
       [&dataset](NdCellDiagram& diagram, const std::vector<uint32_t>& idx,
                  std::vector<uint32_t>* nbr) -> SetId {
         const NdGrid& grid = diagram.grid();

@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/options.h"
 #include "src/geometry/dataset.h"
 #include "src/skyline/interning.h"
 
@@ -70,9 +69,9 @@ class NdGrid {
 /// Result container for d-dimensional diagrams.
 class NdCellDiagram {
  public:
-  NdCellDiagram(const DatasetNd& dataset, bool intern_result_sets = true)
+  explicit NdCellDiagram(const DatasetNd& dataset)
       : grid_(dataset),
-        pool_(std::make_unique<SkylineSetPool>(intern_result_sets)),
+        pool_(std::make_unique<SkylineSetPool>()),
         cells_(grid_.num_cells(), kEmptySetId) {}
 
   NdCellDiagram(NdCellDiagram&&) = default;
@@ -102,21 +101,17 @@ class NdCellDiagram {
 };
 
 /// Algorithm 1 generalized: per-cell skyline from scratch. O(n^d * n log n).
-NdCellDiagram BuildNdBaseline(const DatasetNd& dataset,
-                              const DiagramOptions& options = {});
+NdCellDiagram BuildNdBaseline(const DatasetNd& dataset);
 
 /// Algorithm 2 generalized: per row-prefix DSG sweep along the last
 /// dimension. O(n^{d-1} * links).
-NdCellDiagram BuildNdDsg(const DatasetNd& dataset,
-                         const DiagramOptions& options = {});
+NdCellDiagram BuildNdDsg(const DatasetNd& dataset);
 
 /// Exact scanning via candidate union over the d upper neighbours.
-NdCellDiagram BuildNdScanning(const DatasetNd& dataset,
-                              const DiagramOptions& options = {});
+NdCellDiagram BuildNdScanning(const DatasetNd& dataset);
 
 /// The paper's inclusion-exclusion scanning formula (§IV.E.3).
-NdCellDiagram BuildNdScanningInclusionExclusion(
-    const DatasetNd& dataset, const DiagramOptions& options = {});
+NdCellDiagram BuildNdScanningInclusionExclusion(const DatasetNd& dataset);
 
 }  // namespace skydia
 

@@ -151,7 +151,7 @@ StatusOr<IncrementalQuadrantDiagram> IncrementalQuadrantDiagram::Create(
     return seed;
   }
   auto diagram = std::make_shared<const CellDiagram>(
-      BuildQuadrantScanning(dataset, options.diagram));
+      internal::BuildQuadrantScanning(dataset));
   return Adopt(std::make_shared<const Dataset>(std::move(dataset)),
                std::move(diagram), options);
 }
@@ -183,8 +183,7 @@ StatusOr<PointId> IncrementalQuadrantDiagram::Insert(
   const bool x_existed = old_grid.IsOnVerticalLine(p.x);
   const bool y_existed = old_grid.IsOnHorizontalLine(p.y);
 
-  auto next = std::make_shared<CellDiagram>(
-      *new_dataset, options_.diagram.intern_result_sets);
+  auto next = std::make_shared<CellDiagram>(*new_dataset);
   const CellGrid& grid = next->grid();
   const uint32_t r = grid.xrank(new_id);
   const uint32_t ry = grid.yrank(new_id);
@@ -274,8 +273,7 @@ Status IncrementalQuadrantDiagram::Delete(PointId id) {
   const bool x_removed = old_grid.PointsAtColumn(r_old).size() == 1;
   const bool y_removed = old_grid.PointsAtRow(ry_old).size() == 1;
 
-  auto next = std::make_shared<CellDiagram>(
-      *new_dataset, options_.diagram.intern_result_sets);
+  auto next = std::make_shared<CellDiagram>(*new_dataset);
   const CellGrid& grid = next->grid();
   const uint32_t cols = grid.num_columns();
   const uint32_t rows = grid.num_rows();

@@ -40,7 +40,6 @@
 #include <string>
 
 #include "src/common/status.h"
-#include "src/core/options.h"
 #include "src/core/skyline_cell.h"
 #include "src/geometry/dataset.h"
 
@@ -48,7 +47,6 @@ namespace skydia {
 
 /// Options for IncrementalQuadrantDiagram and IncrementalDynamicDiagram.
 struct IncrementalOptions {
-  DiagramOptions diagram;
   /// Maintain the distinct-coordinates invariant across inserts: Create and
   /// Insert reject any point that duplicates an existing x or y coordinate
   /// (forwarded to Dataset::Create, whose failure surfaces as

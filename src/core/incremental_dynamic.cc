@@ -47,7 +47,7 @@ StatusOr<IncrementalDynamicDiagram> IncrementalDynamicDiagram::Create(
     return seed;
   }
   auto diagram = std::make_shared<const SubcellDiagram>(
-      BuildDynamicScanning(dataset, options.diagram));
+      internal::BuildDynamicScanning(dataset));
   return Adopt(std::make_shared<const Dataset>(std::move(dataset)),
                std::move(diagram), options);
 }
@@ -72,8 +72,7 @@ StatusOr<PointId> IncrementalDynamicDiagram::Insert(
       *dataset_, p, std::move(label), options_.require_distinct_coordinates);
   if (!new_dataset.ok()) return new_dataset.status();
 
-  auto next = std::make_shared<SubcellDiagram>(
-      *new_dataset, options_.diagram.intern_result_sets);
+  auto next = std::make_shared<SubcellDiagram>(*new_dataset);
   const SubcellGrid& grid = next->grid();
   const SubcellGrid& old_grid = diagram_->grid();
 
@@ -158,8 +157,7 @@ Status IncrementalDynamicDiagram::Delete(PointId id) {
       *dataset_, id, options_.require_distinct_coordinates);
   if (!new_dataset.ok()) return new_dataset.status();
 
-  auto next = std::make_shared<SubcellDiagram>(
-      *new_dataset, options_.diagram.intern_result_sets);
+  auto next = std::make_shared<SubcellDiagram>(*new_dataset);
   const SubcellGrid& grid = next->grid();
   const SubcellGrid& old_grid = diagram_->grid();
 

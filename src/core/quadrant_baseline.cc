@@ -6,13 +6,12 @@
 
 #include "src/core/build_report.h"
 
-namespace skydia {
+namespace skydia::internal {
 
-CellDiagram BuildQuadrantBaseline(const Dataset& dataset,
-                                  const DiagramOptions& options) {
+CellDiagram BuildQuadrantBaseline(const Dataset& dataset) {
   CellDiagram diagram = [&] {
     PhaseScope phase("grid");
-    return CellDiagram(dataset, options.intern_result_sets);
+    return CellDiagram(dataset);
   }();
   const CellGrid& grid = diagram.grid();
   const size_t n = dataset.size();
@@ -82,4 +81,4 @@ CellDiagram BuildQuadrantBaseline(const Dataset& dataset,
   return diagram;
 }
 
-}  // namespace skydia
+}  // namespace skydia::internal

@@ -5,18 +5,14 @@
 #ifndef SKYDIA_SRC_CORE_QUADRANT_BASELINE_H_
 #define SKYDIA_SRC_CORE_QUADRANT_BASELINE_H_
 
-#include "src/core/options.h"
 #include "src/core/skyline_cell.h"
 #include "src/geometry/dataset.h"
 
-namespace skydia {
+namespace skydia::internal {
 
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
 /// Builds the first-quadrant skyline diagram with the baseline algorithm.
-CellDiagram BuildQuadrantBaseline(const Dataset& dataset,
-                                  const DiagramOptions& options = {});
+CellDiagram BuildQuadrantBaseline(const Dataset& dataset);
 
-}  // namespace skydia
+}  // namespace skydia::internal
 
 #endif  // SKYDIA_SRC_CORE_QUADRANT_BASELINE_H_

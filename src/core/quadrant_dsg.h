@@ -14,18 +14,14 @@
 #ifndef SKYDIA_SRC_CORE_QUADRANT_DSG_H_
 #define SKYDIA_SRC_CORE_QUADRANT_DSG_H_
 
-#include "src/core/options.h"
 #include "src/core/skyline_cell.h"
 #include "src/geometry/dataset.h"
 
-namespace skydia {
+namespace skydia::internal {
 
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
 /// Builds the first-quadrant skyline diagram with the DSG algorithm.
-CellDiagram BuildQuadrantDsg(const Dataset& dataset,
-                             const DiagramOptions& options = {});
+CellDiagram BuildQuadrantDsg(const Dataset& dataset);
 
-}  // namespace skydia
+}  // namespace skydia::internal
 
 #endif  // SKYDIA_SRC_CORE_QUADRANT_DSG_H_

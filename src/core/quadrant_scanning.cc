@@ -6,8 +6,7 @@
 #include "src/common/logging.h"
 #include "src/core/build_report.h"
 
-namespace skydia {
-namespace internal {
+namespace skydia::internal {
 
 // result = (a + b) - c with saturating multiset subtraction over sorted sets.
 // Each input is duplicate-free; the output is asserted duplicate-free (which
@@ -46,13 +45,10 @@ void ScanningMergeIdentity(std::span<const PointId> a,
   }
 }
 
-}  // namespace internal
-
-CellDiagram BuildQuadrantScanning(const Dataset& dataset,
-                                  const DiagramOptions& options) {
+CellDiagram BuildQuadrantScanning(const Dataset& dataset) {
   CellDiagram diagram = [&] {
     PhaseScope phase("grid");
-    return CellDiagram(dataset, options.intern_result_sets);
+    return CellDiagram(dataset);
   }();
   const CellGrid& grid = diagram.grid();
   const uint32_t cols = grid.num_columns();
@@ -85,9 +81,8 @@ CellDiagram BuildQuadrantScanning(const Dataset& dataset,
           std::sort(scratch.begin(), scratch.end());
           result = pool.InternCopy(scratch);
         } else {
-          internal::ScanningMergeIdentity(pool.Get(current[cx + 1]),
-                                          pool.Get(above[cx]),
-                                          pool.Get(above[cx + 1]), &scratch);
+          ScanningMergeIdentity(pool.Get(current[cx + 1]), pool.Get(above[cx]),
+                                pool.Get(above[cx + 1]), &scratch);
           result = pool.InternCopy(scratch);
         }
         current[cx] = result;
@@ -103,4 +98,4 @@ CellDiagram BuildQuadrantScanning(const Dataset& dataset,
   return diagram;
 }
 
-}  // namespace skydia
+}  // namespace skydia::internal

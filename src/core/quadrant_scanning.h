@@ -16,19 +16,13 @@
 #ifndef SKYDIA_SRC_CORE_QUADRANT_SCANNING_H_
 #define SKYDIA_SRC_CORE_QUADRANT_SCANNING_H_
 
-#include "src/core/options.h"
 #include "src/core/skyline_cell.h"
 #include "src/geometry/dataset.h"
 
-namespace skydia {
+namespace skydia::internal {
 
-/// Deprecated direct entry point — new code should go through
-/// SkylineDiagram::Build (src/core/diagram.h), which dispatches here.
 /// Builds the first-quadrant skyline diagram with the scanning algorithm.
-CellDiagram BuildQuadrantScanning(const Dataset& dataset,
-                                  const DiagramOptions& options = {});
-
-namespace internal {
+CellDiagram BuildQuadrantScanning(const Dataset& dataset);
 
 /// The Theorem 1 combination step: out = (right + up) - upright over sorted
 /// sets, subtraction saturating at zero. Shared with the incremental
@@ -38,7 +32,6 @@ void ScanningMergeIdentity(std::span<const PointId> right,
                            std::span<const PointId> upright,
                            std::vector<PointId>* out);
 
-}  // namespace internal
-}  // namespace skydia
+}  // namespace skydia::internal
 
 #endif  // SKYDIA_SRC_CORE_QUADRANT_SCANNING_H_

@@ -49,8 +49,8 @@ StatusOr<RangeSkylineSummary> RangeSkylineSummarize(
   summary.union_ids.erase(
       std::unique(summary.union_ids.begin(), summary.union_ids.end()),
       summary.union_ids.end());
-  // Distinct ids can still alias identical contents in a non-interned pool;
-  // compare contents.
+  // Distinct ids can still alias identical contents in a pool a mutation
+  // adopted (SkylineSetPool::AdoptFrom); compare contents.
   if (distinct.size() <= 1) {
     summary.distinct_results = distinct.size();
     return summary;

@@ -318,20 +318,21 @@ Status ReadPool(Reader* reader, uint8_t version, size_t num_points,
                               : ReadPoolV2(reader, num_points, pool);
 }
 
-Status ReadCells(Reader* reader, uint64_t expected_count, size_t pool_size,
-                 std::vector<SetId>* out) {
+// Reads the cell table straight into `table`, the diagram's own (sized by
+// its grid), in one bounds-checked read, then checks every id against the
+// pool.
+Status ReadCells(Reader* reader, size_t pool_size, std::span<SetId> table) {
   uint64_t count = 0;
   if (!reader->ReadU64(&count)) {
     return Status::Corruption("truncated cell header");
   }
-  if (count != expected_count) {
+  if (count != table.size()) {
     return Status::Corruption("cell count does not match the grid shape");
   }
-  out->resize(count);
-  if (!reader->ReadU32Array(*out)) {
+  if (!reader->ReadU32Array(table)) {
     return Status::Corruption("truncated cell table");
   }
-  for (const SetId id : *out) {
+  for (const SetId id : table) {
     if (id >= pool_size) {
       return Status::Corruption("cell references unknown result set");
     }
@@ -411,6 +412,43 @@ std::string SerializeBlob(uint8_t kind, const Dataset& dataset,
   return out;
 }
 
+// The one blob parser: cell and subcell blobs differ only in the kind byte
+// and in the grid whose table the cells fill. `Loaded` is LoadedCellDiagram
+// or LoadedSubcellDiagram.
+template <typename Loaded>
+StatusOr<Loaded> ParseBlob(uint8_t kind, const std::string& bytes,
+                           const ParseOptions& options) {
+  std::string_view payload;
+  uint8_t version = 0;
+  if (Status s = CheckEnvelope(bytes, kind, &payload, &version); !s.ok()) {
+    return s;
+  }
+  Reader reader(payload);
+  StatusOr<Dataset> dataset = ReadDataset(&reader);
+  if (!dataset.ok()) return dataset.status();
+
+  decltype(Loaded::diagram) diagram(*dataset);
+  if (Status s = ReadPool(&reader, version, dataset->size(), &diagram.pool());
+      !s.ok()) {
+    return s;
+  }
+  if (Status s =
+          ReadCells(&reader, diagram.pool().size(), diagram.cell_table());
+      !s.ok()) {
+    return s;
+  }
+  if (reader.remaining() != 0) {
+    return Status::Corruption("trailing bytes after the cell table");
+  }
+  if (options.validate_structure) {
+    if (Status s = ValidateDiagram(*dataset, diagram, options.validate);
+        !s.ok()) {
+      return s;
+    }
+  }
+  return Loaded{std::move(dataset).value(), std::move(diagram)};
+}
+
 Status WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("cannot open for writing: " + path);
@@ -452,42 +490,7 @@ Status SaveCellDiagram(const Dataset& dataset, const CellDiagram& diagram,
 
 StatusOr<LoadedCellDiagram> ParseCellDiagram(const std::string& bytes,
                                              const ParseOptions& options) {
-  std::string_view payload;
-  uint8_t version = 0;
-  if (Status s = CheckEnvelope(bytes, kKindCell, &payload, &version); !s.ok()) {
-    return s;
-  }
-  Reader reader(payload);
-  StatusOr<Dataset> dataset = ReadDataset(&reader);
-  if (!dataset.ok()) return dataset.status();
-
-  CellDiagram diagram(*dataset);
-  if (Status s = ReadPool(&reader, version, dataset->size(), &diagram.pool());
-      !s.ok()) {
-    return s;
-  }
-  std::vector<SetId> cells;
-  if (Status s = ReadCells(&reader, diagram.grid().num_cells(),
-                           diagram.pool().size(), &cells);
-      !s.ok()) {
-    return s;
-  }
-  if (reader.remaining() != 0) {
-    return Status::Corruption("trailing bytes after cell table");
-  }
-  const CellGrid& grid = diagram.grid();
-  for (uint32_t cy = 0; cy < grid.num_rows(); ++cy) {
-    for (uint32_t cx = 0; cx < grid.num_columns(); ++cx) {
-      diagram.set_cell(cx, cy, cells[grid.CellIndex(cx, cy)]);
-    }
-  }
-  if (options.validate_structure) {
-    if (Status s = ValidateDiagram(*dataset, diagram, options.validate);
-        !s.ok()) {
-      return s;
-    }
-  }
-  return LoadedCellDiagram{std::move(dataset).value(), std::move(diagram)};
+  return ParseBlob<LoadedCellDiagram>(kKindCell, bytes, options);
 }
 
 StatusOr<LoadedCellDiagram> LoadCellDiagram(const std::string& path,
@@ -511,43 +514,7 @@ Status SaveSubcellDiagram(const Dataset& dataset,
 
 StatusOr<LoadedSubcellDiagram> ParseSubcellDiagram(
     const std::string& bytes, const ParseOptions& options) {
-  std::string_view payload;
-  uint8_t version = 0;
-  if (Status s = CheckEnvelope(bytes, kKindSubcell, &payload, &version);
-      !s.ok()) {
-    return s;
-  }
-  Reader reader(payload);
-  StatusOr<Dataset> dataset = ReadDataset(&reader);
-  if (!dataset.ok()) return dataset.status();
-
-  SubcellDiagram diagram(*dataset);
-  if (Status s = ReadPool(&reader, version, dataset->size(), &diagram.pool());
-      !s.ok()) {
-    return s;
-  }
-  std::vector<SetId> cells;
-  if (Status s = ReadCells(&reader, diagram.grid().num_subcells(),
-                           diagram.pool().size(), &cells);
-      !s.ok()) {
-    return s;
-  }
-  if (reader.remaining() != 0) {
-    return Status::Corruption("trailing bytes after subcell table");
-  }
-  const SubcellGrid& grid = diagram.grid();
-  for (uint32_t sy = 0; sy < grid.num_rows(); ++sy) {
-    for (uint32_t sx = 0; sx < grid.num_columns(); ++sx) {
-      diagram.set_subcell(sx, sy, cells[grid.SubcellIndex(sx, sy)]);
-    }
-  }
-  if (options.validate_structure) {
-    if (Status s = ValidateDiagram(*dataset, diagram, options.validate);
-        !s.ok()) {
-      return s;
-    }
-  }
-  return LoadedSubcellDiagram{std::move(dataset).value(), std::move(diagram)};
+  return ParseBlob<LoadedSubcellDiagram>(kKindSubcell, bytes, options);
 }
 
 StatusOr<LoadedSubcellDiagram> LoadSubcellDiagram(const std::string& path,

@@ -66,7 +66,8 @@ struct ParseOptions {
   /// with `validate.sample_queries` > 0, runs brute-force skyline queries.
   bool validate_structure = false;
   /// Forwarded to ValidateDiagram. Note `validate.require_canonical_pool`
-  /// must be false to load files written with interning disabled.
+  /// must be false to load files saved from a mutated diagram, whose adopted
+  /// pool can hold duplicate contents.
   ValidateOptions validate;
 };
 

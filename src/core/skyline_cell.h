@@ -25,9 +25,9 @@ namespace skydia {
 /// (the interning pool can be large).
 class CellDiagram {
  public:
-  explicit CellDiagram(const Dataset& dataset, bool intern_result_sets = true)
+  explicit CellDiagram(const Dataset& dataset)
       : grid_(dataset),
-        pool_(std::make_unique<SkylineSetPool>(intern_result_sets)),
+        pool_(std::make_unique<SkylineSetPool>()),
         cells_(grid_.num_cells(), kEmptySetId) {}
 
   CellDiagram(CellDiagram&&) = default;
@@ -52,8 +52,9 @@ class CellDiagram {
   /// The full row-major cell table (index = cy * num_columns + cx). Flat
   /// view consumed by PointLocationIndex; stays valid while the diagram
   /// lives (set_cell writes in place, the table never reallocates after
-  /// construction).
+  /// construction). The blob parser decodes into the mutable view.
   std::span<const SetId> cell_table() const { return cells_; }
+  std::span<SetId> cell_table() { return cells_; }
 
   /// Semantic equality: same grid shape and the same result set in every
   /// cell (compares set contents, not SetIds, so diagrams built by different

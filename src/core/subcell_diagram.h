@@ -25,10 +25,9 @@ namespace skydia {
 /// Result of a subcell-based diagram construction. Movable, not copyable.
 class SubcellDiagram {
  public:
-  explicit SubcellDiagram(const Dataset& dataset,
-                          bool intern_result_sets = true)
+  explicit SubcellDiagram(const Dataset& dataset)
       : grid_(dataset),
-        pool_(std::make_unique<SkylineSetPool>(intern_result_sets)),
+        pool_(std::make_unique<SkylineSetPool>()),
         cells_(grid_.num_subcells(), kEmptySetId) {}
 
   SubcellDiagram(SubcellDiagram&&) = default;
@@ -51,8 +50,9 @@ class SubcellDiagram {
 
   /// The full row-major subcell table (index = sy * num_columns + sx). Flat
   /// view consumed by PointLocationIndex; stays valid while the diagram
-  /// lives.
+  /// lives. The scanning builder and the blob parser fill the mutable view.
   std::span<const SetId> cell_table() const { return cells_; }
+  std::span<SetId> cell_table() { return cells_; }
 
   /// Semantic equality over all subcells (content comparison).
   bool SameResults(const SubcellDiagram& other) const {

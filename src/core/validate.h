@@ -54,8 +54,9 @@ struct ValidateOptions {
   /// Oracle used for cell diagrams (ignored for subcell diagrams).
   CellSemantics semantics = CellSemantics::kAuto;
   /// Require the pool to be duplicate-free (hash-consing held). True for
-  /// every diagram the builders produce with interning on; set false when
-  /// validating diagrams built or stored with interning disabled.
+  /// every diagram the builders produce; set false when validating a mutated
+  /// diagram, whose adopted pool can hold duplicate contents
+  /// (SkylineSetPool::AdoptFrom), or a blob saved from one.
   bool require_canonical_pool = true;
 };
 

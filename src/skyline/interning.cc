@@ -31,7 +31,7 @@ void CopyWithRoom(const std::vector<T>& from, std::vector<T>* to) {
 
 }  // namespace
 
-SkylineSetPool::SkylineSetPool(bool deduplicate) : deduplicate_(deduplicate) {
+SkylineSetPool::SkylineSetPool() {
   // Reserve id 0 for the empty set so diagram code can use kEmptySetId.
   records_.push_back(SetRecord{0, 0});
   chain_.push_back(kNoSet);
@@ -83,16 +83,14 @@ SetId SkylineSetPool::LookupOrInsert(std::span<const PointId> ids) {
   assert(SortedUnique(ids));
   EnsureIndexed();
   const uint64_t h = HashSpan(ids);
-  if (deduplicate_ || ids.empty()) {
-    const auto it = index_.find(h);
-    if (it != index_.end()) {
-      for (SetId candidate = it->second; candidate != kNoSet;
-           candidate = chain_[candidate]) {
-        const auto existing = Get(candidate);
-        if (existing.size() == ids.size() &&
-            std::equal(existing.begin(), existing.end(), ids.begin())) {
-          return candidate;
-        }
+  const auto it = index_.find(h);
+  if (it != index_.end()) {
+    for (SetId candidate = it->second; candidate != kNoSet;
+         candidate = chain_[candidate]) {
+      const auto existing = Get(candidate);
+      if (existing.size() == ids.size() &&
+          std::equal(existing.begin(), existing.end(), ids.begin())) {
+        return candidate;
       }
     }
   }

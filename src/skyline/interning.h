@@ -5,8 +5,7 @@
 // cells overwhelmingly share results (that is exactly why polyominoes exist).
 // Interning stores every distinct result once and lets cells carry a 32-bit
 // id, turning the O(n^3)/O(n^5) worst-case output space into
-// O(#polyominoes * avg skyline size) in practice. The `abl-intern` benchmark
-// quantifies the effect.
+// O(#polyominoes * avg skyline size) in practice.
 //
 // Storage layout: the pool is an arena. All set members live back to back in
 // one contiguous buffer; each SetId maps to an {offset, length} record into
@@ -25,6 +24,11 @@
 // adopts a loaded arena (AdoptArena) hashes its sets on its first
 // Intern/InternCopy/Append, not on load, and a pool that adopts another pool
 // (AdoptFrom) never indexes the sets it adopted.
+//
+// Every Intern/InternCopy hash-conses, but a pool can still hold duplicate
+// contents: AdoptFrom carries a mutated diagram's sets across unindexed, so
+// later interning can store a second copy of an adopted set, and Append and
+// AdoptArena reproduce a serialized pool verbatim, duplicates included.
 #ifndef SKYDIA_SRC_SKYLINE_INTERNING_H_
 #define SKYDIA_SRC_SKYLINE_INTERNING_H_
 
@@ -48,9 +52,7 @@ inline constexpr SetId kEmptySetId = 0;
 /// ascending id vectors. Not thread-safe.
 class SkylineSetPool {
  public:
-  /// `deduplicate == false` disables hash-consing (every Intern call stores a
-  /// fresh copy); used only by the interning ablation benchmark.
-  explicit SkylineSetPool(bool deduplicate = true);
+  SkylineSetPool();
 
   /// Interns `ids`, which must be sorted ascending and duplicate-free
   /// (checked in debug builds). Returns the id of the canonical copy.
@@ -61,8 +63,8 @@ class SkylineSetPool {
 
   /// Appends `ids` as a new set without deduplication lookup, returning its
   /// id. Used by deserialization to reproduce a stored pool verbatim
-  /// (including pools built with deduplication off). `ids` must be sorted
-  /// ascending and duplicate-free.
+  /// (including the duplicate contents a mutated diagram's adopted pool can
+  /// hold). `ids` must be sorted ascending and duplicate-free.
   SetId Append(std::vector<PointId> ids);
 
   /// Replaces the contents of a freshly constructed pool with a whole arena
@@ -111,12 +113,6 @@ class SkylineSetPool {
   /// `Get(id).size()` this exposes the full {offset, length} record.
   uint64_t record_offset(SetId id) const { return records_[id].offset; }
 
-  /// Whether Intern/InternCopy hash-cons (true except for the
-  /// interning-ablation pools). Note a deduplicating pool can still hold
-  /// duplicate contents when populated via Append/AdoptArena — deserialized
-  /// pools reproduce whatever the writer stored.
-  bool deduplicates() const { return deduplicate_; }
-
   /// Total stored elements across all distinct sets (== arena length).
   uint64_t total_elements() const { return arena_.size(); }
 
@@ -156,7 +152,6 @@ class SkylineSetPool {
   // hash -> first SetId with that hash; collisions chain through chain_.
   std::unordered_map<uint64_t, SetId> index_;
   std::vector<SetId> chain_;       // SetId -> next SetId with the same hash
-  bool deduplicate_ = true;
   /// True from AdoptArena until EnsureIndexed runs; index_ and chain_ are
   /// empty meanwhile.
   bool index_pending_ = false;

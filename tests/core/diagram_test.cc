@@ -66,7 +66,7 @@ TEST(SkylineDiagramTest, AllCellAlgorithmsAgreeThroughFacade) {
   for (const BuildAlgorithm algo :
        {BuildAlgorithm::kAuto, BuildAlgorithm::kBaseline, BuildAlgorithm::kDsg,
         BuildAlgorithm::kScanning}) {
-    SkylineDiagram::BuildOptions options;
+    SkylineBuildOptions options;
     options.algorithm = algo;
     auto built = SkylineDiagram::Build(RandomDataset(15, 16, 9),
                                        SkylineQueryType::kQuadrant, options);
@@ -84,7 +84,7 @@ TEST(SkylineDiagramTest, AllDynamicBuildAlgorithmsAgreeThroughFacade) {
        {BuildAlgorithm::kAuto, BuildAlgorithm::kBaseline,
         BuildAlgorithm::kSubset, BuildAlgorithm::kDsg,
         BuildAlgorithm::kScanning}) {
-    SkylineDiagram::BuildOptions options;
+    SkylineBuildOptions options;
     options.algorithm = algo;
     auto built = SkylineDiagram::Build(RandomDataset(8, 12, 11),
                                        SkylineQueryType::kDynamic, options);
@@ -97,7 +97,7 @@ TEST(SkylineDiagramTest, AllDynamicBuildAlgorithmsAgreeThroughFacade) {
 TEST(SkylineDiagramTest, RejectsAlgorithmSemanticsMismatch) {
   // kSubset names a dynamic-only construction; the facade must reject it for
   // cell diagrams instead of silently picking something else.
-  SkylineDiagram::BuildOptions options;
+  SkylineBuildOptions options;
   options.algorithm = BuildAlgorithm::kSubset;
   auto built = SkylineDiagram::Build(RandomDataset(10, 16, 13),
                                      SkylineQueryType::kQuadrant, options);
@@ -110,7 +110,7 @@ TEST(SkylineDiagramTest, RejectsParallelismBelowOne) {
        {SkylineQueryType::kQuadrant, SkylineQueryType::kGlobal,
         SkylineQueryType::kDynamic}) {
     for (const int parallelism : {0, -1}) {
-      SkylineDiagram::BuildOptions options;
+      SkylineBuildOptions options;
       options.parallelism = parallelism;
       auto built =
           SkylineDiagram::Build(RandomDataset(10, 16, 13), type, options);
@@ -134,7 +134,7 @@ class ParallelismRuleTest : public ::testing::TestWithParam<BuildRequest> {};
 TEST_P(ParallelismRuleTest, FourThreadsSaveWhatOneThreadSaves) {
   const auto [type, algorithm] = GetParam();
   const auto build = [&](int parallelism, BuildReport* report) {
-    SkylineDiagram::BuildOptions options;
+    SkylineBuildOptions options;
     options.algorithm = algorithm;
     options.parallelism = parallelism;
     options.report = report;
@@ -267,7 +267,6 @@ TEST(SkylineDiagramTest, EnumNames) {
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kQuadrant), "quadrant");
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kGlobal), "global");
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kDynamic), "dynamic");
-  EXPECT_STREQ(QuadrantAlgorithmName(QuadrantAlgorithm::kDsg), "dsg");
   EXPECT_STREQ(BuildAlgorithmName(BuildAlgorithm::kAuto), "auto");
   EXPECT_STREQ(BuildAlgorithmName(BuildAlgorithm::kScanning), "scanning");
 }

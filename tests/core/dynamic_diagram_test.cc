@@ -2,6 +2,9 @@
 
 #include "src/core/diagram.h"
 #include "src/core/dynamic_subset.h"
+#include "src/core/quadrant_baseline.h"
+#include "src/core/quadrant_dsg.h"
+#include "src/core/quadrant_scanning.h"
 #include "src/datagen/distributions.h"
 #include "src/datagen/real_data.h"
 #include "src/skyline/query.h"
@@ -130,9 +133,12 @@ TEST(DynamicDiagramCrossTest, SubsetWorksWithEveryGlobalBuilder) {
   // over scanning, kDsg over DSG), so this parity check stays on the direct
   // entry point.
   const Dataset ds = RandomDataset(14, 24, 23);
-  const SubcellDiagram a = BuildDynamicSubset(ds, QuadrantAlgorithm::kBaseline);
-  const SubcellDiagram b = BuildDynamicSubset(ds, QuadrantAlgorithm::kDsg);
-  const SubcellDiagram c = BuildDynamicSubset(ds, QuadrantAlgorithm::kScanning);
+  const SubcellDiagram a =
+      internal::BuildDynamicSubset(ds, internal::BuildQuadrantBaseline);
+  const SubcellDiagram b =
+      internal::BuildDynamicSubset(ds, internal::BuildQuadrantDsg);
+  const SubcellDiagram c =
+      internal::BuildDynamicSubset(ds, internal::BuildQuadrantScanning);
   EXPECT_TRUE(a.SameResults(b));
   EXPECT_TRUE(a.SameResults(c));
 }
@@ -165,6 +171,62 @@ TEST(DynamicDiagramCrossTest, StatsAreConsistent) {
   EXPECT_EQ(stats.num_subcells, built.subcell_diagram()->grid().num_subcells());
   EXPECT_GE(stats.num_distinct_sets, 1u);
   EXPECT_GT(stats.approx_bytes, 0u);
+}
+
+// The striped form of the scanning builder (more than one thread) must
+// agree exactly with its one-thread build. Every construction goes through
+// the SkylineDiagram::Build facade: the parallelism knob is the only thing
+// that changes between the two sides.
+TEST(ParallelDynamicTest, MatchesSequentialAcrossThreadsAndDistributions) {
+  for (const Distribution dist :
+       {Distribution::kIndependent, Distribution::kCorrelated,
+        Distribution::kAnticorrelated}) {
+    const Dataset ds = testing::GeneratedDataset(28, 48, dist, 17);
+    const SkylineDiagram sequential =
+        BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
+    for (const int threads : {1, 2, 7}) {
+      const SkylineDiagram parallel =
+          BuildDiagram(ds, SkylineQueryType::kDynamic,
+                       BuildAlgorithm::kScanning, threads);
+      EXPECT_TRUE(parallel.subcell_diagram()->SameResults(
+          *sequential.subcell_diagram()))
+          << DistributionName(dist) << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelDynamicTest, MatchesBaselineOnTieHeavyData) {
+  // A tiny domain makes grid and bisector lines coincide heavily — the
+  // adversarial case for the incremental candidate propagation.
+  const Dataset ds = RandomDataset(24, 6, 23);
+  const SkylineDiagram baseline =
+      BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kBaseline);
+  const SkylineDiagram parallel = BuildDiagram(
+      ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning, 4);
+  EXPECT_TRUE(
+      parallel.subcell_diagram()->SameResults(*baseline.subcell_diagram()));
+}
+
+TEST(ParallelDynamicTest, MoreThreadsThanRows) {
+  auto ds = Dataset::Create({{1, 1}, {2, 3}}, 8);
+  ASSERT_TRUE(ds.ok());
+  const SkylineDiagram sequential =
+      BuildDiagram(*ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
+  const SkylineDiagram parallel = BuildDiagram(
+      *ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning, 16);
+  EXPECT_TRUE(
+      parallel.subcell_diagram()->SameResults(*sequential.subcell_diagram()));
+}
+
+TEST(ParallelDynamicTest, SinglePoint) {
+  auto ds = Dataset::Create({{3, 3}}, 8);
+  ASSERT_TRUE(ds.ok());
+  const SkylineDiagram sequential =
+      BuildDiagram(*ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
+  const SkylineDiagram parallel = BuildDiagram(
+      *ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning, 4);
+  EXPECT_TRUE(
+      parallel.subcell_diagram()->SameResults(*sequential.subcell_diagram()));
 }
 
 }  // namespace

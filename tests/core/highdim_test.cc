@@ -70,7 +70,7 @@ TEST(NdGridTest, IndexOfHalfOpen) {
 }
 
 struct NdBuilderParam {
-  NdCellDiagram (*builder)(const DatasetNd&, const DiagramOptions&);
+  NdCellDiagram (*builder)(const DatasetNd&);
   const char* name;
 };
 
@@ -79,7 +79,7 @@ class NdDiagramTest : public ::testing::TestWithParam<NdBuilderParam> {};
 TEST_P(NdDiagramTest, ThreeDimsMatchOracle) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const DatasetNd ds = RandomNd(12, 3, 10, seed);
-    const NdCellDiagram diagram = GetParam().builder(ds, {});
+    const NdCellDiagram diagram = GetParam().builder(ds);
     const NdGrid& grid = diagram.grid();
     std::vector<uint32_t> idx;
     for (uint64_t flat = 0; flat < grid.num_cells(); ++flat) {
@@ -94,7 +94,7 @@ TEST_P(NdDiagramTest, ThreeDimsMatchOracle) {
 
 TEST_P(NdDiagramTest, ThreeDimsWithTies) {
   const DatasetNd ds = RandomNd(16, 3, 4, 5);  // heavy ties
-  const NdCellDiagram diagram = GetParam().builder(ds, {});
+  const NdCellDiagram diagram = GetParam().builder(ds);
   const NdGrid& grid = diagram.grid();
   std::vector<uint32_t> idx;
   for (uint64_t flat = 0; flat < grid.num_cells(); ++flat) {
@@ -108,7 +108,7 @@ TEST_P(NdDiagramTest, ThreeDimsWithTies) {
 
 TEST_P(NdDiagramTest, FourDims) {
   const DatasetNd ds = RandomNd(8, 4, 8, 7);
-  const NdCellDiagram diagram = GetParam().builder(ds, {});
+  const NdCellDiagram diagram = GetParam().builder(ds);
   const NdGrid& grid = diagram.grid();
   std::vector<uint32_t> idx;
   for (uint64_t flat = 0; flat < grid.num_cells(); ++flat) {
@@ -123,7 +123,7 @@ TEST_P(NdDiagramTest, TwoDimsMatchesQuadrantDiagram) {
   // d = 2 must reproduce the 2-D quadrant diagram exactly.
   const Dataset ds2 = skydia::testing::RandomDataset(20, 16, 9);
   const DatasetNd ds = DatasetNd::FromDataset2d(ds2);
-  const NdCellDiagram nd = GetParam().builder(ds, {});
+  const NdCellDiagram nd = GetParam().builder(ds);
   const SkylineDiagram built = skydia::testing::BuildDiagram(
       ds2, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
   const CellDiagram& quad = *built.cell_diagram();
@@ -150,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(NdDiagramTest, QueryPointLocation) {
   const DatasetNd ds = RandomNd(10, 3, 12, 11);
-  const NdCellDiagram diagram = BuildNdScanning(ds, {});
+  const NdCellDiagram diagram = BuildNdScanning(ds);
   const NdGrid& grid = diagram.grid();
   // All-zero query sees the full-dataset skyline.
   const auto at_origin = diagram.Query({0, 0, 0});
@@ -168,10 +168,10 @@ TEST(NdDiagramTest, BuildersAgreeOnAnticorrelated) {
   options.distribution = Distribution::kAnticorrelated;
   auto nd = GenerateDatasetNd(options, 3);
   ASSERT_TRUE(nd.ok());
-  const NdCellDiagram a = BuildNdBaseline(*nd, {});
-  const NdCellDiagram b = BuildNdDsg(*nd, {});
-  const NdCellDiagram c = BuildNdScanning(*nd, {});
-  const NdCellDiagram d = BuildNdScanningInclusionExclusion(*nd, {});
+  const NdCellDiagram a = BuildNdBaseline(*nd);
+  const NdCellDiagram b = BuildNdDsg(*nd);
+  const NdCellDiagram c = BuildNdScanning(*nd);
+  const NdCellDiagram d = BuildNdScanningInclusionExclusion(*nd);
   EXPECT_TRUE(a.SameResults(b));
   EXPECT_TRUE(a.SameResults(c));
   EXPECT_TRUE(a.SameResults(d));

@@ -12,7 +12,7 @@ namespace {
 using skydia::testing::RandomDataset;
 
 SubcellDiagram RebuildDynamic(const Dataset& dataset) {
-  return BuildDynamicScanning(dataset);
+  return internal::BuildDynamicScanning(dataset);
 }
 
 TEST(IncrementalDynamicTest, InsertMatchesFullRebuildRandom) {

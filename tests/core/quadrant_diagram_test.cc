@@ -29,14 +29,14 @@ std::pair<int64_t, int64_t> CellRep4(const CellGrid& grid, uint32_t cx,
   return {x, y};
 }
 
-class QuadrantAlgorithmsTest : public ::testing::TestWithParam<BuildAlgorithm> {
+class QuadrantBuildersTest : public ::testing::TestWithParam<BuildAlgorithm> {
  protected:
   SkylineDiagram Build(const Dataset& ds) const {
     return BuildDiagram(ds, SkylineQueryType::kQuadrant, GetParam());
   }
 };
 
-TEST_P(QuadrantAlgorithmsTest, EveryCellMatchesInteriorBruteForce) {
+TEST_P(QuadrantBuildersTest, EveryCellMatchesInteriorBruteForce) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     const Dataset ds = RandomDataset(24, 20, seed);
     const SkylineDiagram built = Build(ds);
@@ -54,7 +54,7 @@ TEST_P(QuadrantAlgorithmsTest, EveryCellMatchesInteriorBruteForce) {
   }
 }
 
-TEST_P(QuadrantAlgorithmsTest, ExactForEveryIntegerQueryPosition) {
+TEST_P(QuadrantBuildersTest, ExactForEveryIntegerQueryPosition) {
   const Dataset ds = RandomDataset(16, 12, 77);
   const SkylineDiagram built = Build(ds);
   for (int64_t qx = 0; qx < ds.domain_size(); ++qx) {
@@ -68,7 +68,7 @@ TEST_P(QuadrantAlgorithmsTest, ExactForEveryIntegerQueryPosition) {
   }
 }
 
-TEST_P(QuadrantAlgorithmsTest, HandlesDuplicatePoints) {
+TEST_P(QuadrantBuildersTest, HandlesDuplicatePoints) {
   auto ds = Dataset::Create({{3, 3}, {3, 3}, {1, 5}, {5, 1}}, 8);
   ASSERT_TRUE(ds.ok());
   const SkylineDiagram built = Build(*ds);
@@ -82,7 +82,7 @@ TEST_P(QuadrantAlgorithmsTest, HandlesDuplicatePoints) {
             (std::vector<PointId>{0, 1}));
 }
 
-TEST_P(QuadrantAlgorithmsTest, SinglePointDiagram) {
+TEST_P(QuadrantBuildersTest, SinglePointDiagram) {
   auto ds = Dataset::Create({{4, 4}}, 10);
   ASSERT_TRUE(ds.ok());
   const SkylineDiagram built = Build(*ds);
@@ -94,7 +94,7 @@ TEST_P(QuadrantAlgorithmsTest, SinglePointDiagram) {
   EXPECT_TRUE(diagram.CellSkyline(1, 1).empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBuilders, QuadrantAlgorithmsTest,
+INSTANTIATE_TEST_SUITE_P(AllBuilders, QuadrantBuildersTest,
                          ::testing::Values(BuildAlgorithm::kBaseline,
                                            BuildAlgorithm::kDsg,
                                            BuildAlgorithm::kScanning),
@@ -172,20 +172,6 @@ TEST(QuadrantDiagramTest, StatsAreConsistent) {
   EXPECT_GE(stats.num_distinct_sets, 2u);  // empty + at least one real set
   EXPECT_LE(stats.num_distinct_sets, stats.num_cells + 1);
   EXPECT_GT(stats.approx_bytes, 0u);
-}
-
-TEST(QuadrantDiagramTest, InterningAblationKeepsResults) {
-  const Dataset ds = RandomDataset(30, 24, 15);
-  DiagramOptions no_intern;
-  no_intern.intern_result_sets = false;
-  const SkylineDiagram with =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const SkylineDiagram without =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning,
-                   /*parallelism=*/1, no_intern);
-  EXPECT_TRUE(with.cell_diagram()->SameResults(*without.cell_diagram()));
-  EXPECT_GE(without.cell_diagram()->ComputeStats().num_distinct_sets,
-            with.cell_diagram()->ComputeStats().num_distinct_sets);
 }
 
 }  // namespace

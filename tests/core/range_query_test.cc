@@ -169,21 +169,22 @@ TEST(RangeQueryTest, SummarizeRejectsInvertedRanges) {
   EXPECT_FALSE(RangeSkylineSummarize(index, {5, 4, 5, 4}).ok());
 }
 
-TEST(RangeQueryTest, DistinctResultsWithoutInterning) {
-  const Dataset ds = RandomDataset(10, 12, 13);
-  DiagramOptions no_intern;
-  no_intern.intern_result_sets = false;
-  const SkylineDiagram plain = testing::BuildDiagram(
+TEST(RangeQueryTest, DistinctResultsCountContentsInAnAdoptedPool) {
+  // After a write the pool holds duplicate contents under distinct SetIds;
+  // distinct_results counts contents, so it matches a fresh build.
+  const Dataset ds = RandomDataset(14, 20, 11);
+  const IncrementalQuadrantDiagram mutated =
+      testing::InsertedAndDeleted(ds, {10, 10});
+  const SkylineDiagram fresh = testing::BuildDiagram(
       ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const SkylineDiagram raw =
-      testing::BuildDiagram(ds, SkylineQueryType::kQuadrant,
-                            BuildAlgorithm::kScanning, /*parallelism=*/1,
-                            no_intern);
-  const QueryRange range{0, 11, 0, 11};
-  auto a = RangeSkylineSummarize(plain.index(), range);
-  auto b = RangeSkylineSummarize(raw.index(), range);
+  const std::span<const SetId> table = mutated.diagram().cell_table();
+  const std::set<SetId> swept(table.begin(), table.end());
+  const QueryRange range{0, 19, 0, 19};  // every cell
+  auto a = RangeSkylineSummarize(fresh.index(), range);
+  auto b = RangeSkylineSummarize(PointLocationIndex(mutated.diagram()), range);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  EXPECT_LT(b->distinct_results, swept.size());
   EXPECT_EQ(a->distinct_results, b->distinct_results);
   EXPECT_EQ(a->union_ids, b->union_ids);
   EXPECT_EQ(a->intersection_ids, b->intersection_ids);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -430,20 +431,23 @@ TEST(SerializeTest, ReserializeIsByteIdentical) {
   EXPECT_EQ(SerializeCellDiagram(loaded->dataset, loaded->diagram), valid);
 }
 
-TEST(SerializeTest, NoDedupPoolSurvives) {
-  // Diagrams built without interning store duplicate sets; Append-based
-  // reconstruction must keep cell->content intact.
-  const Dataset ds = RandomDataset(12, 16, 15);
-  DiagramOptions options;
-  options.intern_result_sets = false;
-  const SkylineDiagram built =
-      testing::BuildDiagram(ds, SkylineQueryType::kQuadrant,
-                            BuildAlgorithm::kScanning, /*parallelism=*/1,
-                            options);
-  const CellDiagram& diagram = *built.cell_diagram();
+TEST(SerializeTest, AdoptedPoolWithDuplicatesSurvives) {
+  // A mutated diagram's adopted pool stores duplicate sets; Append-based
+  // reconstruction must keep cell->content and the pool verbatim.
+  const Dataset ds = RandomDataset(14, 20, 11);
+  const IncrementalQuadrantDiagram mutated =
+      testing::InsertedAndDeleted(ds, {10, 10});
+  const CellDiagram& diagram = mutated.diagram();
+  std::set<std::vector<PointId>> contents;
+  for (SetId id = 0; id < diagram.pool().size(); ++id) {
+    const auto set = diagram.pool().Get(id);
+    contents.emplace(set.begin(), set.end());
+  }
+  ASSERT_LT(contents.size(), diagram.pool().size());
   auto loaded = ParseCellDiagram(SerializeCellDiagram(ds, diagram));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->diagram.SameResults(diagram));
+  EXPECT_EQ(loaded->diagram.pool().size(), diagram.pool().size());
 }
 
 // --- LoadDiagram: one read, dispatched on the kind byte ----------------------
@@ -525,6 +529,60 @@ TEST(SerializeTest, LoadDiagramRejectsCorruptBlobsOfEitherKind) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
           << what << ": " << loaded.status();
     }
+  }
+}
+
+// --- cell table hardening ----------------------------------------------------
+//
+// Re-signed blobs whose cell table disagrees with the grid or the pool pass
+// the checksum, so only the parser's structural checks can reject them, for
+// either kind.
+
+/// Position of the cell table's count u64: right after the pool block.
+size_t CellTablePos(const std::string& bytes) {
+  const PoolLayout pool = LocatePool(bytes);
+  return pool.table_pos + 12 * pool.num_sets;
+}
+
+void ExpectResignedCorruption(std::string bytes, const char* what) {
+  Rechecksum(&bytes);
+  auto loaded = LoadBytes(bytes);
+  ASSERT_FALSE(loaded.ok()) << what;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      << what << ": " << loaded.status();
+}
+
+TEST(SerializeTest, RejectsResignedCellCountOneOff) {
+  const BothKinds blobs;
+  for (const std::string* valid : {&blobs.cell_bytes, &blobs.subcell_bytes}) {
+    const size_t pos = CellTablePos(*valid);
+    const uint64_t count = ReadU64At(*valid, pos);
+    ASSERT_EQ(valid->size(), pos + 8 + 4 * count + 32);
+    for (const uint64_t wrong : {count - 1, count + 1}) {
+      std::string bytes = *valid;
+      WriteU64At(&bytes, pos, wrong);
+      ExpectResignedCorruption(bytes, "cell count one off");
+    }
+  }
+}
+
+TEST(SerializeTest, RejectsResignedCellIdEqualToPoolSize) {
+  const BothKinds blobs;
+  for (const std::string* valid : {&blobs.cell_bytes, &blobs.subcell_bytes}) {
+    std::string bytes = *valid;
+    WriteU32At(&bytes, CellTablePos(bytes) + 8,
+               static_cast<uint32_t>(LocatePool(bytes).num_sets));
+    ExpectResignedCorruption(bytes, "cell id equal to the pool size");
+  }
+}
+
+TEST(SerializeTest, RejectsResignedExtraByteBeforeTheFooter) {
+  // Unlike RejectsTrailingGarbage, the checksum covers the extra byte.
+  const BothKinds blobs;
+  for (const std::string* valid : {&blobs.cell_bytes, &blobs.subcell_bytes}) {
+    std::string bytes = *valid;
+    bytes.insert(bytes.size() - 32, 1, '\0');
+    ExpectResignedCorruption(bytes, "extra byte before the footer");
   }
 }
 

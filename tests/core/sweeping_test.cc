@@ -90,7 +90,7 @@ TEST(SweepingTest, CellLabelsMatchMergedScanningDiagram) {
     const Dataset ds = RandomDistinctDataset(22, 64, seed);
     const CellGrid grid(ds);
     const SweepingCellLabels sweep_labels = BuildSweepingCellLabels(ds, grid);
-    const CellDiagram diagram = BuildQuadrantScanning(ds);
+    const CellDiagram diagram = internal::BuildQuadrantScanning(ds);
     const MergedPolyominoes merged = MergeCells(diagram);
     ASSERT_EQ(sweep_labels.labels.size(), merged.cell_to_polyomino.size());
     EXPECT_EQ(sweep_labels.num_polyominoes, merged.num_polyominoes());

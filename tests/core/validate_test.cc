@@ -8,8 +8,8 @@
 
 #include "src/core/diagram.h"
 #include "src/core/dynamic_scanning.h"
-#include "src/core/global_diagram.h"
 #include "src/core/merge.h"
+#include "src/core/quadrant_scanning.h"
 #include "src/core/quadrant_sweeping.h"
 #include "src/core/serialize.h"
 #include "src/datagen/distributions.h"
@@ -149,7 +149,7 @@ TEST(ValidateParityTest, AutoSemanticsAcceptsBothCellFamilies) {
 // and the SkylineDiagram facade only hands out const views.
 TEST(ValidateCorruptionTest, DetectsOverwrittenCellResults) {
   const Dataset ds = RandomDataset(16, 24, 5);
-  CellDiagram diagram = BuildQuadrantDiagram(ds, QuadrantAlgorithm::kScanning);
+  CellDiagram diagram = internal::BuildQuadrantScanning(ds);
   // Cross-wire every cell that disagrees with cell (0, 0) to its result. The
   // structural checks still pass (the ids are valid and the pool untouched);
   // only the sampled ground-truth check can catch it.
@@ -174,7 +174,7 @@ TEST(ValidateCorruptionTest, DetectsOverwrittenCellResults) {
 
 TEST(ValidateCorruptionTest, DetectsDuplicatePoolEntry) {
   const Dataset ds = RandomDataset(16, 24, 7);
-  CellDiagram diagram = BuildQuadrantDiagram(ds, QuadrantAlgorithm::kScanning);
+  CellDiagram diagram = internal::BuildQuadrantScanning(ds);
   ASSERT_GE(diagram.pool().size(), 2u);
   // Append a verbatim copy of an existing set: hash-consing is broken.
   const auto existing = diagram.pool().Get(1);
@@ -192,22 +192,24 @@ TEST(ValidateCorruptionTest, DetectsDuplicatePoolEntry) {
 
 TEST(ValidateCorruptionTest, DetectsCorruptedSubcellPool) {
   const Dataset ds = RandomDataset(10, 16, 9);
-  SubcellDiagram diagram = BuildDynamicScanning(ds);
+  SubcellDiagram diagram = internal::BuildDynamicScanning(ds);
   const auto existing = diagram.pool().Get(1);
   diagram.pool().Append(
       std::vector<PointId>(existing.begin(), existing.end()));
   EXPECT_FALSE(ValidateDiagram(ds, diagram).ok());
 }
 
-TEST(ValidateCorruptionTest, NoDedupDiagramNeedsRelaxedOptions) {
+TEST(ValidateCorruptionTest, MutatedDiagramNeedsRelaxedOptions) {
+  // A write leaves duplicate contents in the adopted pool: not canonical,
+  // yet every cell still answers correctly.
   const Dataset ds = RandomDataset(14, 20, 11);
-  DiagramOptions build;
-  build.intern_result_sets = false;
-  const SkylineDiagram built =
-      BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning,
-                   /*parallelism=*/1, build);
-  const CellDiagram& diagram = *built.cell_diagram();
-  EXPECT_FALSE(ValidateDiagram(ds, diagram).ok());
+  const IncrementalQuadrantDiagram mutated =
+      testing::InsertedAndDeleted(ds, {10, 10});
+  const CellDiagram& diagram = mutated.diagram();
+  const Status canonical = ValidateDiagram(ds, diagram);
+  EXPECT_EQ(canonical.code(), StatusCode::kCorruption);
+  EXPECT_NE(canonical.message().find("not canonical"), std::string::npos)
+      << canonical;
   ValidateOptions relaxed = Sampled(16, CellSemantics::kQuadrant);
   relaxed.require_canonical_pool = false;
   const Status status = ValidateDiagram(ds, diagram, relaxed);

@@ -56,15 +56,6 @@ TEST(InterningTest, TotalElementsCountsDistinctOnly) {
   EXPECT_EQ(pool.total_elements(), 4u);
 }
 
-TEST(InterningTest, NoDedupModeStoresCopies) {
-  SkylineSetPool pool(/*deduplicate=*/false);
-  const SetId a = pool.Intern({1, 2});
-  const SetId b = pool.Intern({1, 2});
-  EXPECT_NE(a, b);
-  // The empty set stays shared so kEmptySetId remains meaningful.
-  EXPECT_EQ(pool.Intern({}), kEmptySetId);
-}
-
 TEST(InterningTest, ManySetsStressAndMemoryAccounting) {
   SkylineSetPool pool;
   for (uint32_t i = 0; i < 1000; ++i) {
@@ -97,15 +88,23 @@ TEST(InterningTest, AppendSkipsDeduplication) {
 
 TEST(InterningTest, InternCopyOfOwnSpanIsSafe) {
   // The source span aliases the arena; growth during insertion must not
-  // read freed memory or corrupt the copy.
-  SkylineSetPool pool(/*deduplicate=*/false);
-  const SetId first = pool.Intern({10, 20, 30});
-  for (int i = 0; i < 64; ++i) {
-    const SetId copy = pool.InternCopy(pool.Get(first));
-    const auto span = pool.Get(copy);
-    ASSERT_EQ(std::vector<PointId>(span.begin(), span.end()),
-              (std::vector<PointId>{10, 20, 30}));
-  }
+  // read freed memory or corrupt the copy. AdoptFrom leaves the adopted set
+  // unindexed, so interning it again stores a second copy read from the
+  // pool's own arena.
+  SkylineSetPool base;
+  const SetId first = base.Intern({10, 20, 30});
+  SkylineSetPool pool;
+  pool.AdoptFrom(base);
+  // Drop the room AdoptFrom reserved, so the copy must regrow the arena.
+  pool.Freeze();
+  const PointId* before = pool.Get(first).data();
+  const SetId copy = pool.InternCopy(pool.Get(first));
+  ASSERT_NE(copy, first);
+  ASSERT_NE(pool.Get(first).data(), before)
+      << "the arena did not reallocate during the copy";
+  const auto span = pool.Get(copy);
+  EXPECT_EQ(std::vector<PointId>(span.begin(), span.end()),
+            (std::vector<PointId>{10, 20, 30}));
 }
 
 TEST(InterningTest, FreezePreservesIdsAndContents) {

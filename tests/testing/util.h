@@ -11,6 +11,7 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/core/diagram.h"
+#include "src/core/incremental.h"
 #include "src/datagen/distributions.h"
 #include "src/geometry/dataset.h"
 #include "src/skyline/dominance.h"
@@ -24,8 +25,7 @@ namespace skydia::testing {
 inline SkylineDiagram BuildDiagram(const Dataset& dataset,
                                    SkylineQueryType type,
                                    BuildAlgorithm algorithm = BuildAlgorithm::kAuto,
-                                   int parallelism = 1,
-                                   const DiagramOptions& diagram_options = {}) {
+                                   int parallelism = 1) {
   std::vector<std::string> labels;
   if (dataset.has_labels()) {
     labels.reserve(dataset.size());
@@ -39,7 +39,6 @@ inline SkylineDiagram BuildDiagram(const Dataset& dataset,
   SkylineBuildOptions options;
   options.algorithm = algorithm;
   options.parallelism = parallelism;
-  options.diagram = diagram_options;
   auto built = SkylineDiagram::Build(std::move(copy).value(), type, options);
   SKYDIA_CHECK(built.ok());
   return std::move(built).value();
@@ -48,12 +47,24 @@ inline SkylineDiagram BuildDiagram(const Dataset& dataset,
 /// BuildDiagram, unwrapped to the cell diagram (quadrant/global).
 inline SkylineDiagram BuildCellDiagram(
     const Dataset& dataset, SkylineQueryType type,
-    BuildAlgorithm algorithm = BuildAlgorithm::kAuto, int parallelism = 1,
-    const DiagramOptions& diagram_options = {}) {
-  SkylineDiagram built =
-      BuildDiagram(dataset, type, algorithm, parallelism, diagram_options);
+    BuildAlgorithm algorithm = BuildAlgorithm::kAuto, int parallelism = 1) {
+  SkylineDiagram built = BuildDiagram(dataset, type, algorithm, parallelism);
   SKYDIA_CHECK(built.cell_diagram() != nullptr);
   return built;
+}
+
+/// The quadrant diagram of `dataset` after inserting `p` and deleting it
+/// again: how a served snapshot looks after writes. Both mutations carry the
+/// pool over with SkylineSetPool::AdoptFrom, which leaves the adopted sets
+/// unindexed, so a set a mutation recomputes can be stored a second time.
+inline IncrementalQuadrantDiagram InsertedAndDeleted(const Dataset& dataset,
+                                                     const Point2D& p) {
+  auto diagram = IncrementalQuadrantDiagram::Create(dataset);
+  SKYDIA_CHECK(diagram.ok());
+  const auto id = diagram->Insert(p);
+  SKYDIA_CHECK(id.ok());
+  SKYDIA_CHECK(diagram->Delete(*id).ok());
+  return std::move(diagram).value();
 }
 
 /// One seeded dataset through the library's workload generator. The single

@@ -222,7 +222,7 @@ int CmdBuild(const Flags& flags) {
   auto type = ParseSkylineQueryType(flags.GetString("type", "quadrant"));
   if (!type.ok()) return Fail(type.status().ToString());
 
-  SkylineDiagram::BuildOptions build;
+  SkylineBuildOptions build;
   auto algo = ParseBuildAlgorithm(flags.GetString("algo", "auto"));
   if (!algo.ok()) return Fail(algo.status().ToString());
   build.algorithm = *algo;
