@@ -1,6 +1,7 @@
 // Experiment fig10-quadrant-n: construction time of the four quadrant
 // skyline-diagram algorithms vs dataset cardinality n, one series per data
-// distribution (correlated / independent / anti-correlated).
+// distribution (correlated / independent / anti-correlated), plus the kAuto
+// staircase scan that builds Algorithm 3's diagram in O(cells) time.
 //
 // Expected shape (paper §VI): baseline slowest; DSG and scanning close and
 // well below baseline (work proportional to DSG links / surviving skyline
@@ -20,7 +21,7 @@ void ArgsForCellBuilders(benchmark::internal::Benchmark* b, int64_t max_n) {
       b->Args({dist, n});
     }
   }
-  b->ArgNames({"dist", "n"})->Unit(benchmark::kMillisecond)->Iterations(1);
+  b->ArgNames({"dist", "n"})->Unit(benchmark::kMillisecond);
 }
 
 void BM_QuadrantBaseline(benchmark::State& state) {
@@ -62,6 +63,21 @@ void BM_QuadrantScanning(benchmark::State& state) {
   state.SetLabel(DistributionName(DistributionFromIndex(state.range(0))));
 }
 BENCHMARK(BM_QuadrantScanning)->Apply([](auto* b) {
+  ArgsForCellBuilders(b, 1024);
+});
+
+// kAuto: the staircase scan, Algorithm 3's diagram in O(cells) time.
+void BM_QuadrantAuto(benchmark::State& state) {
+  const Dataset ds = MakeDataset(state.range(1), 1 << 16,
+                                 DistributionFromIndex(state.range(0)));
+  for (auto _ : state) {
+    const SkylineDiagram diagram =
+        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto);
+    benchmark::DoNotOptimize(diagram.cell_diagram()->CellSkyline(0, 0).data());
+  }
+  state.SetLabel(DistributionName(DistributionFromIndex(state.range(0))));
+}
+BENCHMARK(BM_QuadrantAuto)->Apply([](auto* b) {
   ArgsForCellBuilders(b, 1024);
 });
 

@@ -45,8 +45,10 @@ struct BuildReport {
   uint64_t num_cells = 0;  // cells (quadrant/global) or subcells (dynamic)
   uint64_t num_distinct_sets = 0;
   uint64_t total_set_elements = 0;
-  uint64_t arena_bytes = 0;   // interning arena footprint alone
-  uint64_t approx_bytes = 0;  // arena + cell map footprint
+  /// Whole pool footprint (SkylineSetPool::ApproximateMemoryBytes): the
+  /// arena plus the set records, hash chains and dedup index, where built.
+  uint64_t arena_bytes = 0;
+  uint64_t approx_bytes = 0;  // arena_bytes + cell table footprint
 
   /// Human-readable multi-line rendering (the `--report` CLI output).
   std::string ToString() const;

@@ -10,6 +10,7 @@
 #include "src/core/quadrant_baseline.h"
 #include "src/core/quadrant_dsg.h"
 #include "src/core/quadrant_scanning.h"
+#include "src/core/quadrant_staircase.h"
 #include "src/core/validate.h"
 #include "src/skyline/query.h"
 
@@ -112,9 +113,10 @@ namespace {
 /// Runs the construction `algorithm` names for `type` into `cell` (quadrant,
 /// global) or `subcell` (dynamic): the one place a BuildAlgorithm picks a
 /// construction. Quadrant and global diagrams run a first-quadrant
-/// construction (Algorithms 1-3), global ones on the four reflections.
-/// Dynamic diagrams run Algorithm 5, Algorithm 7 on `parallelism` threads, or
-/// Algorithm 6 over a global diagram of the named quadrant construction.
+/// construction (Algorithms 1-3, or the staircase scan for kAuto), global
+/// ones on the four reflections. Dynamic diagrams run Algorithm 5,
+/// Algorithm 7 on `parallelism` threads, or Algorithm 6 over a global
+/// diagram of the named quadrant construction (the staircase for kSubset).
 Status Construct(const Dataset& dataset, SkylineQueryType type,
                  BuildAlgorithm algorithm, int parallelism,
                  std::unique_ptr<CellDiagram>* cell,
@@ -129,7 +131,9 @@ Status Construct(const Dataset& dataset, SkylineQueryType type,
             internal::BuildDynamicScanning(dataset, parallelism));
         return Status::OK();
       }
-      quadrant = internal::BuildQuadrantScanning;
+      quadrant = algorithm == BuildAlgorithm::kAuto
+                     ? internal::BuildQuadrantStaircase
+                     : internal::BuildQuadrantScanning;
       break;
     case BuildAlgorithm::kBaseline:
       if (dynamic) {
@@ -149,7 +153,7 @@ Status Construct(const Dataset& dataset, SkylineQueryType type,
         return Status::InvalidArgument(
             "the subset construction builds dynamic diagrams only");
       }
-      quadrant = internal::BuildQuadrantScanning;
+      quadrant = internal::BuildQuadrantStaircase;
       break;
   }
   switch (type) {
@@ -166,6 +170,15 @@ Status Construct(const Dataset& dataset, SkylineQueryType type,
       break;
   }
   return Status::OK();
+}
+
+/// The construction a build runs, as BuildReport names it: kAuto is the
+/// staircase scan for quadrant and global diagrams and Algorithm 7
+/// (scanning) for dynamic ones.
+const char* ResolvedAlgorithmName(SkylineQueryType type,
+                                  BuildAlgorithm algorithm) {
+  if (algorithm != BuildAlgorithm::kAuto) return BuildAlgorithmName(algorithm);
+  return type == SkylineQueryType::kDynamic ? "scanning" : "staircase";
 }
 
 /// The threads a build runs on: the requested count for the dynamic
@@ -196,9 +209,7 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(
   if (report != nullptr) {
     *report = BuildReport{};
     report->diagram_type = SkylineQueryTypeName(type);
-    report->algorithm = options.algorithm == BuildAlgorithm::kAuto
-                            ? "scanning"
-                            : BuildAlgorithmName(options.algorithm);
+    report->algorithm = ResolvedAlgorithmName(type, options.algorithm);
     report->parallelism = parallelism;
     report->dataset_points = diagram.dataset_.size();
   }

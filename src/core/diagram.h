@@ -57,8 +57,11 @@ StatusOr<SkylineQueryType> ParseSkylineQueryType(const std::string& name);
 /// one enum; Build() rejects combinations that do not exist (for example
 /// kSubset for a quadrant diagram) with InvalidArgument.
 enum class BuildAlgorithm {
-  /// The recommended construction: scanning, for every semantics and
-  /// parallelism.
+  /// The recommended construction. Quadrant and global diagrams run the
+  /// staircase scan (src/core/quadrant_staircase.h): Algorithm 3's cells,
+  /// SetIds and bytes in O(cells) time. Dynamic diagrams run Algorithm 7
+  /// (scanning) on the requested parallelism. BuildReport names the
+  /// construction that ran ("staircase" or "scanning").
   kAuto,
   kBaseline,  // Algorithm 1 (quadrant/global) / Algorithm 5 (dynamic)
   kDsg,       // Algorithm 2 (quadrant/global); DSG-backed subset for dynamic

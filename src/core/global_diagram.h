@@ -19,7 +19,8 @@
 namespace skydia::internal {
 
 /// A first-quadrant cell construction: BuildQuadrantBaseline, BuildQuadrantDsg
-/// or BuildQuadrantScanning (Algorithms 1-3).
+/// or BuildQuadrantScanning (Algorithms 1-3), or BuildQuadrantStaircase
+/// (Algorithm 3's cells in O(cells) time).
 using QuadrantBuilder = CellDiagram (*)(const Dataset&);
 
 /// Builds the global skyline diagram (union of the four quadrant skylines per

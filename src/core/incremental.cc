@@ -6,6 +6,7 @@
 
 #include "src/common/logging.h"
 #include "src/core/quadrant_scanning.h"
+#include "src/core/quadrant_staircase.h"
 
 namespace skydia {
 
@@ -151,7 +152,7 @@ StatusOr<IncrementalQuadrantDiagram> IncrementalQuadrantDiagram::Create(
     return seed;
   }
   auto diagram = std::make_shared<const CellDiagram>(
-      internal::BuildQuadrantScanning(dataset));
+      internal::BuildQuadrantStaircase(dataset));
   return Adopt(std::make_shared<const Dataset>(std::move(dataset)),
                std::move(diagram), options);
 }

@@ -31,7 +31,8 @@
 // blob — and shares its objects instead of building or copying anything.
 // Each mutation copies the pool's arena once into its successor and leaves
 // the objects it replaces to their other holders untouched. Create() is
-// a scanning build followed by Adopt(), so every instance starts this way.
+// a staircase build (src/core/quadrant_staircase.h) followed by Adopt(), so
+// every instance starts this way.
 #ifndef SKYDIA_SRC_CORE_INCREMENTAL_H_
 #define SKYDIA_SRC_CORE_INCREMENTAL_H_
 
@@ -82,7 +83,7 @@ StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id,
 /// A quadrant skyline diagram that supports inserting and deleting points.
 class IncrementalQuadrantDiagram {
  public:
-  /// Builds the initial diagram (scanning construction) and adopts it.
+  /// Builds the initial diagram (staircase construction) and adopts it.
   static StatusOr<IncrementalQuadrantDiagram> Create(
       Dataset dataset, const IncrementalOptions& options = {});
 

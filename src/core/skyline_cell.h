@@ -1,5 +1,6 @@
 // CellDiagram: the common output representation of the cell-based diagram
-// algorithms (baseline, DSG, scanning — for quadrant and global skylines).
+// algorithms (baseline, DSG, scanning, staircase — for quadrant and global
+// skylines).
 //
 // It maps every skyline cell (see CellGrid) to an interned result set.
 // Queries locate their cell through a PointLocationIndex
@@ -66,8 +67,10 @@ class CellDiagram {
     uint64_t num_cells = 0;
     uint64_t num_distinct_sets = 0;   // interned sets incl. empty
     uint64_t total_set_elements = 0;  // sum of distinct set sizes
-    uint64_t pool_bytes = 0;          // interning arena footprint alone
-    uint64_t approx_bytes = 0;        // pool + cell map footprint
+    /// SkylineSetPool::ApproximateMemoryBytes: the arena plus the set
+    /// records, hash chains and dedup index, where built.
+    uint64_t pool_bytes = 0;
+    uint64_t approx_bytes = 0;  // pool + cell map footprint
   };
   Stats ComputeStats() const;
 

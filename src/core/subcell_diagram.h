@@ -77,7 +77,9 @@ class SubcellDiagram {
     uint64_t num_subcells = 0;
     uint64_t num_distinct_sets = 0;
     uint64_t total_set_elements = 0;
-    uint64_t pool_bytes = 0;  // interning arena footprint alone
+    /// SkylineSetPool::ApproximateMemoryBytes: the arena plus the set
+    /// records, hash chains and dedup index, where built.
+    uint64_t pool_bytes = 0;
     uint64_t approx_bytes = 0;
   };
   Stats ComputeStats() const {

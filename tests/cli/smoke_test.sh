@@ -52,14 +52,22 @@ for type in quadrant global dynamic; do
   cmp -s "$type.skd" "$type.t4.skd" ||
     fail "build $type --threads 4 wrote other bytes than --threads 1"
 done
-grep -qF "(scanning, 1 thread(s))" quadrant.t4.out ||
+grep -qF "(staircase, 1 thread(s))" quadrant.t4.out ||
   fail "build quadrant --threads 4 does not name the sequential build"
 grep -qF "(scanning, 4 thread(s))" dynamic.t4.out ||
   fail "build dynamic --threads 4 does not name its 4 threads"
 
+step "--algo auto (the staircase scan) writes Algorithm 3's bytes"
+for type in quadrant global; do
+  expect_ok "build $type --algo scanning" "$SKYDIA" build --in points.csv \
+    --type "$type" --algo scanning --out "$type.scanning.skd"
+  cmp -s "$type.skd" "$type.scanning.skd" ||
+    fail "build $type --algo auto wrote other bytes than --algo scanning"
+done
+
 step "check validates every blob"
 expect_ok "check quadrant" "$SKYDIA" check quadrant.skd
-expect_ok "check global" "$SKYDIA" check global.skd --allow-duplicate-sets
+expect_ok "check global" "$SKYDIA" check global.skd
 expect_ok "check dynamic" "$SKYDIA" check dynamic.skd
 
 step "query a blob with a points CSV (golden output)"

@@ -63,8 +63,12 @@ const BuilderCase kBuilders[] = {
      BuildAlgorithm::kScanning, 1, kSweepN},
     {"quadrant/dsg", SkylineQueryType::kQuadrant, BuildAlgorithm::kDsg, 1,
      kSweepN},
+    {"quadrant/staircase", SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto,
+     1, kSweepN},
     {"global/scanning", SkylineQueryType::kGlobal, BuildAlgorithm::kScanning,
      1, kSweepN},
+    {"global/staircase", SkylineQueryType::kGlobal, BuildAlgorithm::kAuto, 1,
+     kSweepN},
     {"dynamic/scanning", SkylineQueryType::kDynamic,
      BuildAlgorithm::kScanning, 1, 64},
     {"dynamic/scanning-parallel", SkylineQueryType::kDynamic,
@@ -137,15 +141,30 @@ TEST(BuildReportTest, ParallelBuildRecordsStripeAndMergePhases) {
 }
 
 TEST(BuildReportTest, AutoAlgorithmIsReportedResolved) {
+  // kAuto runs the staircase scan for quadrant and global diagrams and
+  // Algorithm 7 for dynamic ones; the report names what ran.
   const BuildReport sequential =
       BuildWithReport(SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto, 1);
-  EXPECT_EQ(sequential.algorithm, "scanning");
+  EXPECT_EQ(sequential.algorithm, "staircase");
+  std::vector<std::string> phases;
+  for (const BuildPhaseTiming& phase : sequential.phases) {
+    phases.push_back(phase.name);
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"grid", "scan", "fill"}));
   // Quadrant diagrams have no parallel construction: the report names the
   // sequential build that ran, not the requested thread count.
   const BuildReport parallel =
       BuildWithReport(SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto, 2);
-  EXPECT_EQ(parallel.algorithm, "scanning");
+  EXPECT_EQ(parallel.algorithm, "staircase");
   EXPECT_EQ(parallel.parallelism, 1);
+  const BuildReport global =
+      BuildWithReport(SkylineQueryType::kGlobal, BuildAlgorithm::kAuto, 2);
+  EXPECT_EQ(global.algorithm, "staircase");
+  EXPECT_EQ(global.parallelism, 1);
+  const BuildReport dynamic = BuildWithReport(
+      SkylineQueryType::kDynamic, BuildAlgorithm::kAuto, 2, /*n=*/32);
+  EXPECT_EQ(dynamic.algorithm, "scanning");
+  EXPECT_EQ(dynamic.parallelism, 2);
 }
 
 TEST(BuildReportTest, ReportIsOverwrittenNotAppended) {

@@ -155,9 +155,12 @@ TEST_P(ParallelismRuleTest, FourThreadsSaveWhatOneThreadSaves) {
   ASSERT_FALSE(sequential.empty());
   EXPECT_EQ(parallel, sequential);
 
-  const char* ran = algorithm == BuildAlgorithm::kAuto
-                        ? "scanning"
-                        : BuildAlgorithmName(algorithm);
+  // kAuto runs the staircase scan for quadrant and global diagrams and
+  // Algorithm 7 (scanning) for dynamic ones.
+  const char* ran = algorithm != BuildAlgorithm::kAuto
+                        ? BuildAlgorithmName(algorithm)
+                    : type == SkylineQueryType::kDynamic ? "scanning"
+                                                         : "staircase";
   EXPECT_EQ(one.algorithm, ran);
   EXPECT_EQ(four.algorithm, ran);
   EXPECT_EQ(one.parallelism, 1);

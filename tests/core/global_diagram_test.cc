@@ -92,7 +92,8 @@ TEST_P(GlobalDiagramTest, EveryIntegerQueryIncludingGridLines) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBuilders, GlobalDiagramTest,
-                         ::testing::Values(BuildAlgorithm::kBaseline,
+                         ::testing::Values(BuildAlgorithm::kAuto,
+                                           BuildAlgorithm::kBaseline,
                                            BuildAlgorithm::kDsg,
                                            BuildAlgorithm::kScanning),
                          [](const auto& info) {

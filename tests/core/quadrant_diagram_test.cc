@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/diagram.h"
+#include "src/core/serialize.h"
 #include "src/datagen/distributions.h"
 #include "src/skyline/query.h"
 #include "tests/testing/util.h"
@@ -95,7 +96,8 @@ TEST_P(QuadrantBuildersTest, SinglePointDiagram) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBuilders, QuadrantBuildersTest,
-                         ::testing::Values(BuildAlgorithm::kBaseline,
+                         ::testing::Values(BuildAlgorithm::kAuto,
+                                           BuildAlgorithm::kBaseline,
                                            BuildAlgorithm::kDsg,
                                            BuildAlgorithm::kScanning),
                          [](const auto& info) {
@@ -125,6 +127,25 @@ TEST_P(CrossAlgorithmEqualityTest, AllThreeBuildersAgree) {
     EXPECT_TRUE(baseline.cell_diagram()->SameResults(*dsg.cell_diagram()))
         << "seed " << seed;
     EXPECT_TRUE(baseline.cell_diagram()->SameResults(*scanning.cell_diagram()))
+        << "seed " << seed;
+  }
+}
+
+// kAuto runs the staircase scan, which must reproduce Algorithm 3 id for
+// id: the saved bytes are equal, not only the cell results.
+TEST_P(CrossAlgorithmEqualityTest, AutoBuildSavesTheScanningBytes) {
+  const EqualityCase& c = GetParam();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const Dataset ds =
+        testing::GeneratedDataset(c.n, c.domain, c.distribution, seed);
+    const SkylineDiagram automatic =
+        BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto);
+    const SkylineDiagram scanning = BuildDiagram(
+        ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
+    EXPECT_TRUE(SerializeCellDiagram(automatic.dataset(),
+                                     *automatic.cell_diagram()) ==
+                SerializeCellDiagram(scanning.dataset(),
+                                     *scanning.cell_diagram()))
         << "seed " << seed;
   }
 }

@@ -436,7 +436,8 @@ void ExpectServedMatchesOracle(const SnapshotRegistry& registry,
 TEST(MutationPipelineTest, FirstWriteAdoptsTheServedDiagramWithoutABuild) {
   // The shadow adopts what the registry serves — a blob loaded from disk —
   // so the first insert after an install, and after a reload, runs no
-  // builder: both scanning constructions record a scan.row span per row.
+  // builder: the staircase and both scanning constructions record a
+  // scan.row span per row.
   for (const SkylineQueryType type :
        {SkylineQueryType::kQuadrant, SkylineQueryType::kDynamic}) {
     SCOPED_TRACE(SkylineQueryTypeName(type));

@@ -471,7 +471,7 @@ int CmdStats(const Flags& flags) {
                   << "polyominoes: " << merged.num_polyominoes() << "\n"
                   << "distinct results: " << stats.num_distinct_sets << "\n"
                   << "result elements: " << stats.total_set_elements << "\n"
-                  << "arena bytes: " << stats.pool_bytes << "\n"
+                  << "pool bytes: " << stats.pool_bytes << "\n"
                   << "approx bytes: " << stats.approx_bytes << "\n";
         return 0;
       },
@@ -483,7 +483,7 @@ int CmdStats(const Flags& flags) {
                   << "subcells: " << stats.num_subcells << "\n"
                   << "distinct results: " << stats.num_distinct_sets << "\n"
                   << "result elements: " << stats.total_set_elements << "\n"
-                  << "arena bytes: " << stats.pool_bytes << "\n"
+                  << "pool bytes: " << stats.pool_bytes << "\n"
                   << "approx bytes: " << stats.approx_bytes << "\n";
         return 0;
       });
