@@ -6,12 +6,14 @@
 // Three serving paths over the same query stream:
 //   BM_QueryFromScratch       — no precomputation, linear scan per query
 //   BM_QueryViaIndex          — PointLocationIndex lookup, O(log s)
-//   BM_QueryBatchedParallel   — QueryEngine::AnswerBatch sharded over threads
+//   BM_QueryBatchedParallel   — QueryEngine::AnswerBatch sharded over a pool
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/thread_pool.h"
 #include "src/core/diagram.h"
 #include "src/core/point_location.h"
 #include "src/core/query_engine.h"
@@ -66,15 +68,18 @@ void BM_QueryBatchedParallel(benchmark::State& state) {
       MakeDataset(state.range(0), 1 << 16, Distribution::kIndependent);
   auto diagram = SkylineDiagram::Build(ds, SkylineQueryType::kQuadrant);
   SKYDIA_CHECK(diagram.ok());
-  QueryEngineOptions options;
-  options.num_threads = static_cast<int>(state.range(1));
-  options.parallel_batch_threshold = 1;
   const QueryEngine engine(ds, *diagram->cell_diagram(),
-                           SkylineQueryType::kQuadrant, options);
+                           SkylineQueryType::kQuadrant);
+  // One thread answers on the calling thread, as the engine does without a
+  // pool; kQueries is past the engine's split threshold.
+  std::unique_ptr<ThreadPool> pool;
+  if (state.range(1) > 1) {
+    pool = std::make_unique<ThreadPool>(static_cast<size_t>(state.range(1)));
+  }
   const auto queries = GenerateQueries(ds, kQueries, kBenchSeed);
   std::vector<SetId> out;
   for (auto _ : state) {
-    engine.AnswerBatch(queries, &out);
+    engine.AnswerBatch(queries, &out, pool.get());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -11,8 +11,7 @@
 //       self-hosted sweep: one measurement cell per connection count, all
 //       against one started server.
 //
-// Flags: --connections C (default 4), --workers W (default 1), --threads T
-//        (engine pool for large batches, default 1),
+// Flags: --connections C (default 4), --workers W (default 1),
 //        --client-threads T (load-generator threads multiplexing the
 //        connections, default 4), --distinct-queries Q (shared pool of
 //        distinct query points all connections sample from, default 4096;
@@ -510,7 +509,6 @@ int Main(int argc, char** argv) {
   const auto n = static_cast<size_t>(FlagInt(argc, argv, "--n", 4096));
   const bool labels = FlagBool(argc, argv, "--labels");
   const int workers = static_cast<int>(FlagInt(argc, argv, "--workers", 1));
-  const int threads = static_cast<int>(FlagInt(argc, argv, "--threads", 1));
   const int client_threads =
       static_cast<int>(FlagInt(argc, argv, "--client-threads", 4));
   const auto distinct = static_cast<size_t>(
@@ -569,7 +567,6 @@ int Main(int argc, char** argv) {
   serve::ServerOptions options;
   options.port = 0;
   options.num_workers = workers;
-  options.engine.num_threads = threads;
   serve::SkylineServer self_hosted(options);
   int target_port = port;
   if (port == 0) {

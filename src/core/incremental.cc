@@ -76,23 +76,15 @@ uint64_t RefillChangedCells(CellDiagram* next, uint32_t rect_x,
 
 namespace internal {
 
-Status CheckSeedDataset(const Dataset& dataset,
-                        const IncrementalOptions& options) {
+Status CheckSeedDataset(const Dataset& dataset) {
   if (dataset.empty()) {
     return Status::InvalidArgument("cannot build a diagram of zero points");
-  }
-  if (options.require_distinct_coordinates &&
-      !dataset.HasDistinctCoordinates()) {
-    return Status::InvalidArgument(
-        "require_distinct_coordinates was set but the seed dataset has "
-        "duplicated coordinate values");
   }
   return Status::OK();
 }
 
 StatusOr<Dataset> DatasetWithPoint(const Dataset& dataset, const Point2D& p,
-                                   std::optional<std::string> label,
-                                   bool require_distinct_coordinates) {
+                                   std::optional<std::string> label) {
   if (p.x < 0 || p.x >= dataset.domain_size() || p.y < 0 ||
       p.y >= dataset.domain_size()) {
     return Status::InvalidArgument("point outside the domain");
@@ -113,14 +105,11 @@ StatusOr<Dataset> DatasetWithPoint(const Dataset& dataset, const Point2D& p,
       labels.back().insert(0, 1, 'p');
     }
   }
-  DatasetOptions dataset_options;
-  dataset_options.require_distinct_coordinates = require_distinct_coordinates;
   return Dataset::Create(std::move(points), dataset.domain_size(),
-                         std::move(labels), dataset_options);
+                         std::move(labels));
 }
 
-StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id,
-                                      bool require_distinct_coordinates) {
+StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id) {
   if (id >= dataset.size()) {
     return Status::NotFound("unknown point id " + std::to_string(id));
   }
@@ -137,47 +126,40 @@ StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id,
     points.push_back(dataset.point(i));
     if (dataset.has_labels()) labels.push_back(dataset.label(i));
   }
-  DatasetOptions dataset_options;
-  dataset_options.require_distinct_coordinates = require_distinct_coordinates;
   return Dataset::Create(std::move(points), dataset.domain_size(),
-                         std::move(labels), dataset_options);
+                         std::move(labels));
 }
 
 }  // namespace internal
 
 StatusOr<IncrementalQuadrantDiagram> IncrementalQuadrantDiagram::Create(
-    Dataset dataset, const IncrementalOptions& options) {
+    Dataset dataset) {
   // Checked before the build, not only by Adopt: the build is the cost.
-  if (Status seed = internal::CheckSeedDataset(dataset, options); !seed.ok()) {
+  if (Status seed = internal::CheckSeedDataset(dataset); !seed.ok()) {
     return seed;
   }
   auto diagram = std::make_shared<const CellDiagram>(
       internal::BuildQuadrantStaircase(dataset));
   return Adopt(std::make_shared<const Dataset>(std::move(dataset)),
-               std::move(diagram), options);
+               std::move(diagram));
 }
 
 StatusOr<IncrementalQuadrantDiagram> IncrementalQuadrantDiagram::Adopt(
     std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const CellDiagram> diagram,
-    const IncrementalOptions& options) {
+    std::shared_ptr<const CellDiagram> diagram) {
   SKYDIA_CHECK(dataset != nullptr && diagram != nullptr);
-  if (Status seed = internal::CheckSeedDataset(*dataset, options);
-      !seed.ok()) {
+  if (Status seed = internal::CheckSeedDataset(*dataset); !seed.ok()) {
     return seed;
   }
-  return IncrementalQuadrantDiagram(std::move(dataset), std::move(diagram),
-                                    options);
+  return IncrementalQuadrantDiagram(std::move(dataset), std::move(diagram));
 }
 
 StatusOr<PointId> IncrementalQuadrantDiagram::Insert(
     const Point2D& p, std::optional<std::string> label) {
   // Extend the dataset; the new id is the previous size. A rejected
-  // extension (for example a duplicated coordinate under
-  // require_distinct_coordinates) leaves this diagram untouched.
+  // extension (a point outside the domain) leaves this diagram untouched.
   const auto new_id = static_cast<PointId>(dataset_->size());
-  auto new_dataset = internal::DatasetWithPoint(
-      *dataset_, p, std::move(label), options_.require_distinct_coordinates);
+  auto new_dataset = internal::DatasetWithPoint(*dataset_, p, std::move(label));
   if (!new_dataset.ok()) return new_dataset.status();
 
   const CellGrid& old_grid = diagram_->grid();
@@ -263,8 +245,7 @@ StatusOr<PointId> IncrementalQuadrantDiagram::Insert(
 Status IncrementalQuadrantDiagram::Delete(PointId id) {
   // Shrink the dataset; ids above the deleted one shift down by one. On
   // error (NotFound / FailedPrecondition) the diagram is untouched.
-  auto new_dataset = internal::DatasetWithoutPoint(
-      *dataset_, id, options_.require_distinct_coordinates);
+  auto new_dataset = internal::DatasetWithoutPoint(*dataset_, id);
   if (!new_dataset.ok()) return new_dataset.status();
   const Point2D p = dataset_->point(id);
 

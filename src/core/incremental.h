@@ -46,22 +46,11 @@
 
 namespace skydia {
 
-/// Options for IncrementalQuadrantDiagram and IncrementalDynamicDiagram.
-struct IncrementalOptions {
-  /// Maintain the distinct-coordinates invariant across inserts: Create and
-  /// Insert reject any point that duplicates an existing x or y coordinate
-  /// (forwarded to Dataset::Create, whose failure surfaces as
-  /// InvalidArgument — never an abort).
-  bool require_distinct_coordinates = false;
-};
-
 namespace internal {
 
-/// The seed checks Create and Adopt share: InvalidArgument for an empty
-/// dataset, or for duplicated coordinate values under
-/// `options.require_distinct_coordinates`.
-Status CheckSeedDataset(const Dataset& dataset,
-                        const IncrementalOptions& options);
+/// The seed check Create and Adopt share: InvalidArgument for an empty
+/// dataset.
+Status CheckSeedDataset(const Dataset& dataset);
 
 /// Extended copy of `dataset` with `p` appended as the new last point.
 /// Rejects points outside the domain and forwards validation failures from
@@ -69,14 +58,12 @@ Status CheckSeedDataset(const Dataset& dataset,
 /// point when the dataset carries labels (default "p<id>"); a label on an
 /// unlabelled dataset materializes the default labels first.
 StatusOr<Dataset> DatasetWithPoint(const Dataset& dataset, const Point2D& p,
-                                   std::optional<std::string> label,
-                                   bool require_distinct_coordinates);
+                                   std::optional<std::string> label);
 
 /// Copy of `dataset` without point `id`; ids above shift down by one and
 /// labels follow their points. NotFound for an id outside the dataset,
 /// FailedPrecondition when only one point remains.
-StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id,
-                                      bool require_distinct_coordinates);
+StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id);
 
 }  // namespace internal
 
@@ -84,8 +71,7 @@ StatusOr<Dataset> DatasetWithoutPoint(const Dataset& dataset, PointId id,
 class IncrementalQuadrantDiagram {
  public:
   /// Builds the initial diagram (staircase construction) and adopts it.
-  static StatusOr<IncrementalQuadrantDiagram> Create(
-      Dataset dataset, const IncrementalOptions& options = {});
+  static StatusOr<IncrementalQuadrantDiagram> Create(Dataset dataset);
 
   /// Adopts `diagram`, the quadrant diagram of `dataset`, as the initial
   /// state without rebuilding or copying it (see the adopt contract above).
@@ -94,20 +80,18 @@ class IncrementalQuadrantDiagram {
   /// non-null. Same checks as Create (internal::CheckSeedDataset).
   static StatusOr<IncrementalQuadrantDiagram> Adopt(
       std::shared_ptr<const Dataset> dataset,
-      std::shared_ptr<const CellDiagram> diagram,
-      const IncrementalOptions& options = {});
+      std::shared_ptr<const CellDiagram> diagram);
 
   IncrementalQuadrantDiagram(IncrementalQuadrantDiagram&&) = default;
   IncrementalQuadrantDiagram& operator=(IncrementalQuadrantDiagram&&) =
       default;
 
   /// Inserts `p` and updates the diagram. Returns the new point's id (always
-  /// the previous size()), or InvalidArgument when `p` is outside the domain
-  /// or the extended dataset fails validation (for example a duplicated
-  /// coordinate under `require_distinct_coordinates`). On error the diagram
-  /// is unchanged. `label` names the new point when the dataset carries
-  /// labels (default "p<id>"); passing a label to an unlabelled dataset
-  /// materializes the default labels for the existing points first.
+  /// the previous size()), or InvalidArgument when `p` is outside the
+  /// domain. On error the diagram is unchanged. `label` names the new point
+  /// when the dataset carries labels (default "p<id>"); passing a label to
+  /// an unlabelled dataset materializes the default labels for the existing
+  /// points first.
   StatusOr<PointId> Insert(const Point2D& p,
                            std::optional<std::string> label = std::nullopt);
 
@@ -140,16 +124,13 @@ class IncrementalQuadrantDiagram {
 
  private:
   IncrementalQuadrantDiagram(std::shared_ptr<const Dataset> dataset,
-                             std::shared_ptr<const CellDiagram> diagram,
-                             const IncrementalOptions& options)
+                             std::shared_ptr<const CellDiagram> diagram)
       : dataset_(std::move(dataset)),
         diagram_(std::move(diagram)),
-        options_(options),
         pool_compaction_watermark_(diagram_->pool().size()) {}
 
   std::shared_ptr<const Dataset> dataset_;
   std::shared_ptr<const CellDiagram> diagram_;
-  IncrementalOptions options_;
   uint64_t last_insert_recomputed_cells_ = 0;
   uint64_t last_delete_recomputed_cells_ = 0;
   /// Pool size after the last compacting mutation (or Adopt). Mutations

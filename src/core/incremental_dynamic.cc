@@ -41,35 +41,31 @@ bool IsOnAxisLine(const SubcellAxis& axis, uint32_t slab, int64_t rep4) {
 }  // namespace
 
 StatusOr<IncrementalDynamicDiagram> IncrementalDynamicDiagram::Create(
-    Dataset dataset, const IncrementalOptions& options) {
+    Dataset dataset) {
   // Checked before the build, not only by Adopt: the build is the cost.
-  if (Status seed = internal::CheckSeedDataset(dataset, options); !seed.ok()) {
+  if (Status seed = internal::CheckSeedDataset(dataset); !seed.ok()) {
     return seed;
   }
   auto diagram = std::make_shared<const SubcellDiagram>(
       internal::BuildDynamicScanning(dataset));
   return Adopt(std::make_shared<const Dataset>(std::move(dataset)),
-               std::move(diagram), options);
+               std::move(diagram));
 }
 
 StatusOr<IncrementalDynamicDiagram> IncrementalDynamicDiagram::Adopt(
     std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const SubcellDiagram> diagram,
-    const IncrementalOptions& options) {
+    std::shared_ptr<const SubcellDiagram> diagram) {
   SKYDIA_CHECK(dataset != nullptr && diagram != nullptr);
-  if (Status seed = internal::CheckSeedDataset(*dataset, options);
-      !seed.ok()) {
+  if (Status seed = internal::CheckSeedDataset(*dataset); !seed.ok()) {
     return seed;
   }
-  return IncrementalDynamicDiagram(std::move(dataset), std::move(diagram),
-                                   options);
+  return IncrementalDynamicDiagram(std::move(dataset), std::move(diagram));
 }
 
 StatusOr<PointId> IncrementalDynamicDiagram::Insert(
     const Point2D& p, std::optional<std::string> label) {
   const auto new_id = static_cast<PointId>(dataset_->size());
-  auto new_dataset = internal::DatasetWithPoint(
-      *dataset_, p, std::move(label), options_.require_distinct_coordinates);
+  auto new_dataset = internal::DatasetWithPoint(*dataset_, p, std::move(label));
   if (!new_dataset.ok()) return new_dataset.status();
 
   auto next = std::make_shared<SubcellDiagram>(*new_dataset);
@@ -153,8 +149,7 @@ StatusOr<PointId> IncrementalDynamicDiagram::Insert(
 }
 
 Status IncrementalDynamicDiagram::Delete(PointId id) {
-  auto new_dataset = internal::DatasetWithoutPoint(
-      *dataset_, id, options_.require_distinct_coordinates);
+  auto new_dataset = internal::DatasetWithoutPoint(*dataset_, id);
   if (!new_dataset.ok()) return new_dataset.status();
 
   auto next = std::make_shared<SubcellDiagram>(*new_dataset);

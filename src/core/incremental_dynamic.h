@@ -43,16 +43,14 @@ namespace skydia {
 class IncrementalDynamicDiagram {
  public:
   /// Builds the initial diagram (scanning construction) and adopts it.
-  static StatusOr<IncrementalDynamicDiagram> Create(
-      Dataset dataset, const IncrementalOptions& options = {});
+  static StatusOr<IncrementalDynamicDiagram> Create(Dataset dataset);
 
   /// Adopts `diagram`, the subcell diagram of `dataset`, without rebuilding
   /// or copying it; same contract as IncrementalQuadrantDiagram::Adopt (any
   /// construction of the diagram, non-null pointers, Create's checks).
   static StatusOr<IncrementalDynamicDiagram> Adopt(
       std::shared_ptr<const Dataset> dataset,
-      std::shared_ptr<const SubcellDiagram> diagram,
-      const IncrementalOptions& options = {});
+      std::shared_ptr<const SubcellDiagram> diagram);
 
   IncrementalDynamicDiagram(IncrementalDynamicDiagram&&) = default;
   IncrementalDynamicDiagram& operator=(IncrementalDynamicDiagram&&) = default;
@@ -87,16 +85,13 @@ class IncrementalDynamicDiagram {
 
  private:
   IncrementalDynamicDiagram(std::shared_ptr<const Dataset> dataset,
-                            std::shared_ptr<const SubcellDiagram> diagram,
-                            const IncrementalOptions& options)
+                            std::shared_ptr<const SubcellDiagram> diagram)
       : dataset_(std::move(dataset)),
         diagram_(std::move(diagram)),
-        options_(options),
         pool_compaction_watermark_(diagram_->pool().size()) {}
 
   std::shared_ptr<const Dataset> dataset_;
   std::shared_ptr<const SubcellDiagram> diagram_;
-  IncrementalOptions options_;
   uint64_t last_insert_recomputed_subcells_ = 0;
   uint64_t last_delete_recomputed_subcells_ = 0;
   /// Pool size after the last compacting mutation (or Adopt); see

@@ -43,6 +43,10 @@
 //     half-integers; the index stores those axes in doubled coordinates and
 //     scales queries by 2 internally. Integer queries therefore never land
 //     between two adjacent doubled lines.
+//   * Queries first clamp to [-1, Dataset::kMaxDomainSize] (ClampQuery).
+//     Every line of every diagram lies inside that range, so the clamp moves
+//     no query to another cell or off or onto a line, and the doubled
+//     coordinates cannot overflow.
 #ifndef SKYDIA_SRC_CORE_POINT_LOCATION_H_
 #define SKYDIA_SRC_CORE_POINT_LOCATION_H_
 
@@ -52,6 +56,7 @@
 
 #include "src/core/skyline_cell.h"
 #include "src/core/subcell_diagram.h"
+#include "src/geometry/dataset.h"
 #include "src/geometry/point.h"
 #include "src/skyline/interning.h"
 
@@ -76,8 +81,9 @@ class PointLocationIndex {
   /// Locates `q` under the half-open convention above. Total: every query
   /// maps to exactly one cell.
   CellRef Locate(const Point2D& q) const {
-    return CellRef{SlabOf(x_lines_, scale_ * q.x),
-                   SlabOf(y_lines_, scale_ * q.y)};
+    const Point2D c = ClampQuery(q, Dataset::kMaxDomainSize);
+    return CellRef{SlabOf(x_lines_, scale_ * c.x),
+                   SlabOf(y_lines_, scale_ * c.y)};
   }
 
   /// Interned result-set id of the cell containing `q`.
@@ -97,7 +103,8 @@ class PointLocationIndex {
   /// bisector line) of either axis — the positions where dynamic answers
   /// carry the interior-adjacent convention instead of being exact.
   bool OnBoundary(const Point2D& q) const {
-    return OnLine(x_lines_, scale_ * q.x) || OnLine(y_lines_, scale_ * q.y);
+    const Point2D c = ClampQuery(q, Dataset::kMaxDomainSize);
+    return OnLine(x_lines_, scale_ * c.x) || OnLine(y_lines_, scale_ * c.y);
   }
 
   uint32_t num_columns() const { return num_columns_; }

@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/common/trace.h"
 
 namespace skydia {
@@ -23,29 +24,13 @@ uint64_t NowNanos() {
 }  // namespace
 
 QueryEngine::QueryEngine(const Dataset& dataset, const CellDiagram& diagram,
-                         SkylineQueryType semantics,
-                         const QueryEngineOptions& options)
-    : index_(diagram),
-      dataset_(&dataset),
-      semantics_(semantics),
-      options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.num_threads));
-  }
-}
+                         SkylineQueryType semantics)
+    : index_(diagram), dataset_(&dataset), semantics_(semantics) {}
 
-QueryEngine::QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram,
-                         const QueryEngineOptions& options)
+QueryEngine::QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram)
     : index_(diagram),
       dataset_(&dataset),
-      semantics_(SkylineQueryType::kDynamic),
-      options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.num_threads));
-  }
-}
+      semantics_(SkylineQueryType::kDynamic) {}
 
 std::span<const PointId> QueryEngine::Answer(const Point2D& q) const {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
@@ -86,7 +71,8 @@ StatusOr<std::vector<PointId>> QueryEngine::Answer(
 }
 
 StatusOr<std::vector<std::vector<PointId>>> QueryEngine::AnswerBatch(
-    std::span<const Point2D> queries, const QueryOptions& options) const {
+    std::span<const Point2D> queries, const QueryOptions& options,
+    ThreadPool* pool) const {
   const SkylineQueryType want = options.semantics.value_or(semantics_);
   if (want != semantics_ && !options.exact) {
     return Status::InvalidArgument(
@@ -104,7 +90,7 @@ StatusOr<std::vector<std::vector<PointId>>> QueryEngine::AnswerBatch(
     return out;
   }
   std::vector<SetId> sets;
-  AnswerBatch(queries, &sets);
+  AnswerBatch(queries, &sets, pool);
   for (size_t i = 0; i < queries.size(); ++i) {
     if (options.exact && NeedsOracle(semantics_, index_, queries[i])) {
       out[i] = OracleAnswer(semantics_, queries[i]);
@@ -135,23 +121,24 @@ void QueryEngine::AnswerShard(std::span<const Point2D> queries,
 }
 
 void QueryEngine::AnswerBatch(std::span<const Point2D> queries,
-                              std::vector<SetId>* out) const {
+                              std::vector<SetId>* out,
+                              ThreadPool* pool) const {
   SKYDIA_TRACE_SPAN("query.batch");
   batches_.fetch_add(1, std::memory_order_relaxed);
   out->resize(queries.size());
-  if (pool_ == nullptr || queries.size() < options_.parallel_batch_threshold) {
+  if (pool == nullptr || queries.size() < kParallelBatchThreshold) {
     AnswerShard(queries, out->data());
     return;
   }
   // One contiguous shard per worker: disjoint output ranges, publication via
   // the pool's WaitIdle handshake.
-  const size_t shards = pool_->num_threads();
+  const size_t shards = pool->num_threads();
   const size_t chunk = (queries.size() + shards - 1) / shards;
   SetId* const out_data = out->data();
   // Request context is thread-local; re-establish it on each pool worker so
   // the shard spans carry the calling request's id.
   const uint64_t ctx = trace::CurrentRequestContext();
-  pool_->ParallelFor(shards, [&, ctx](size_t shard) {
+  pool->ParallelFor(shards, [&, ctx](size_t shard) {
     const size_t begin = shard * chunk;
     if (begin >= queries.size()) return;
     trace::ScopedRequestContext ctx_scope(ctx);
@@ -160,10 +147,10 @@ void QueryEngine::AnswerBatch(std::span<const Point2D> queries,
   });
 }
 
-std::vector<SetId> QueryEngine::AnswerBatch(
-    std::span<const Point2D> queries) const {
+std::vector<SetId> QueryEngine::AnswerBatch(std::span<const Point2D> queries,
+                                            ThreadPool* pool) const {
   std::vector<SetId> out;
-  AnswerBatch(queries, &out);
+  AnswerBatch(queries, &out, pool);
   return out;
 }
 
@@ -207,8 +194,7 @@ QueryEngineStats QueryEngine::Stats() const {
 }
 
 StatusOr<ServableDiagram> ServableDiagram::Load(
-    const std::string& path, const QueryEngineOptions& options,
-    SkylineQueryType cell_semantics) {
+    const std::string& path, SkylineQueryType cell_semantics) {
   if (cell_semantics == SkylineQueryType::kDynamic) {
     return Status::InvalidArgument(
         "cell_semantics must be kQuadrant or kGlobal; dynamic semantics are "
@@ -223,39 +209,37 @@ StatusOr<ServableDiagram> ServableDiagram::Load(
   if (auto* cell = std::get_if<LoadedCellDiagram>(&*loaded)) {
     return Wrap(std::make_shared<const Dataset>(std::move(cell->dataset)),
                 std::make_shared<const CellDiagram>(std::move(cell->diagram)),
-                cell_semantics, options);
+                cell_semantics);
   }
   auto& subcell = std::get<LoadedSubcellDiagram>(*loaded);
   return Wrap(std::make_shared<const Dataset>(std::move(subcell.dataset)),
               std::make_shared<const SubcellDiagram>(
-                  std::move(subcell.diagram)),
-              options);
+                  std::move(subcell.diagram)));
 }
 
 ServableDiagram ServableDiagram::Wrap(
     std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const CellDiagram> diagram,
-    SkylineQueryType cell_semantics, const QueryEngineOptions& options) {
+    SkylineQueryType cell_semantics) {
   SKYDIA_CHECK(cell_semantics != SkylineQueryType::kDynamic);
   ServableDiagram servable;
   servable.dataset_ = std::move(dataset);
   servable.cell_ = std::move(diagram);
   SKYDIA_TRACE_SPAN("index.build");
   servable.engine_ = std::make_unique<QueryEngine>(
-      *servable.dataset_, *servable.cell_, cell_semantics, options);
+      *servable.dataset_, *servable.cell_, cell_semantics);
   return servable;
 }
 
 ServableDiagram ServableDiagram::Wrap(
     std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const SubcellDiagram> diagram,
-    const QueryEngineOptions& options) {
+    std::shared_ptr<const SubcellDiagram> diagram) {
   ServableDiagram servable;
   servable.dataset_ = std::move(dataset);
   servable.subcell_ = std::move(diagram);
   SKYDIA_TRACE_SPAN("index.build");
-  servable.engine_ = std::make_unique<QueryEngine>(
-      *servable.dataset_, *servable.subcell_, options);
+  servable.engine_ =
+      std::make_unique<QueryEngine>(*servable.dataset_, *servable.subcell_);
   return servable;
 }
 

@@ -1,13 +1,14 @@
-// QueryEngine: the batched, thread-parallel query-serving layer over a built
-// skyline diagram — the "answer millions of skyline queries from the
-// precomputed partition" half of the paper's precompute-once story.
+// QueryEngine: the batched query-serving layer over a built skyline
+// diagram — the "answer millions of skyline queries from the precomputed
+// partition" half of the paper's precompute-once story.
 //
 // A single engine wraps one diagram (any of the three semantics) behind a
 // PointLocationIndex and serves:
 //   * Answer(q)        — one O(log s) lookup, span into the interned arena.
-//   * AnswerBatch(qs)  — a batch of queries split into contiguous shards
-//     across a ThreadPool, one index lookup per query. Repeated answers are
-//     the serve layer's per-snapshot ResultCache's job, not the engine's.
+//   * AnswerBatch(qs)  — one index lookup per query, on the calling thread,
+//     or split into contiguous shards across a ThreadPool the caller passes
+//     in. Repeated answers are the serve layer's per-snapshot ResultCache's
+//     job, not the engine's.
 //   * Answer(q, {.exact = true}) — boundary-exact answers under the one
 //     exact-answer rule, NeedsOracle (diagram.h): quadrant and global
 //     answers are exact everywhere by construction; dynamic queries that
@@ -20,9 +21,10 @@
 // updated with relaxed ordering: exact totals, no inter-thread ordering
 // guarantees.
 //
-// All serving methods are const and thread-safe; concurrent AnswerBatch
-// calls on one engine are allowed (they share the engine's pool and may wait
-// on each other's shards, which affects latency, not correctness).
+// The engine owns no threads. All serving methods are const and thread-safe;
+// concurrent AnswerBatch calls on one engine are allowed, also over one
+// shared pool (they may wait on each other's shards, which affects latency,
+// not correctness).
 //
 // ServableDiagram closes the deployment loop: it loads a serialized blob
 // (v1 or v2) and rebuilds the index immediately, so a frozen file is
@@ -43,7 +45,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/core/diagram.h"
 #include "src/core/point_location.h"
 #include "src/core/range_query.h"
@@ -54,15 +55,7 @@
 
 namespace skydia {
 
-/// Options for QueryEngine.
-struct QueryEngineOptions {
-  /// Worker threads for AnswerBatch. 1 serves batches inline on the calling
-  /// thread; > 1 creates a dedicated ThreadPool of that size.
-  int num_threads = 1;
-  /// Batches smaller than this are answered inline even when a pool exists
-  /// (sharding overhead dominates below roughly a thousand lookups).
-  size_t parallel_batch_threshold = 1024;
-};
+class ThreadPool;
 
 /// Serving statistics. Latency percentiles come from sampled measurements
 /// (every 32nd query of a shard), reported as the midpoint of a power-of-two
@@ -105,11 +98,13 @@ class QueryEngine {
   /// Serves a cell diagram. `semantics` names the semantics it encodes
   /// (kQuadrant or kGlobal; a cell diagram never encodes kDynamic).
   QueryEngine(const Dataset& dataset, const CellDiagram& diagram,
-              SkylineQueryType semantics,
-              const QueryEngineOptions& options = {});
+              SkylineQueryType semantics);
   /// Serves a subcell (dynamic) diagram.
-  QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram,
-              const QueryEngineOptions& options = {});
+  QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram);
+
+  /// AnswerBatch splits a batch across a caller's pool only from this many
+  /// queries on; below it the sharding overhead dominates the lookups.
+  static constexpr size_t kParallelBatchThreshold = 1024;
 
   /// One query via point location: sorted ids, under the index's cell
   /// convention (see point_location.h). The span points into the diagram's
@@ -127,18 +122,22 @@ class QueryEngine {
                                         const QueryOptions& options) const;
 
   /// Every query in `queries` under the same `options`, one id vector per
-  /// query. Runs the sharded SetId fast path underneath and patches in
-  /// oracle answers only where `options` require them.
+  /// query. Runs the SetId fast path underneath (over `pool` when given) and
+  /// patches in oracle answers only where `options` require them.
   StatusOr<std::vector<std::vector<PointId>>> AnswerBatch(
-      std::span<const Point2D> queries, const QueryOptions& options) const;
+      std::span<const Point2D> queries, const QueryOptions& options,
+      ThreadPool* pool = nullptr) const;
 
   /// Answers every query in `queries`, writing one interned id per query to
-  /// `out` (resized to match). Shards across the engine's pool when the
-  /// batch is large enough. This is the serving hot path: diagram answers
-  /// only (the QueryOptions overload layers exactness on top).
-  void AnswerBatch(std::span<const Point2D> queries,
-                   std::vector<SetId>* out) const;
-  std::vector<SetId> AnswerBatch(std::span<const Point2D> queries) const;
+  /// `out` (resized to match). Runs on the calling thread, or in one
+  /// contiguous shard per worker of `pool` when one is given and the batch
+  /// has at least kParallelBatchThreshold queries. This is the serving hot
+  /// path: diagram answers only (the QueryOptions overload layers exactness
+  /// on top).
+  void AnswerBatch(std::span<const Point2D> queries, std::vector<SetId>* out,
+                   ThreadPool* pool = nullptr) const;
+  std::vector<SetId> AnswerBatch(std::span<const Point2D> queries,
+                                 ThreadPool* pool = nullptr) const;
 
   /// Range query: the union/intersection/distinct-count summary of the
   /// skyline over every position in the closed rectangle (see
@@ -173,8 +172,6 @@ class QueryEngine {
   PointLocationIndex index_;
   const Dataset* dataset_;
   SkylineQueryType semantics_;
-  QueryEngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
 
   mutable std::atomic<uint64_t> queries_served_{0};
   mutable std::atomic<uint64_t> batches_{0};
@@ -197,7 +194,7 @@ class ServableDiagram {
   /// cell blob serves — the file format does not record quadrant vs global
   /// (kDynamic is inferred from subcell blobs and must not be passed here).
   static StatusOr<ServableDiagram> Load(
-      const std::string& path, const QueryEngineOptions& options = {},
+      const std::string& path,
       SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant);
 
   /// Wraps a diagram for serving and builds the index. Load ends here too;
@@ -206,11 +203,9 @@ class ServableDiagram {
   /// `cell_semantics` must be kQuadrant or kGlobal, exactly like Load.
   static ServableDiagram Wrap(std::shared_ptr<const Dataset> dataset,
                               std::shared_ptr<const CellDiagram> diagram,
-                              SkylineQueryType cell_semantics,
-                              const QueryEngineOptions& options = {});
+                              SkylineQueryType cell_semantics);
   static ServableDiagram Wrap(std::shared_ptr<const Dataset> dataset,
-                              std::shared_ptr<const SubcellDiagram> diagram,
-                              const QueryEngineOptions& options = {});
+                              std::shared_ptr<const SubcellDiagram> diagram);
 
   ServableDiagram(ServableDiagram&&) = default;
   ServableDiagram& operator=(ServableDiagram&&) = default;

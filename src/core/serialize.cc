@@ -416,8 +416,7 @@ std::string SerializeBlob(uint8_t kind, const Dataset& dataset,
 // and in the grid whose table the cells fill. `Loaded` is LoadedCellDiagram
 // or LoadedSubcellDiagram.
 template <typename Loaded>
-StatusOr<Loaded> ParseBlob(uint8_t kind, const std::string& bytes,
-                           const ParseOptions& options) {
+StatusOr<Loaded> ParseBlob(uint8_t kind, const std::string& bytes) {
   std::string_view payload;
   uint8_t version = 0;
   if (Status s = CheckEnvelope(bytes, kind, &payload, &version); !s.ok()) {
@@ -439,12 +438,6 @@ StatusOr<Loaded> ParseBlob(uint8_t kind, const std::string& bytes,
   }
   if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after the cell table");
-  }
-  if (options.validate_structure) {
-    if (Status s = ValidateDiagram(*dataset, diagram, options.validate);
-        !s.ok()) {
-      return s;
-    }
   }
   return Loaded{std::move(dataset).value(), std::move(diagram)};
 }
@@ -488,16 +481,14 @@ Status SaveCellDiagram(const Dataset& dataset, const CellDiagram& diagram,
   return WriteFile(path, SerializeCellDiagram(dataset, diagram));
 }
 
-StatusOr<LoadedCellDiagram> ParseCellDiagram(const std::string& bytes,
-                                             const ParseOptions& options) {
-  return ParseBlob<LoadedCellDiagram>(kKindCell, bytes, options);
+StatusOr<LoadedCellDiagram> ParseCellDiagram(const std::string& bytes) {
+  return ParseBlob<LoadedCellDiagram>(kKindCell, bytes);
 }
 
-StatusOr<LoadedCellDiagram> LoadCellDiagram(const std::string& path,
-                                            const ParseOptions& options) {
+StatusOr<LoadedCellDiagram> LoadCellDiagram(const std::string& path) {
   StatusOr<std::string> bytes = ReadFile(path);
   if (!bytes.ok()) return bytes.status();
-  return ParseCellDiagram(*bytes, options);
+  return ParseCellDiagram(*bytes);
 }
 
 std::string SerializeSubcellDiagram(const Dataset& dataset,
@@ -512,16 +503,14 @@ Status SaveSubcellDiagram(const Dataset& dataset,
   return WriteFile(path, SerializeSubcellDiagram(dataset, diagram));
 }
 
-StatusOr<LoadedSubcellDiagram> ParseSubcellDiagram(
-    const std::string& bytes, const ParseOptions& options) {
-  return ParseBlob<LoadedSubcellDiagram>(kKindSubcell, bytes, options);
+StatusOr<LoadedSubcellDiagram> ParseSubcellDiagram(const std::string& bytes) {
+  return ParseBlob<LoadedSubcellDiagram>(kKindSubcell, bytes);
 }
 
-StatusOr<LoadedSubcellDiagram> LoadSubcellDiagram(const std::string& path,
-                                                  const ParseOptions& options) {
+StatusOr<LoadedSubcellDiagram> LoadSubcellDiagram(const std::string& path) {
   StatusOr<std::string> bytes = ReadFile(path);
   if (!bytes.ok()) return bytes.status();
-  return ParseSubcellDiagram(*bytes, options);
+  return ParseSubcellDiagram(*bytes);
 }
 
 StatusOr<LoadedDiagram> LoadDiagram(const std::string& path) {

@@ -39,7 +39,6 @@
 #include "src/core/diagram.h"
 #include "src/core/skyline_cell.h"
 #include "src/core/subcell_diagram.h"
-#include "src/core/validate.h"
 #include "src/geometry/dataset.h"
 
 namespace skydia {
@@ -56,21 +55,6 @@ struct LoadedSubcellDiagram {
 /// A diagram blob of either kind.
 using LoadedDiagram = std::variant<LoadedCellDiagram, LoadedSubcellDiagram>;
 
-/// Options for the Parse/Load functions.
-struct ParseOptions {
-  /// Run ValidateDiagram() on the decoded diagram and fail the load with its
-  /// Corruption status on violation. The per-field checks the reader always
-  /// performs guard the decode itself; this additionally proves the decoded
-  /// structure satisfies the paper's diagram invariants (see
-  /// src/core/validate.h). Off by default: it re-reads the whole pool and,
-  /// with `validate.sample_queries` > 0, runs brute-force skyline queries.
-  bool validate_structure = false;
-  /// Forwarded to ValidateDiagram. Note `validate.require_canonical_pool`
-  /// must be false to load files saved from a mutated diagram, whose adopted
-  /// pool can hold duplicate contents.
-  ValidateOptions validate;
-};
-
 /// Serializes a cell diagram (quadrant or global) with its source dataset.
 std::string SerializeCellDiagram(const Dataset& dataset,
                                  const CellDiagram& diagram);
@@ -78,10 +62,8 @@ Status SaveCellDiagram(const Dataset& dataset, const CellDiagram& diagram,
                        const std::string& path);
 
 /// Deserializes; returns Corruption on malformed/damaged input.
-StatusOr<LoadedCellDiagram> ParseCellDiagram(const std::string& bytes,
-                                             const ParseOptions& options = {});
-StatusOr<LoadedCellDiagram> LoadCellDiagram(const std::string& path,
-                                            const ParseOptions& options = {});
+StatusOr<LoadedCellDiagram> ParseCellDiagram(const std::string& bytes);
+StatusOr<LoadedCellDiagram> LoadCellDiagram(const std::string& path);
 
 /// Subcell (dynamic) variants.
 std::string SerializeSubcellDiagram(const Dataset& dataset,
@@ -89,10 +71,8 @@ std::string SerializeSubcellDiagram(const Dataset& dataset,
 Status SaveSubcellDiagram(const Dataset& dataset,
                           const SubcellDiagram& diagram,
                           const std::string& path);
-StatusOr<LoadedSubcellDiagram> ParseSubcellDiagram(
-    const std::string& bytes, const ParseOptions& options = {});
-StatusOr<LoadedSubcellDiagram> LoadSubcellDiagram(
-    const std::string& path, const ParseOptions& options = {});
+StatusOr<LoadedSubcellDiagram> ParseSubcellDiagram(const std::string& bytes);
+StatusOr<LoadedSubcellDiagram> LoadSubcellDiagram(const std::string& path);
 
 /// Loads a blob of either kind: reads the file once and parses it as the
 /// kind its envelope names, so the body is hashed once. The loader for

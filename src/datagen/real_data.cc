@@ -109,8 +109,10 @@ StatusOr<Dataset> LoadDatasetCsv(const std::string& path,
                          : "row" + std::to_string(r));
     max_coord = std::max({max_coord, x, y});
   }
+  // Stops past Dataset::kMaxDomainSize, which Create then rejects, instead
+  // of doubling into signed overflow.
   int64_t domain = 1;
-  while (domain <= max_coord) domain *= 2;
+  while (domain <= max_coord && domain <= Dataset::kMaxDomainSize) domain *= 2;
   return Dataset::Create(std::move(points), domain, std::move(labels));
 }
 

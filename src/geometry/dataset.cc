@@ -7,10 +7,11 @@ namespace skydia {
 
 StatusOr<Dataset> Dataset::Create(std::vector<Point2D> points,
                                   int64_t domain_size,
-                                  std::vector<std::string> labels,
-                                  const DatasetOptions& options) {
-  if (domain_size <= 0) {
-    return Status::InvalidArgument("domain_size must be positive");
+                                  std::vector<std::string> labels) {
+  if (domain_size <= 0 || domain_size > kMaxDomainSize) {
+    return Status::InvalidArgument("domain_size " +
+                                   std::to_string(domain_size) +
+                                   " outside [1, 2^60]");
   }
   if (!labels.empty() && labels.size() != points.size()) {
     return Status::InvalidArgument("label count does not match point count");
@@ -20,27 +21,6 @@ StatusOr<Dataset> Dataset::Create(std::vector<Point2D> points,
       return Status::InvalidArgument("point " + ToString(p) +
                                      " outside domain [0, " +
                                      std::to_string(domain_size) + ")");
-    }
-  }
-  if (options.require_distinct_coordinates) {
-    std::unordered_set<int64_t> xs;
-    std::unordered_set<int64_t> ys;
-    xs.reserve(points.size());
-    ys.reserve(points.size());
-    for (const Point2D& p : points) {
-      // AlreadyExists (not InvalidArgument) so consumers — the serve
-      // layer's duplicate_coordinate error code — can branch on the code
-      // instead of matching message text.
-      if (!xs.insert(p.x).second) {
-        return Status::AlreadyExists(
-            "duplicate x coordinate " + std::to_string(p.x) +
-            " violates the distinct-coordinates requirement");
-      }
-      if (!ys.insert(p.y).second) {
-        return Status::AlreadyExists(
-            "duplicate y coordinate " + std::to_string(p.y) +
-            " violates the distinct-coordinates requirement");
-      }
     }
   }
   return Dataset(std::move(points), domain_size, std::move(labels));

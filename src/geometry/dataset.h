@@ -4,6 +4,7 @@
 #ifndef SKYDIA_SRC_GEOMETRY_DATASET_H_
 #define SKYDIA_SRC_GEOMETRY_DATASET_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,29 +14,25 @@
 
 namespace skydia {
 
-/// Validation options for Dataset::Create.
-struct DatasetOptions {
-  /// Reject datasets where two points share an x or a y coordinate value.
-  /// The paper's general-position setting: required by the sweeping
-  /// vertex-walk construction, and used by incremental maintenance to keep
-  /// the property alive across inserts.
-  bool require_distinct_coordinates = false;
-};
-
 /// An immutable 2-D dataset. Coordinates are validated to lie in
 /// [0, domain_size) at construction. Duplicate points and shared coordinate
 /// values are allowed (the diagram algorithms are tie-aware; see DESIGN.md),
 /// except where an algorithm documents a distinct-coordinates requirement.
 class Dataset {
  public:
+  /// The largest accepted domain_size. Query paths scale coordinates by up
+  /// to 4 (dynamic bisectors) after clamping them to [-1, domain_size], so
+  /// every such product must fit in an int64.
+  static constexpr int64_t kMaxDomainSize = int64_t{1} << 60;
+
   /// Validates coordinates against `domain_size` and builds the dataset.
   /// Optional `labels` (one per point) are carried for display; pass {} for
-  /// none. Returns InvalidArgument on out-of-domain coordinates, a label
-  /// count mismatch, or a violated DatasetOptions constraint.
+  /// none. Returns InvalidArgument on a domain_size outside
+  /// [1, kMaxDomainSize], out-of-domain coordinates or a label count
+  /// mismatch.
   static StatusOr<Dataset> Create(std::vector<Point2D> points,
                                   int64_t domain_size,
-                                  std::vector<std::string> labels = {},
-                                  const DatasetOptions& options = {});
+                                  std::vector<std::string> labels = {});
 
   size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
@@ -64,6 +61,17 @@ class Dataset {
   std::vector<std::string> labels_;
   int64_t domain_size_;
 };
+
+/// `q` with each coordinate clamped to [-1, domain_size]. For points in
+/// [0, domain_size) no skyline answer changes, under any of the three
+/// semantics: beyond every point on one side, every point stays in the same
+/// quadrant and every distance to that side shifts by the same amount. The
+/// query paths clamp before they scale a coordinate (by 2 or 4), which then
+/// cannot overflow for domain_size <= Dataset::kMaxDomainSize.
+inline Point2D ClampQuery(const Point2D& q, int64_t domain_size) {
+  return Point2D{std::clamp<int64_t>(q.x, -1, domain_size),
+                 std::clamp<int64_t>(q.y, -1, domain_size)};
+}
 
 /// An immutable d-dimensional dataset with row-major flat coordinate storage.
 class DatasetNd {

@@ -75,7 +75,7 @@ struct ServerMetrics {
   /// relaxed).
   std::atomic<uint64_t> worker_batches{0};
   /// Small pure-query batches executed inline on the event-loop thread
-  /// (the reactor fast path; see ServerOptions::inline_batch_lines; relaxed).
+  /// (the reactor fast path; see SkylineServer::kInlineBatchLines; relaxed).
   std::atomic<uint64_t> inline_batches{0};
   /// Batches currently queued for or running on the worker pool (relaxed
   /// gauge; guarded against underflow by GuardedDecrement).

@@ -34,8 +34,6 @@ Status MutationPipeline::EnsureShadowLocked() {
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("no snapshot installed");
   }
-  IncrementalOptions options;
-  options.require_distinct_coordinates = options_.require_distinct;
   // The shadow adopts the served objects: it starts as the very diagram
   // readers see, with nothing rebuilt or copied. Mutations replace the
   // shadow's pointers and never write through them, so the snapshot keeps
@@ -43,7 +41,7 @@ Status MutationPipeline::EnsureShadowLocked() {
   const ServableDiagram& served = *snapshot->diagram;
   if (served.subcell_diagram() != nullptr) {
     auto shadow = IncrementalDynamicDiagram::Adopt(
-        served.shared_dataset(), served.shared_subcell_diagram(), options);
+        served.shared_dataset(), served.shared_subcell_diagram());
     if (!shadow.ok()) return shadow.status();
     dynamic_ =
         std::make_unique<IncrementalDynamicDiagram>(std::move(*shadow));
@@ -53,7 +51,7 @@ Status MutationPipeline::EnsureShadowLocked() {
           "mutations are not supported for global semantics");
     }
     auto shadow = IncrementalQuadrantDiagram::Adopt(
-        served.shared_dataset(), served.shared_cell_diagram(), options);
+        served.shared_dataset(), served.shared_cell_diagram());
     if (!shadow.ok()) return shadow.status();
     quadrant_ =
         std::make_unique<IncrementalQuadrantDiagram>(std::move(*shadow));
@@ -281,13 +279,11 @@ uint64_t MutationPipeline::Publish() {
   const uint64_t start_ns = trace::NowNanos();
   ServableDiagram wrapped =
       cell != nullptr ? ServableDiagram::Wrap(std::move(dataset), cell,
-                                              SkylineQueryType::kQuadrant,
-                                              options_.engine)
-                      : ServableDiagram::Wrap(std::move(dataset), subcell,
-                                              options_.engine);
+                                              SkylineQueryType::kQuadrant)
+                      : ServableDiagram::Wrap(std::move(dataset), subcell);
   const size_t points = wrapped.dataset().size();
   const uint64_t generation =
-      registry_->Install(std::move(wrapped), std::move(source), options_.cache);
+      registry_->Install(std::move(wrapped), std::move(source));
   {
     MutexLock lock(mu_);
     publish_in_flight_ = false;

@@ -67,13 +67,12 @@
 #include "src/core/query_engine.h"
 #include "src/geometry/point.h"
 #include "src/serve/metrics.h"
-#include "src/serve/result_cache.h"
 #include "src/serve/snapshot_registry.h"
 
 namespace skydia::serve {
 
-/// Options for MutationPipeline (the server copies these out of its own
-/// ServerOptions so published snapshots serve exactly like loaded ones).
+/// Options for MutationPipeline. How a published snapshot is served (its
+/// reply cache) is the registry's to say, exactly as for a loaded one.
 struct MutationPipelineOptions {
   /// Publish coalescing window in milliseconds. <= 0 publishes every
   /// mutation synchronously before its ack; > 0 batches all mutations of a
@@ -82,13 +81,6 @@ struct MutationPipelineOptions {
   /// Mutations allowed to wait for one publish before new ones are
   /// rejected as overloaded. 0 disables the cap.
   size_t max_pending = 4096;
-  /// Enforce the distinct-coordinates invariant on insert (the
-  /// duplicate_coordinate protocol error).
-  bool require_distinct = false;
-  /// How published snapshots are wrapped — mirror the server's serving
-  /// options.
-  QueryEngineOptions engine;
-  ResultCacheOptions cache;
 };
 
 /// Point-in-time introspection of the write path, rendered by the server's
@@ -128,8 +120,7 @@ class MutationPipeline {
   MutationPipeline& operator=(const MutationPipeline&) = delete;
 
   /// Applies one insert to the shadow diagram. Errors (outside the domain,
-  /// duplicated coordinate under require_distinct, backlog full,
-  /// unsupported snapshot family) leave the shadow unchanged.
+  /// backlog full, unsupported snapshot family) leave the shadow unchanged.
   StatusOr<MutationAck> Insert(const Point2D& p,
                                std::optional<std::string> label)
       SKYDIA_EXCLUDES(publish_mu_, mu_);

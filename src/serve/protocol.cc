@@ -191,8 +191,6 @@ std::string_view ErrorCodeName(ErrorCode code) {
       return "parse_error";
     case ErrorCode::kInvalidArgument:
       return "invalid_argument";
-    case ErrorCode::kDuplicateCoordinate:
-      return "duplicate_coordinate";
     case ErrorCode::kUnknownPoint:
       return "unknown_point";
     case ErrorCode::kOverloaded:
@@ -207,8 +205,6 @@ ErrorCode ErrorCodeForStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kNotFound:
       return ErrorCode::kUnknownPoint;  // delete of a nonexistent id
-    case StatusCode::kAlreadyExists:
-      return ErrorCode::kDuplicateCoordinate;  // distinct-coordinate rule
     case StatusCode::kResourceExhausted:
       return ErrorCode::kOverloaded;  // mutation backlog full; retry later
     default:

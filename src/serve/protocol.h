@@ -155,7 +155,6 @@ struct Request {
 enum class ErrorCode {
   kParseError,           ///< the request line failed to parse
   kInvalidArgument,      ///< well-formed but unservable request
-  kDuplicateCoordinate,  ///< insert rejected by the distinct-coordinate rule
   kUnknownPoint,         ///< delete of an id outside the dataset
   kOverloaded,           ///< mutation backlog full; flush or retry later
 };
@@ -165,8 +164,8 @@ std::string_view ErrorCodeName(ErrorCode code);
 
 /// Maps a Status from the serving/mutation layers to its wire code, on the
 /// structured StatusCode alone (never on message text): NotFound ->
-/// unknown_point, AlreadyExists -> duplicate_coordinate, ResourceExhausted
-/// -> overloaded, everything else invalid_argument.
+/// unknown_point, ResourceExhausted -> overloaded, everything else
+/// invalid_argument.
 ErrorCode ErrorCodeForStatus(const Status& status);
 
 /// Parses one request line (without the trailing newline). Returns

@@ -116,7 +116,8 @@ std::string RenderStatsJson(const ServingSnapshot* snapshot) {
 }  // namespace
 
 SkylineServer::SkylineServer(const ServerOptions& options)
-    : options_(options) {
+    : options_(options),
+      registry_(options.cell_semantics, options.cache) {
   options_.num_workers = std::max(1, options_.num_workers);
 }
 
@@ -158,23 +159,27 @@ Status SkylineServer::BindAndListen() {
 }
 
 Status SkylineServer::Start(const std::string& blob_path) {
-  auto loaded =
-      ServableDiagram::Load(blob_path, options_.engine, options_.cell_semantics);
-  if (!loaded.ok()) return loaded.status();
-  return Start(std::move(loaded).value(), blob_path);
+  if (running_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("server already running");
+  }
+  if (Status loaded = registry_.Reload(blob_path); !loaded.ok()) {
+    return loaded;
+  }
+  return Serve();
 }
 
 Status SkylineServer::Start(ServableDiagram diagram, std::string source_path) {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server already running");
   }
-  registry_.Install(std::move(diagram), std::move(source_path), options_.cache);
+  registry_.Install(std::move(diagram), std::move(source_path));
+  return Serve();
+}
+
+Status SkylineServer::Serve() {
   MutationPipelineOptions mutation_options;
   mutation_options.window_ms = options_.mutation_window_ms;
   mutation_options.max_pending = options_.mutation_max_pending;
-  mutation_options.require_distinct = options_.mutation_require_distinct;
-  mutation_options.engine = options_.engine;
-  mutation_options.cache = options_.cache;
   mutations_ = std::make_unique<MutationPipeline>(&registry_, &metrics_,
                                                   mutation_options);
   auto bound = BindAndListen();
@@ -262,10 +267,7 @@ void SkylineServer::Stop() {
 }
 
 Status SkylineServer::Reload(const std::string& path) {
-  const auto swap = [&] {
-    return registry_.Reload(path, options_.engine, options_.cell_semantics,
-                            options_.cache);
-  };
+  const auto swap = [&] { return registry_.Reload(path); };
   // The registry swap and the shadow reset must share the pipeline's
   // publish exclusion: a publish that grabbed pre-reload shadow state
   // would otherwise Install() after the swap with a higher generation and
@@ -474,8 +476,8 @@ void SkylineServer::ProcessInput(Connection* conn) {
       std::string batch = conn->inbuf.substr(0, last_nl + 1);
       conn->inbuf.erase(0, last_nl + 1);
       // Establish the batch's request context here so the dispatch span on
-      // this thread and everything downstream (worker, engine pool) share
-      // one rid.
+      // this thread and everything downstream (worker, engine) share one
+      // rid.
       const uint64_t ctx = BatchRequestContext(batch);
       trace::ScopedRequestContext ctx_scope(ctx);
       SKYDIA_TRACE_SPAN("serve.dispatch");
@@ -504,7 +506,6 @@ void SkylineServer::ProcessInput(Connection* conn) {
 }
 
 bool SkylineServer::CanExecuteInline(const std::string& batch) const {
-  if (options_.inline_batch_lines <= 0) return false;
   // Reloads block on disk, range scans can walk a large slab of the grid,
   // and mutations take the pipeline mutex (and, with a zero window, run a
   // publish) — all belong on the pool. The substring test is conservative:
@@ -518,8 +519,7 @@ bool SkylineServer::CanExecuteInline(const std::string& batch) const {
       batch.find("flush") != std::string::npos) {
     return false;
   }
-  return std::count(batch.begin(), batch.end(), '\n') <=
-         static_cast<ptrdiff_t>(options_.inline_batch_lines);
+  return std::count(batch.begin(), batch.end(), '\n') <= kInlineBatchLines;
 }
 
 bool SkylineServer::ExecuteInline(Connection* conn, std::string_view lines) {
@@ -660,8 +660,12 @@ void SkylineServer::UpdateEpoll(Connection* conn) {
 
 void SkylineServer::TouchIdleWheel(Connection* conn) {
   if (wheel_tick_ms_ <= 0) return;
-  const int64_t tick =
-      static_cast<int64_t>(trace::NowNanos() / 1'000'000) / wheel_tick_ms_;
+  // Enroll relative to the hand, not the clock alone: after the loop lags
+  // two or more ticks, the clock's slot is one the catching-up hand sweeps
+  // in this very pass, which would close a connection that just spoke.
+  const int64_t tick = std::min(
+      static_cast<int64_t>(trace::NowNanos() / 1'000'000) / wheel_tick_ms_,
+      wheel_last_tick_ + 1);
   const int slot = static_cast<int>(
       (tick + static_cast<int64_t>(kWheelSlots) - 1) %
       static_cast<int64_t>(kWheelSlots));
@@ -733,7 +737,7 @@ void SkylineServer::WorkerLoop() {
     Completion completion;
     completion.conn_id = job.conn_id;
     // Re-establish the batch's request context on this thread: spans below
-    // (and the engine's query.shard spans fanned out from them) carry the
+    // (the engine's query.batch and query.shard among them) carry the
     // reactor's rid.
     trace::ScopedRequestContext ctx_scope(job.ctx);
     if (job.http) {

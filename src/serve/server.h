@@ -48,7 +48,7 @@
 // Request identity: every batch runs under a request-context token — the
 // first client-supplied "rid" in the batch, else a server-generated one —
 // so trace spans from the reactor dispatch, the worker, and the engine's
-// query shards share one id (src/common/trace.h). Replies, error replies and
+// query spans share one id (src/common/trace.h). Replies, error replies and
 // the slow-query log are stamped with the resolved rid.
 //
 // Robustness contract: a malformed line produces one error reply and the
@@ -63,6 +63,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -90,21 +91,14 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// Listen port; 0 picks a free port (read it back via port()).
   int port = 0;
-  /// Engine options for loaded snapshots (threads, batch threshold).
-  QueryEngineOptions engine;
   /// Semantics a cell blob encodes (the file format does not record
-  /// quadrant vs global; dynamic is inferred from subcell blobs).
+  /// quadrant vs global; dynamic is inferred from subcell blobs). Given to
+  /// the snapshot registry, which applies it to every load.
   SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant;
-  /// Per-snapshot reply cache sizing.
+  /// Per-snapshot reply cache sizing, likewise given to the registry.
   ResultCacheOptions cache;
   /// Worker threads executing parsed batches off the event loop (>= 1).
   int num_workers = 1;
-  /// Pure-query batches of at most this many lines execute inline on the
-  /// event-loop thread (the reactor fast path). Batches above the limit,
-  /// HTTP requests, and batches containing a command that can block the
-  /// loop (reload, range scans) always go to the worker pool. 0 sends
-  /// everything to the pool.
-  int inline_batch_lines = 64;
   /// A single request line (and a pipelined burst's buffer) may not exceed
   /// this many bytes; beyond it the connection is closed after one error.
   size_t max_request_bytes = 64 * 1024;
@@ -129,9 +123,6 @@ struct ServerOptions {
   /// Mutations allowed to wait for one publish before further mutation
   /// requests are rejected with the "overloaded" error code. 0 = no cap.
   size_t mutation_max_pending = 4096;
-  /// Reject inserts that duplicate an existing x or y coordinate (surfaced
-  /// as the "duplicate_coordinate" error code).
-  bool mutation_require_distinct = false;
 };
 
 /// The serve daemon. Start() binds, loads the initial snapshot and returns;
@@ -145,7 +136,8 @@ class SkylineServer {
   SkylineServer(const SkylineServer&) = delete;
   SkylineServer& operator=(const SkylineServer&) = delete;
 
-  /// Loads `blob_path` as the initial snapshot, binds and starts serving.
+  /// Loads `blob_path` as the initial snapshot (through the registry, like
+  /// a reload), binds and starts serving.
   Status Start(const std::string& blob_path);
   /// Starts serving an already-loaded diagram (tests and embedders).
   /// `source_path` is what a path-less reload re-reads ("" disables it).
@@ -215,6 +207,9 @@ class SkylineServer {
     bool close_after = false;  ///< HTTP one-shot: close once flushed
   };
 
+  /// Start's common tail: the write path, the socket, the reactor and the
+  /// workers, over the snapshot just installed.
+  Status Serve();
   Status BindAndListen();
   void ReactorLoop() SKYDIA_REACTOR_ONLY;
   void WorkerLoop() SKYDIA_EXCLUDES(jobs_mu_, completions_mu_);
@@ -227,7 +222,8 @@ class SkylineServer {
   void HandleReadable(Connection* conn) SKYDIA_REACTOR_ONLY;
   void HandleWritable(Connection* conn) SKYDIA_REACTOR_ONLY;
   void ProcessInput(Connection* conn) SKYDIA_REACTOR_ONLY;
-  /// Whether a complete-line batch qualifies for the inline fast path.
+  /// Whether a complete-line batch qualifies for the inline fast path: at
+  /// most kInlineBatchLines lines and no command that can block the loop.
   bool CanExecuteInline(const std::string& batch) const SKYDIA_REACTOR_ONLY;
   /// Answers a small batch directly on the event-loop thread and flushes.
   /// Returns false when the flush destroyed `conn`.
@@ -258,6 +254,12 @@ class SkylineServer {
   /// The /debug/snapshot payload: registry generation and points, mutation
   /// pipeline DebugState, and request-duration bucket exemplars.
   std::string RenderDebugSnapshotJson() const;
+
+  /// Pure-query batches of at most this many lines execute inline on the
+  /// event-loop thread (the reactor fast path). Larger batches, HTTP
+  /// requests, and batches containing a command that can block the loop
+  /// (reload, range scans, mutations) go to the worker pool.
+  static constexpr std::ptrdiff_t kInlineBatchLines = 64;
 
   ServerOptions options_;
   SnapshotRegistry registry_;

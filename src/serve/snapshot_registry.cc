@@ -4,18 +4,21 @@
 
 namespace skydia::serve {
 
+SnapshotRegistry::SnapshotRegistry(SkylineQueryType cell_semantics,
+                                   const ResultCacheOptions& cache)
+    : cell_semantics_(cell_semantics), cache_(cache) {}
+
 std::shared_ptr<const ServingSnapshot> SnapshotRegistry::Current() const {
   MutexLock lock(mu_);
   return current_;
 }
 
 uint64_t SnapshotRegistry::Install(ServableDiagram diagram,
-                                   std::string source_path,
-                                   const ResultCacheOptions& cache_options) {
+                                   std::string source_path) {
   auto snapshot = std::make_shared<ServingSnapshot>();
   snapshot->diagram =
       std::make_shared<const ServableDiagram>(std::move(diagram));
-  snapshot->cache = std::make_shared<ResultCache>(cache_options);
+  snapshot->cache = std::make_shared<ResultCache>(cache_);
   snapshot->source_path = std::move(source_path);
   std::shared_ptr<const ServingSnapshot> replaced;
   uint64_t generation = 0;
@@ -33,10 +36,7 @@ uint64_t SnapshotRegistry::Install(ServableDiagram diagram,
   return generation;
 }
 
-Status SnapshotRegistry::Reload(const std::string& path,
-                                const QueryEngineOptions& engine,
-                                SkylineQueryType cell_semantics,
-                                const ResultCacheOptions& cache_options) {
+Status SnapshotRegistry::Reload(const std::string& path) {
   std::string target = path;
   if (target.empty()) {
     auto current = Current();
@@ -48,9 +48,9 @@ Status SnapshotRegistry::Reload(const std::string& path,
   }
   // Load outside the lock: queries keep flowing against the old snapshot
   // while the replacement deserializes and builds its index.
-  auto loaded = ServableDiagram::Load(target, engine, cell_semantics);
+  auto loaded = ServableDiagram::Load(target, cell_semantics_);
   if (!loaded.ok()) return loaded.status();
-  Install(std::move(loaded).value(), std::move(target), cache_options);
+  Install(std::move(loaded).value(), std::move(target));
   return Status::OK();
 }
 

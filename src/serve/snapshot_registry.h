@@ -14,6 +14,11 @@
 // snapshots, so retiring the cache with its diagram makes stale cache hits
 // structurally impossible (no invalidation protocol to get wrong).
 //
+// The registry is the one place that says how a snapshot is served: it is
+// constructed once with the semantics a cell blob serves and the reply-cache
+// sizing, and every Install (start, mutation publish) and Reload applies
+// them, so a published or reloaded snapshot serves exactly like the first.
+//
 // Generation numbers increase monotonically from 1 and stamp every reply
 // ("gen" field), which is what the hot-swap stress test asserts on.
 #ifndef SKYDIA_SRC_SERVE_SNAPSHOT_REGISTRY_H_
@@ -44,7 +49,12 @@ struct ServingSnapshot {
 /// Thread-safe holder of the current ServingSnapshot.
 class SnapshotRegistry {
  public:
-  SnapshotRegistry() = default;
+  /// `cell_semantics` names what Reload serves a cell blob as (kQuadrant or
+  /// kGlobal; the file format does not record it, and subcell blobs always
+  /// serve kDynamic). `cache` sizes every snapshot's reply cache.
+  explicit SnapshotRegistry(
+      SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant,
+      const ResultCacheOptions& cache = {});
   SnapshotRegistry(const SnapshotRegistry&) = delete;
   SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
 
@@ -56,17 +66,14 @@ class SnapshotRegistry {
   /// fresh cache. Returns the new generation. The replaced snapshot is
   /// released after the swap's lock is dropped, so freeing it never stalls
   /// Current().
-  uint64_t Install(ServableDiagram diagram, std::string source_path,
-                   const ResultCacheOptions& cache_options = {})
+  uint64_t Install(ServableDiagram diagram, std::string source_path)
       SKYDIA_EXCLUDES(mu_);
 
-  /// Loads `path` and installs it. On failure the current snapshot is left
-  /// serving untouched. An empty `path` reloads the current snapshot's
-  /// source file (error when nothing is installed yet).
-  Status Reload(const std::string& path, const QueryEngineOptions& engine,
-                SkylineQueryType cell_semantics,
-                const ResultCacheOptions& cache_options = {})
-      SKYDIA_EXCLUDES(mu_);
+  /// Loads `path` under the registry's cell semantics and installs it. On
+  /// failure the current snapshot is left serving untouched. An empty
+  /// `path` reloads the current snapshot's source file (error when nothing
+  /// is installed yet).
+  Status Reload(const std::string& path) SKYDIA_EXCLUDES(mu_);
 
   /// Generation of the current snapshot (0 = nothing installed). Lock-free.
   uint64_t generation() const {
@@ -74,6 +81,8 @@ class SnapshotRegistry {
   }
 
  private:
+  const SkylineQueryType cell_semantics_;
+  const ResultCacheOptions cache_;
   mutable Mutex mu_;
   std::shared_ptr<const ServingSnapshot> current_ SKYDIA_GUARDED_BY(mu_);
   /// Mirrors current_->generation for the lock-free generation() fast path;

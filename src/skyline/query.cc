@@ -13,13 +13,15 @@ namespace skydia {
 std::vector<PointId> QuadrantSkyline(const Dataset& dataset, const Point2D& q,
                                      int quadrant) {
   SKYDIA_CHECK(quadrant >= 0 && quadrant < 4);
+  // Clamped so the distances below cannot overflow; the answer is the same.
+  const Point2D c = ClampQuery(q, dataset.domain_size());
   std::vector<PointId> ids;
   std::vector<Point2D> mapped;
   for (PointId id = 0; id < dataset.size(); ++id) {
     const Point2D& p = dataset.point(id);
-    if (QuadrantOf(p, q) != quadrant) continue;
+    if (QuadrantOf(p, c) != quadrant) continue;
     ids.push_back(id);
-    mapped.push_back(Point2D{std::llabs(p.x - q.x), std::llabs(p.y - q.y)});
+    mapped.push_back(Point2D{std::llabs(p.x - c.x), std::llabs(p.y - c.y)});
   }
   return MinStaircase(std::move(mapped), std::move(ids));
 }
@@ -64,7 +66,9 @@ std::vector<PointId> GlobalSkylineAt4(const Dataset& dataset, int64_t qx4,
 }
 
 std::vector<PointId> DynamicSkyline(const Dataset& dataset, const Point2D& q) {
-  return DynamicSkylineAt4(dataset, 4 * q.x, 4 * q.y);
+  // Clamped so that 4q cannot overflow; the answer is the same.
+  const Point2D c = ClampQuery(q, dataset.domain_size());
+  return DynamicSkylineAt4(dataset, 4 * c.x, 4 * c.y);
 }
 
 std::vector<PointId> DynamicSkylineAt4(const Dataset& dataset, int64_t qx4,

@@ -118,10 +118,14 @@ if ! "$SKYDIA" build --in points.csv --type quadrant --report \
     --out traced.skd | grep -q "build report:"; then
   fail "build --report output is missing the build report"
 fi
-# --batch-threshold 1 forces the batch through the sharded parallel path so
-# the trace carries per-shard spans on the pool-worker tracks.
-expect_ok "query --trace" "$SKYDIA" query traced.skd queries.csv \
-  --threads 2 --batch-threshold 1 --trace query_trace.json
+# --threads 2 splits a batch of 1024 or more points across a two-thread
+# pool, so the trace carries one query.shard span per pool-worker track.
+{
+  echo "x,y"
+  for i in $(seq 0 1199); do echo "$((i % 64)),$(((i * 7) % 64))"; done
+} > many_queries.csv
+expect_ok "query --trace" "$SKYDIA" query traced.skd many_queries.csv \
+  --threads 2 --trace query_trace.json
 if command -v python3 >/dev/null 2>&1; then
   # The golden contract: both files parse as Chrome trace-event JSON and
   # contain the span families the issue promises — build phases and stripe
@@ -149,6 +153,14 @@ assert "thread_name" in build_names, "build trace has no named tracks"
 query_names = names(sys.argv[2], "name")
 for want in ("load", "index.build", "query.batch", "query.shard"):
     assert want in query_names, f"query trace missing span {want!r}"
+with open(sys.argv[2], encoding="utf-8") as f:
+    query_events = json.load(f)["traceEvents"]
+track_names = {e["tid"]: e["args"]["name"] for e in query_events
+               if e["ph"] == "M" and e["name"] == "thread_name"}
+shard_tracks = [track_names.get(e["tid"], "") for e in query_events
+                if e["ph"] == "X" and e["name"] == "query.shard"]
+assert len(shard_tracks) == 2, f"expected 2 query.shard spans: {shard_tracks}"
+assert all(t.startswith("pool-worker-") for t in shard_tracks), shard_tracks
 print("trace JSON golden check passed")
 PYEOF
 else

@@ -220,25 +220,19 @@ TEST(IncrementalTest, RejectsOutOfDomainInserts) {
 }
 
 TEST(IncrementalTest, DatasetValidationFailureIsCleanStatusNotAbort) {
-  // Under require_distinct_coordinates, an insert that duplicates an existing
-  // coordinate makes the extended Dataset::Create fail. That failure must
-  // surface as AlreadyExists from Insert — never a process abort — and the
-  // diagram must keep serving its pre-insert state.
-  IncrementalOptions options;
-  options.require_distinct_coordinates = true;
+  // An insert the extended dataset rejects (a point outside the domain)
+  // must surface as InvalidArgument from Insert — never a process abort —
+  // and the diagram must keep serving its pre-insert state.
   auto base = Dataset::Create({{1, 2}, {3, 4}}, 16);
   ASSERT_TRUE(base.ok());
-  auto incremental = IncrementalQuadrantDiagram::Create(*base, options);
+  auto incremental = IncrementalQuadrantDiagram::Create(*base);
   ASSERT_TRUE(incremental.ok());
 
-  const auto dup_x = incremental->Insert({1, 7});  // x collides with (1, 2)
-  ASSERT_FALSE(dup_x.ok());
-  EXPECT_EQ(dup_x.status().code(), StatusCode::kAlreadyExists);
-  const auto dup_y = incremental->Insert({7, 4});  // y collides with (3, 4)
-  ASSERT_FALSE(dup_y.ok());
-  EXPECT_EQ(dup_y.status().code(), StatusCode::kAlreadyExists);
+  const auto outside = incremental->Insert({16, 7});
+  ASSERT_FALSE(outside.ok());
+  EXPECT_EQ(outside.status().code(), StatusCode::kInvalidArgument);
 
-  // The failed inserts changed nothing: size, ids, and results are intact.
+  // The failed insert changed nothing: size, ids, and results are intact.
   EXPECT_EQ(incremental->dataset().size(), 2u);
   auto ok = incremental->Insert({5, 6});
   ASSERT_TRUE(ok.ok());
@@ -248,11 +242,47 @@ TEST(IncrementalTest, DatasetValidationFailureIsCleanStatusNotAbort) {
   EXPECT_EQ(std::vector<PointId>(at_origin.begin(), at_origin.end()),
             FirstQuadrantSkyline(incremental->dataset(), {0, 0}));
 
-  // And Create itself rejects a seed dataset that violates the invariant.
-  auto bad_seed = IncrementalQuadrantDiagram::Create(
-      std::move(Dataset::Create({{2, 2}, {2, 5}}, 8)).value(), options);
-  ASSERT_FALSE(bad_seed.ok());
-  EXPECT_EQ(bad_seed.status().code(), StatusCode::kInvalidArgument);
+  // And Create itself rejects a seed dataset it cannot build from.
+  auto empty_seed = IncrementalQuadrantDiagram::Create(
+      std::move(Dataset::Create({}, 8)).value());
+  ASSERT_FALSE(empty_seed.ok());
+  EXPECT_EQ(empty_seed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(IncrementalTest, UniformWritePairsRecomputeTenfoldFewerCellsThanARebuild) {
+  // Incremental maintenance pays for itself only while a write recomputes
+  // far fewer cells than the (n+1)^2 a rebuild fills. Uniform insert/delete
+  // pairs at n=256 must stay at least 10x below that.
+  constexpr size_t kN = 256;
+  constexpr int64_t kDomain = int64_t{1} << 20;
+  constexpr int kPairs = 64;
+  DataGenOptions gen;
+  gen.n = kN;
+  gen.domain_size = kDomain;
+  gen.seed = 11;
+  auto dataset = GenerateDataset(gen);
+  ASSERT_TRUE(dataset.ok());
+  auto incremental = IncrementalQuadrantDiagram::Create(*std::move(dataset));
+  ASSERT_TRUE(incremental.ok());
+  Rng rng(11);
+  uint64_t recomputed = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    ASSERT_TRUE(incremental
+                    ->Insert({rng.NextInt(0, kDomain - 1),
+                              rng.NextInt(0, kDomain - 1)})
+                    .ok());
+    recomputed += incremental->last_insert_recomputed_cells();
+    const auto victim = static_cast<PointId>(
+        rng.NextInt(0, static_cast<int64_t>(kN)));  // kN + 1 live points
+    ASSERT_TRUE(incremental->Delete(victim).ok());
+    recomputed += incremental->last_delete_recomputed_cells();
+  }
+  const double per_write =
+      static_cast<double>(recomputed) / static_cast<double>(2 * kPairs);
+  const double rebuild = static_cast<double>((kN + 1) * (kN + 1));
+  EXPECT_GE(rebuild / per_write, 10.0)
+      << per_write << " cells per write against " << rebuild
+      << " for a rebuild";
 }
 
 TEST(IncrementalTest, LabelsExtendWhenPresent) {

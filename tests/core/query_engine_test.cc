@@ -10,11 +10,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.h"
+#include "src/common/trace.h"
 #include "src/core/diagram.h"
 #include "src/core/serialize.h"
 #include "src/datagen/distributions.h"
@@ -56,13 +60,12 @@ SkylineDiagram BuildOrDie(const Dataset& dataset, SkylineQueryType type) {
   return std::move(diagram).value();
 }
 
-QueryEngine MakeEngine(const SkylineDiagram& diagram,
-                       const QueryEngineOptions& options = {}) {
+QueryEngine MakeEngine(const SkylineDiagram& diagram) {
   if (diagram.cell_diagram() != nullptr) {
     return QueryEngine(diagram.dataset(), *diagram.cell_diagram(),
-                       diagram.type(), options);
+                       diagram.type());
   }
-  return QueryEngine(diagram.dataset(), *diagram.subcell_diagram(), options);
+  return QueryEngine(diagram.dataset(), *diagram.subcell_diagram());
 }
 
 /// Answer(q, {.exact = true}), unwrapped.
@@ -170,12 +173,12 @@ TEST(QueryEngineBatchTest, BatchMatchesSingleAcrossThreadCounts) {
     }
   }
 
-  for (const int threads : {1, 2, 7}) {
-    QueryEngineOptions options;
-    options.num_threads = threads;
-    options.parallel_batch_threshold = 128;  // force sharding
-    const QueryEngine engine = MakeEngine(diagram, options);
-    const std::vector<SetId> answers = engine.AnswerBatch(queries);
+  const QueryEngine engine = MakeEngine(diagram);
+  for (const size_t threads : {1, 2, 7}) {
+    // One thread means no pool: the batch answers on the calling thread.
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    const std::vector<SetId> answers = engine.AnswerBatch(queries, pool.get());
     ASSERT_EQ(answers.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       const auto got = engine.Get(answers[i]);
@@ -188,20 +191,21 @@ TEST(QueryEngineBatchTest, BatchMatchesSingleAcrossThreadCounts) {
   }
 }
 
-// Batches smaller than the pool leave some of its shards without work; every
-// slot of the output must still be written by the shard that owns it.
-TEST(QueryEngineBatchTest, BatchesSmallerThanThePoolFillEveryAnswer) {
+// A batch splits into one shard of ceil(size / threads) queries per pool
+// thread, so the last shards of a batch get fewer queries or none: 33
+// threads leave the last shard of a 1024-query batch empty. Every slot of
+// the output must still be written by the shard that owns it.
+TEST(QueryEngineBatchTest, ShardsWithoutWorkLeaveNoSlotUnwritten) {
   const Dataset ds =
       GeneratedDataset(40, 64, Distribution::kAnticorrelated, 17);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kGlobal);
-  QueryEngineOptions options;
-  options.num_threads = 4;
-  options.parallel_batch_threshold = 1;  // even one query fans out
-  const QueryEngine engine = MakeEngine(diagram, options);
+  const QueryEngine engine = MakeEngine(diagram);
+  ThreadPool pool(33);
 
   constexpr SetId kUnwritten = std::numeric_limits<SetId>::max();
+  constexpr size_t kSplit = QueryEngine::kParallelBatchThreshold;
   Rng rng(5);
-  for (size_t size = 1; size <= 9; ++size) {
+  for (const size_t size : {kSplit - 1, kSplit, kSplit + 1, kSplit + 31}) {
     std::vector<Point2D> queries;
     for (size_t i = 0; i < size; ++i) {
       queries.push_back(RandomQueryPoint(rng, ds));
@@ -209,7 +213,7 @@ TEST(QueryEngineBatchTest, BatchesSmallerThanThePoolFillEveryAnswer) {
     // Longer than the batch and pre-filled, so a skipped slot keeps the
     // sentinel after AnswerBatch shrinks it.
     std::vector<SetId> out(size + 4, kUnwritten);
-    engine.AnswerBatch(queries, &out);
+    engine.AnswerBatch(queries, &out, &pool);
     ASSERT_EQ(out.size(), size);
     for (size_t i = 0; i < size; ++i) {
       EXPECT_EQ(out[i], diagram.index().LocateSet(queries[i]))
@@ -218,15 +222,51 @@ TEST(QueryEngineBatchTest, BatchesSmallerThanThePoolFillEveryAnswer) {
   }
 }
 
+// The request context crosses into the caller's pool: every query.shard span
+// of a split batch carries the calling request's id, and none runs on the
+// calling thread.
+TEST(QueryEngineBatchTest, PoolShardsCarryTheCallersRequestId) {
+  const Dataset ds =
+      GeneratedDataset(64, 256, Distribution::kIndependent, 35);
+  const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
+  const QueryEngine engine = MakeEngine(diagram);
+  ThreadPool pool(3);
+  Rng rng(36);
+  std::vector<Point2D> queries;
+  while (queries.size() < 2 * QueryEngine::kParallelBatchThreshold) {
+    queries.push_back(RandomQueryPoint(rng, ds));
+  }
+
+  trace::SetEnabled(true);
+  trace::Reset();
+  {
+    trace::ScopedRequestContext request(trace::RegisterRequestId("batch-7"));
+    (void)engine.AnswerBatch(queries, &pool);
+  }
+  size_t shards = 0;
+  for (const trace::ThreadTrack& track : trace::Collect().threads) {
+    for (const trace::TraceEvent& event : track.events) {
+      if (event.kind != trace::TraceEvent::Kind::kSpan ||
+          std::string(event.name) != "query.shard") {
+        continue;
+      }
+      ++shards;
+      EXPECT_EQ(trace::RequestIdForToken(event.ctx), "batch-7");
+      EXPECT_NE(track.tid, trace::CurrentThreadId());
+    }
+  }
+  trace::SetEnabled(false);
+  trace::Reset();
+  EXPECT_EQ(shards, pool.num_threads());
+}
+
 TEST(QueryEngineBatchTest, SmallBatchesStayInline) {
   const Dataset ds = GeneratedDataset(16, 32, Distribution::kCorrelated, 5);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  QueryEngineOptions options;
-  options.num_threads = 4;
-  options.parallel_batch_threshold = 1 << 20;  // never reached
-  const QueryEngine engine = MakeEngine(diagram, options);
+  const QueryEngine engine = MakeEngine(diagram);
+  ThreadPool pool(4);
   const std::vector<Point2D> queries(100, Point2D{3, 3});
-  const std::vector<SetId> answers = engine.AnswerBatch(queries);
+  const std::vector<SetId> answers = engine.AnswerBatch(queries, &pool);
   ASSERT_EQ(answers.size(), queries.size());
   for (const SetId id : answers) EXPECT_EQ(id, answers.front());
 }
@@ -256,18 +296,16 @@ TEST(QueryEngineStatsTest, ParallelBatchCountsEveryQueryOnce) {
   const Dataset ds =
       GeneratedDataset(64, 256, Distribution::kIndependent, 33);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  QueryEngineOptions options;
-  options.num_threads = 4;
-  options.parallel_batch_threshold = 1;
-  const QueryEngine engine = MakeEngine(diagram, options);
+  const QueryEngine engine = MakeEngine(diagram);
+  ThreadPool pool(4);
 
   Rng rng(34);
   std::vector<Point2D> queries;
-  for (int i = 0; i < 1000; ++i) queries.push_back(RandomQueryPoint(rng, ds));
-  (void)engine.AnswerBatch(queries);
+  for (int i = 0; i < 2000; ++i) queries.push_back(RandomQueryPoint(rng, ds));
+  (void)engine.AnswerBatch(queries, &pool);
 
   const QueryEngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.queries_served, 1000u);
+  EXPECT_EQ(stats.queries_served, 2000u);
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.oracle_fallbacks, 0u);
   // Each of the four shards times at least its first query.
@@ -333,8 +371,7 @@ std::string TempBlobPath(const char* name) {
 // Saves `built` as a blob at `path`, loads it back for serving and deletes
 // the file.
 StatusOr<ServableDiagram> SaveAndLoad(const SkylineDiagram& built,
-                                      const std::string& path,
-                                      const QueryEngineOptions& options) {
+                                      const std::string& path) {
   const Status saved =
       built.cell_diagram() != nullptr
           ? SaveCellDiagram(built.dataset(), *built.cell_diagram(), path)
@@ -344,7 +381,7 @@ StatusOr<ServableDiagram> SaveAndLoad(const SkylineDiagram& built,
   const SkylineQueryType cell_semantics =
       built.type() == SkylineQueryType::kDynamic ? SkylineQueryType::kQuadrant
                                                  : built.type();
-  auto loaded = ServableDiagram::Load(path, options, cell_semantics);
+  auto loaded = ServableDiagram::Load(path, cell_semantics);
   std::remove(path.c_str());
   return loaded;
 }
@@ -365,7 +402,7 @@ TEST_P(ExactAnswerRuleTest, DiagramAndEngineFallBackAtTheSamePositions) {
   const QueryEngine engine = MakeEngine(diagram);
   const std::string name =
       std::string("exact_rule_") + SkylineQueryTypeName(type) + ".skd";
-  auto loaded = SaveAndLoad(diagram, TempBlobPath(name.c_str()), {});
+  auto loaded = SaveAndLoad(diagram, TempBlobPath(name.c_str()));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   uint64_t needs_oracle = 0;
@@ -402,7 +439,8 @@ INSTANTIATE_TEST_SUITE_P(AllSemantics, ExactAnswerRuleTest,
 
 // Positions that stress the half-open convention: domain corners, points
 // outside the domain, every data point (on both of its grid lines), one step
-// right of it (on its y line only) and one step below it, plus random fill.
+// right of it (on its y line only) and one step below it, plus random fill
+// that takes the batch past the engine's split threshold.
 std::vector<Point2D> BoundaryProbes(const Dataset& dataset, uint64_t seed) {
   const int64_t domain = dataset.domain_size();
   std::vector<Point2D> queries = {{0, 0},
@@ -417,7 +455,7 @@ std::vector<Point2D> BoundaryProbes(const Dataset& dataset, uint64_t seed) {
     queries.push_back({p.x, p.y - 1});
   }
   Rng rng(seed);
-  for (int i = 0; i < 300; ++i) {
+  while (queries.size() < QueryEngine::kParallelBatchThreshold + 300) {
     queries.push_back(
         {rng.NextInt(-2, domain + 2), rng.NextInt(-2, domain + 2)});
   }
@@ -427,21 +465,19 @@ std::vector<Point2D> BoundaryProbes(const Dataset& dataset, uint64_t seed) {
 class QueryEngineParallelBatchTest
     : public ::testing::TestWithParam<SkylineQueryType> {};
 
-// A loaded blob served by a four-thread engine that splits every batch: each
-// batched answer is the set a single lookup on an unthreaded engine over the
-// same diagram returns, boundary positions included, with the members the
-// fresh build answers.
+// A loaded blob whose batch splits across a four-thread pool: each batched
+// answer is the set a single lookup on a second engine over the same diagram
+// returns, boundary positions included, with the members the fresh build
+// answers.
 TEST_P(QueryEngineParallelBatchTest, BoundaryProbesMatchSingleAnswers) {
   const SkylineQueryType type = GetParam();
   const Dataset ds =
       GeneratedDataset(80, 512, Distribution::kIndependent, 9);
   const SkylineDiagram built = BuildOrDie(ds, type);
-  QueryEngineOptions options;
-  options.num_threads = 4;
-  options.parallel_batch_threshold = 1;
+  ThreadPool pool(4);
   const std::string name =
       std::string("parallel_batch_") + SkylineQueryTypeName(type) + ".skd";
-  auto servable = SaveAndLoad(built, TempBlobPath(name.c_str()), options);
+  auto servable = SaveAndLoad(built, TempBlobPath(name.c_str()));
   ASSERT_TRUE(servable.ok()) << servable.status();
   const QueryEngine& engine = servable->engine();
   const QueryEngine reference =
@@ -450,7 +486,7 @@ TEST_P(QueryEngineParallelBatchTest, BoundaryProbesMatchSingleAnswers) {
           : QueryEngine(servable->dataset(), *servable->cell_diagram(), type);
 
   const std::vector<Point2D> queries = BoundaryProbes(ds, 23);
-  const std::vector<SetId> batch = engine.AnswerBatch(queries);
+  const std::vector<SetId> batch = engine.AnswerBatch(queries, &pool);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const Point2D& q = queries[i];
@@ -464,6 +500,94 @@ TEST_P(QueryEngineParallelBatchTest, BoundaryProbesMatchSingleAnswers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSemantics, QueryEngineParallelBatchTest,
+                         ::testing::Values(SkylineQueryType::kQuadrant,
+                                           SkylineQueryType::kGlobal,
+                                           SkylineQueryType::kDynamic),
+                         [](const auto& info) {
+                           return std::string(
+                               SkylineQueryTypeName(info.param));
+                         });
+
+class FarOutQueryTest : public ::testing::TestWithParam<SkylineQueryType> {};
+
+std::vector<PointId> Ids(std::span<const PointId> span) {
+  return std::vector<PointId>(span.begin(), span.end());
+}
+
+// Coordinates far outside the domain, as the wire parser accepts them: every
+// entry point answers exactly as at the clamped position (ClampQuery), where
+// no coordinate overflows once the index doubles it or the oracle
+// quadruples it.
+TEST_P(FarOutQueryTest, AnswersEqualTheClampedPositions) {
+  const SkylineQueryType type = GetParam();
+  constexpr int64_t kLow = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kHigh = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kFar[] = {kLow, -(int64_t{1} << 62), int64_t{1} << 62,
+                              kHigh};
+  const Dataset four =
+      std::move(Dataset::Create({{1, 12}, {4, 3}, {9, 9}, {13, 1}}, 16))
+          .value();
+  for (const Dataset& ds : {four, RandomDataset(12, 16, 43)}) {
+    const SkylineDiagram diagram = BuildOrDie(ds, type);
+    const QueryEngine engine = MakeEngine(diagram);
+    const int64_t domain = ds.domain_size();
+    std::vector<int64_t> coords(std::begin(kFar), std::end(kFar));
+    for (const int64_t inside : {int64_t{0}, int64_t{3}, domain - 1}) {
+      coords.push_back(inside);
+    }
+    std::vector<Point2D> queries;
+    for (const int64_t x : coords) {
+      for (const int64_t y : coords) {
+        if ((x >= 0 && x < domain) && (y >= 0 && y < domain)) continue;
+        queries.push_back({x, y});
+      }
+    }
+    std::vector<Point2D> clamped;
+    for (const Point2D& q : queries) {
+      clamped.push_back(ClampQuery(q, domain));
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Point2D& q = queries[i];
+      const Point2D& c = clamped[i];
+      EXPECT_EQ(Ids(diagram.Query(q)), Ids(diagram.Query(c))) << "q = " << q;
+      EXPECT_EQ(diagram.QueryExact(q), diagram.QueryExact(c)) << "q = " << q;
+      EXPECT_EQ(diagram.QueryExact(q), OracleSkyline(ds, type, c))
+          << "q = " << q;
+      EXPECT_EQ(ExactAnswer(engine, q), ExactAnswer(engine, c)) << "q = " << q;
+      for (const SkylineQueryType other :
+           {SkylineQueryType::kQuadrant, SkylineQueryType::kGlobal,
+            SkylineQueryType::kDynamic}) {
+        QueryOptions options;
+        options.exact = true;
+        options.semantics = other;
+        EXPECT_EQ(engine.Answer(q, options).value(),
+                  OracleSkyline(ds, other, c))
+            << SkylineQueryTypeName(other) << " at q = " << q;
+      }
+    }
+    EXPECT_EQ(engine.AnswerBatch(queries), engine.AnswerBatch(clamped));
+
+    for (const int64_t lo : {kLow, -(int64_t{1} << 62), int64_t{3}}) {
+      for (const int64_t hi : {int64_t{1} << 62, kHigh}) {
+        const QueryRange range{lo, hi, lo, hi};
+        const QueryRange within{std::clamp<int64_t>(lo, -1, domain),
+                                std::clamp<int64_t>(hi, -1, domain),
+                                std::clamp<int64_t>(lo, -1, domain),
+                                std::clamp<int64_t>(hi, -1, domain)};
+        const auto got = engine.AnswerRange(range);
+        const auto want = engine.AnswerRange(within);
+        ASSERT_TRUE(got.ok() && want.ok());
+        EXPECT_EQ(got->union_ids, want->union_ids) << lo << ".." << hi;
+        EXPECT_EQ(got->intersection_ids, want->intersection_ids)
+            << lo << ".." << hi;
+        EXPECT_EQ(got->distinct_results, want->distinct_results)
+            << lo << ".." << hi;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSemantics, FarOutQueryTest,
                          ::testing::Values(SkylineQueryType::kQuadrant,
                                            SkylineQueryType::kGlobal,
                                            SkylineQueryType::kDynamic),
@@ -486,7 +610,7 @@ TEST(ServableDiagramTest, LoadedBlobServesIdenticallyToFreshBuild) {
     const Dataset ds =
         GeneratedDataset(28, 48, Distribution::kAnticorrelated, 31);
     const SkylineDiagram built = BuildOrDie(ds, c.type);
-    auto servable = SaveAndLoad(built, TempBlobPath(c.file), {});
+    auto servable = SaveAndLoad(built, TempBlobPath(c.file));
     ASSERT_TRUE(servable.ok()) << servable.status();
     EXPECT_EQ(servable->type(), c.type);
     ASSERT_EQ(servable->dataset().size(), ds.size());
@@ -504,8 +628,8 @@ TEST(ServableDiagramTest, LoadedBlobServesIdenticallyToFreshBuild) {
 }
 
 TEST(ServableDiagramTest, RejectsDynamicCellSemantics) {
-  const auto servable = ServableDiagram::Load(
-      TempBlobPath("unused.skd"), {}, SkylineQueryType::kDynamic);
+  const auto servable = ServableDiagram::Load(TempBlobPath("unused.skd"),
+                                              SkylineQueryType::kDynamic);
   ASSERT_FALSE(servable.ok());
   EXPECT_EQ(servable.status().code(), StatusCode::kInvalidArgument);
 }

@@ -523,6 +523,12 @@ TEST(SerializeTest, LoadDiagramRejectsCorruptBlobsOfEitherKind) {
     unknown[kKindPos] = 7;
     Rechecksum(&unknown);
     damaged.emplace_back("unknown kind, re-signed", unknown);
+    // Query paths quadruple coordinates, so the stored domain is bounded.
+    std::string huge_domain = *valid;
+    WriteU64At(&huge_domain, kKindPos + 1,
+               uint64_t{Dataset::kMaxDomainSize} + 1);
+    Rechecksum(&huge_domain);
+    damaged.emplace_back("domain past the bound, re-signed", huge_domain);
     for (const auto& [what, bytes] : damaged) {
       auto loaded = LoadBytes(bytes);
       ASSERT_FALSE(loaded.ok()) << what;

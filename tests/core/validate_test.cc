@@ -217,28 +217,35 @@ TEST(ValidateCorruptionTest, MutatedDiagramNeedsRelaxedOptions) {
 }
 
 TEST(ValidateOnLoadTest, RoundTrippedDiagramsPassAllFamilies) {
+  // A parsed blob satisfies every diagram invariant: the parser's per-field
+  // checks guard the decode, and ValidateDiagram proves the structure.
   const Dataset ds = RandomDataset(18, 24, 13);
-  ParseOptions parse;
-  parse.validate_structure = true;
-  parse.validate.sample_queries = 16;
+  ValidateOptions options;
+  options.sample_queries = 16;
 
   const SkylineDiagram quadrant =
       BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  auto loaded_q = ParseCellDiagram(
-      SerializeCellDiagram(ds, *quadrant.cell_diagram()), parse);
+  auto loaded_q =
+      ParseCellDiagram(SerializeCellDiagram(ds, *quadrant.cell_diagram()));
   ASSERT_TRUE(loaded_q.ok()) << loaded_q.status();
+  EXPECT_TRUE(
+      ValidateDiagram(loaded_q->dataset, loaded_q->diagram, options).ok());
 
   const SkylineDiagram global =
       BuildDiagram(ds, SkylineQueryType::kGlobal, BuildAlgorithm::kScanning);
   auto loaded_g =
-      ParseCellDiagram(SerializeCellDiagram(ds, *global.cell_diagram()), parse);
+      ParseCellDiagram(SerializeCellDiagram(ds, *global.cell_diagram()));
   ASSERT_TRUE(loaded_g.ok()) << loaded_g.status();
+  EXPECT_TRUE(
+      ValidateDiagram(loaded_g->dataset, loaded_g->diagram, options).ok());
 
   const SkylineDiagram dynamic =
       BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
   auto loaded_d = ParseSubcellDiagram(
-      SerializeSubcellDiagram(ds, *dynamic.subcell_diagram()), parse);
+      SerializeSubcellDiagram(ds, *dynamic.subcell_diagram()));
   ASSERT_TRUE(loaded_d.ok()) << loaded_d.status();
+  EXPECT_TRUE(
+      ValidateDiagram(loaded_d->dataset, loaded_d->diagram, options).ok());
 }
 
 }  // namespace

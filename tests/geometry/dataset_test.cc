@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace skydia {
 namespace {
 
@@ -10,6 +13,11 @@ TEST(DatasetTest, CreateValidatesDomain) {
   EXPECT_FALSE(Dataset::Create({{-1, 0}}, 10).ok());
   EXPECT_FALSE(Dataset::Create({{0, 10}}, 10).ok());
   EXPECT_TRUE(Dataset::Create({{0, 9}}, 10).ok());
+  // Query paths quadruple clamped coordinates, so the domain is bounded.
+  EXPECT_TRUE(Dataset::Create({{0, 0}}, Dataset::kMaxDomainSize).ok());
+  EXPECT_FALSE(Dataset::Create({{0, 0}}, Dataset::kMaxDomainSize + 1).ok());
+  EXPECT_FALSE(
+      Dataset::Create({{0, 0}}, std::numeric_limits<int64_t>::max()).ok());
 }
 
 TEST(DatasetTest, CreateValidatesLabelCount) {

@@ -1,7 +1,7 @@
 // End-to-end tests for the request-scoped observability surface: rid
-// stamping on replies, request-context propagation across the reactor, the
-// worker pool and the query engine's pool threads, the liveness/readiness
-// split, and the /debug/{trace,connections,snapshot} endpoints.
+// stamping on replies, request-context propagation across the reactor and
+// the worker pool, the liveness/readiness split, and the
+// /debug/{trace,connections,snapshot} endpoints.
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -64,14 +64,13 @@ class DebugEndpointsTest : public ::testing::Test {
 TEST_F(DebugEndpointsTest, ClientRidStampsReplyAndSpansAcrossThreads) {
   ScopedRecorder recorder;
   ServerOptions options;
-  options.inline_batch_lines = 0;  // force the worker-pool path
   options.num_workers = 2;
-  options.engine.num_threads = 2;
-  options.engine.parallel_batch_threshold = 1;  // even one query fans out
   StartServer("debug_rid.skd", options);
 
-  ASSERT_TRUE(
-      client_.SendLine(R"({"q":[512,512],"id":1,"rid":"X-req-1"})"));
+  // A range command never runs inline, so this request crosses from the
+  // reactor to a worker.
+  ASSERT_TRUE(client_.SendLine(
+      R"({"cmd":"range","x":[500,520],"y":[500,520],"id":1,"rid":"X-req-1"})"));
   const std::string reply = client_.ReadLine();
   // The rid is stamped as the last field of the reply.
   ASSERT_GE(reply.size(), 2u);
@@ -81,18 +80,16 @@ TEST_F(DebugEndpointsTest, ClientRidStampsReplyAndSpansAcrossThreads) {
       << reply;
 
   // Spans from this one request share the rid across the reactor thread
-  // (serve.dispatch), a worker thread (serve.batch), and an engine pool
-  // thread (query.shard). Tokens are resolved back to strings because
-  // interning is not idempotent.
+  // (serve.dispatch) and a worker thread (serve.batch). Tokens are resolved
+  // back to strings because interning is not idempotent.
   struct Seen {
     uint32_t tid = 0;
     bool found = false;
   };
   Seen dispatch;
   Seen batch;
-  Seen shard;
   for (int attempt = 0; attempt < 50; ++attempt) {
-    dispatch = batch = shard = Seen{};
+    dispatch = batch = Seen{};
     const trace::TraceSnapshot snapshot = trace::CollectRecent();
     for (const trace::ThreadTrack& track : snapshot.threads) {
       for (const trace::TraceEvent& event : track.events) {
@@ -103,19 +100,15 @@ TEST_F(DebugEndpointsTest, ClientRidStampsReplyAndSpansAcrossThreads) {
         const std::string name = event.name;
         if (name == "serve.dispatch") dispatch = {track.tid, true};
         if (name == "serve.batch") batch = {track.tid, true};
-        if (name == "query.shard") shard = {track.tid, true};
       }
     }
-    if (dispatch.found && batch.found && shard.found) break;
+    if (dispatch.found && batch.found) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_TRUE(dispatch.found) << "no serve.dispatch span with the rid";
   EXPECT_TRUE(batch.found) << "no serve.batch span with the rid";
-  EXPECT_TRUE(shard.found) << "no query.shard span with the rid";
-  // The reactor, the worker and the engine pool are genuinely different
-  // threads.
+  // The reactor and the worker are genuinely different threads.
   EXPECT_NE(dispatch.tid, batch.tid);
-  EXPECT_NE(shard.tid, batch.tid);
 
   // The same window is exported over HTTP as Perfetto JSON with rid args.
   const std::string traced = Http("/debug/trace");
@@ -142,18 +135,20 @@ TEST_F(DebugEndpointsTest, MissingOrInvalidRidGetsServerGeneratedId) {
 }
 
 TEST_F(DebugEndpointsTest, MultiLineBatchSuffixesTheSharedRid) {
-  ServerOptions options;
-  options.inline_batch_lines = 0;
-  StartServer("debug_batch_rid.skd", options);
-  // Two lines delivered as one batch: a line's own rid is echoed verbatim,
-  // and a rid-less line borrows the batch id with a ".<index>" suffix so
-  // every reply of a pipelined batch stays individually addressable.
+  StartServer("debug_batch_rid.skd");
+  // Three lines delivered as one batch (the range line sends it to a
+  // worker): a line's own rid is echoed verbatim, and a rid-less line
+  // borrows the batch id with a ".<index>" suffix so every reply of a
+  // pipelined batch stays individually addressable.
   ASSERT_TRUE(client_.Send(
-      "{\"q\":[1,2],\"id\":0,\"rid\":\"B7\"}\n{\"q\":[3,4],\"id\":1}\n"));
+      "{\"q\":[1,2],\"id\":0,\"rid\":\"B7\"}\n{\"q\":[3,4],\"id\":1}\n"
+      "{\"cmd\":\"range\",\"x\":[1,3],\"y\":[2,4],\"id\":2}\n"));
   const std::string first = client_.ReadLine();
   const std::string second = client_.ReadLine();
+  const std::string third = client_.ReadLine();
   EXPECT_NE(first.find(",\"rid\":\"B7\"}"), std::string::npos) << first;
   EXPECT_NE(second.find(",\"rid\":\"B7.1\"}"), std::string::npos) << second;
+  EXPECT_NE(third.find(",\"rid\":\"B7.2\"}"), std::string::npos) << third;
 }
 
 TEST_F(DebugEndpointsTest, ErrorRepliesCarryTheRid) {

@@ -230,7 +230,7 @@ class MetricsFormatTest : public ::testing::Test {
     const std::string path = ::testing::TempDir() + "/metrics_format_" +
                              std::to_string(::getpid()) + ".skd";
     skydia::testing::SaveQuadrantFixture(256, 1 << 10, 7, path);
-    auto servable = ServableDiagram::Load(path, QueryEngineOptions{});
+    auto servable = ServableDiagram::Load(path);
     std::remove(path.c_str());
     ASSERT_TRUE(servable.ok()) << servable.status().ToString();
     snapshot_.diagram = std::make_shared<const ServableDiagram>(

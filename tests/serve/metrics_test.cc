@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "src/common/thread_pool.h"
 #include "src/common/version.h"
 #include "src/core/query_engine.h"
 #include "tests/serve/serve_test_util.h"
@@ -86,8 +87,7 @@ class MetricsRenderTest : public ::testing::Test {
     const std::string path = ::testing::TempDir() + "/metrics_fixture_" +
                              std::to_string(::getpid()) + ".skd";
     skydia::testing::SaveQuadrantFixture(256, 1 << 10, 99, path);
-    QueryEngineOptions options;
-    auto servable = ServableDiagram::Load(path, options);
+    auto servable = ServableDiagram::Load(path);
     std::remove(path.c_str());
     ASSERT_TRUE(servable.ok()) << servable.status().ToString();
     snapshot_.diagram = std::make_shared<const ServableDiagram>(
@@ -174,16 +174,13 @@ TEST_F(MetricsRenderTest, QueriesPerSecondAveragesOverUptime) {
   EXPECT_EQ(samples.at("skydia_queries_per_second"), 512.0);
 }
 
-// Queries answered on the engine's pool threads reach the served-queries
-// counter and the latency histogram that /metrics renders.
+// Queries a batch answers on a caller's pool threads reach the
+// served-queries counter and the latency histogram that /metrics renders.
 TEST(MetricsEngineTest, PoolThreadQueriesAreAllCounted) {
   const std::string path = ::testing::TempDir() + "/metrics_pool_" +
                            std::to_string(::getpid()) + ".skd";
   skydia::testing::SaveQuadrantFixture(256, 1 << 10, 98, path);
-  QueryEngineOptions options;
-  options.num_threads = 4;
-  options.parallel_batch_threshold = 1;  // every batch fans out
-  auto servable = ServableDiagram::Load(path, options);
+  auto servable = ServableDiagram::Load(path);
   std::remove(path.c_str());
   ASSERT_TRUE(servable.ok()) << servable.status().ToString();
   ServingSnapshot snapshot;
@@ -192,17 +189,19 @@ TEST(MetricsEngineTest, PoolThreadQueriesAreAllCounted) {
   snapshot.cache = std::make_shared<ResultCache>();
   snapshot.generation = 1;
 
+  // Past the engine's split threshold, so the batch splits across the pool.
   std::vector<Point2D> queries;
-  for (int i = 0; i < 1000; ++i) {
+  for (int i = 0; i < 2000; ++i) {
     queries.push_back(Point2D{(i * 13) % 1024, (i * 29) % 1024});
   }
+  ThreadPool pool(4);
   std::vector<SetId> out;
-  snapshot.diagram->engine().AnswerBatch(queries, &out);
+  snapshot.diagram->engine().AnswerBatch(queries, &out, &pool);
 
   ServerMetrics metrics;
   const std::map<std::string, double> samples = ParseSamples(
       RenderPrometheusMetrics(metrics, &snapshot, /*uptime_seconds=*/1.0));
-  EXPECT_EQ(samples.at("skydia_queries_served_total"), 1000.0);
+  EXPECT_EQ(samples.at("skydia_queries_served_total"), 2000.0);
   const double count = samples.at("skydia_query_latency_ns_count");
   EXPECT_EQ(count, static_cast<double>(
                        snapshot.diagram->engine().Stats().latency_samples));

@@ -33,7 +33,7 @@ using skydia::testing::RandomDistinctDataset;
 /// Installs a quadrant-cell snapshot over `dataset` (built through the same
 /// incremental type the pipeline shadows, so structure sharing is exercised).
 uint64_t InstallQuadrant(SnapshotRegistry* registry, const Dataset& dataset) {
-  auto built = IncrementalQuadrantDiagram::Create(dataset, {});
+  auto built = IncrementalQuadrantDiagram::Create(dataset);
   SKYDIA_CHECK(built.ok());
   return registry->Install(
       ServableDiagram::Wrap(built->shared_dataset(), built->shared_diagram(),
@@ -43,7 +43,7 @@ uint64_t InstallQuadrant(SnapshotRegistry* registry, const Dataset& dataset) {
 
 /// Installs a dynamic (subcell) snapshot over `dataset`.
 uint64_t InstallDynamic(SnapshotRegistry* registry, const Dataset& dataset) {
-  auto built = IncrementalDynamicDiagram::Create(dataset, {});
+  auto built = IncrementalDynamicDiagram::Create(dataset);
   SKYDIA_CHECK(built.ok());
   return registry->Install(
       ServableDiagram::Wrap(built->shared_dataset(), built->shared_diagram()),
@@ -305,23 +305,6 @@ TEST(MutationPipelineTest, DeferredAckBoundHoldsUnderConcurrentFlushes) {
   flusher.join();
 }
 
-TEST(MutationPipelineTest, RequireDistinctMapsToDuplicateCoordinate) {
-  SnapshotRegistry registry;
-  ServerMetrics metrics;
-  const Dataset dataset = RandomDistinctDataset(16, 1024, /*seed=*/11);
-  InstallQuadrant(&registry, dataset);
-
-  MutationPipelineOptions options;
-  options.require_distinct = true;
-  MutationPipeline pipeline(&registry, &metrics, options);
-  const Point2D clash{dataset.point(0).x, dataset.point(0).y + 1};
-  auto dup = pipeline.Insert(clash, std::nullopt);
-  ASSERT_FALSE(dup.ok());
-  EXPECT_EQ(dup.status().code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(ErrorCodeForStatus(dup.status()),
-            ErrorCode::kDuplicateCoordinate);
-}
-
 TEST(MutationPipelineTest, GlobalSemanticsSnapshotRejectsMutations) {
   SnapshotRegistry registry;
   ServerMetrics metrics;
@@ -377,7 +360,7 @@ TEST(MutationPipelineTest, DynamicFamilyMutatesAndKeepsSubcellShape) {
   points.erase(points.begin());
   auto oracle_ds = Dataset::Create(points, 1024);
   ASSERT_TRUE(oracle_ds.ok());
-  auto oracle = IncrementalDynamicDiagram::Create(*oracle_ds, {});
+  auto oracle = IncrementalDynamicDiagram::Create(*oracle_ds);
   ASSERT_TRUE(oracle.ok());
   const PointLocationIndex oracle_index(oracle->diagram());
   for (const Point2D q : {Point2D{5, 5}, Point2D{321, 123}}) {
@@ -447,10 +430,7 @@ TEST(MutationPipelineTest, FirstWriteAdoptsTheServedDiagramWithoutABuild) {
     SaveBlob(first, type, path);
     SnapshotRegistry registry;
     ServerMetrics metrics;
-    ASSERT_TRUE(registry
-                    .Reload(path, QueryEngineOptions{},
-                            SkylineQueryType::kQuadrant)
-                    .ok());
+    ASSERT_TRUE(registry.Reload(path).ok());
     MutationPipeline pipeline(&registry, &metrics, {});
 
     trace::SetEnabled(true);
@@ -466,10 +446,7 @@ TEST(MutationPipelineTest, FirstWriteAdoptsTheServedDiagramWithoutABuild) {
     const Dataset second = RandomDistinctDataset(24, 1024, /*seed=*/32);
     SaveBlob(second, type, path);
     ASSERT_TRUE(pipeline
-                    .ReloadAndReset([&] {
-                      return registry.Reload(path, QueryEngineOptions{},
-                                             SkylineQueryType::kQuadrant);
-                    })
+                    .ReloadAndReset([&] { return registry.Reload(path); })
                     .ok());
     trace::Reset();
     ASSERT_TRUE(pipeline.Insert({1002, 1003}, std::nullopt).ok());
@@ -492,11 +469,9 @@ TEST(MutationPipelineTest, LoadedGlobalBlobStillRejectsMutations) {
   const std::string path = ::testing::TempDir() + "/adopt_global.skd";
   SaveBlob(RandomDistinctDataset(16, 1024, /*seed=*/33),
            SkylineQueryType::kGlobal, path);
-  SnapshotRegistry registry;
+  SnapshotRegistry registry(SkylineQueryType::kGlobal);
   ServerMetrics metrics;
-  ASSERT_TRUE(
-      registry.Reload(path, QueryEngineOptions{}, SkylineQueryType::kGlobal)
-          .ok());
+  ASSERT_TRUE(registry.Reload(path).ok());
   MutationPipeline pipeline(&registry, &metrics, {});
   auto rejected = pipeline.Insert({3, 3}, std::nullopt);
   ASSERT_FALSE(rejected.ok());

@@ -279,8 +279,6 @@ TEST(ErrorCodeTest, NamesAreStable) {
   // Wire contract: these spellings are what clients branch on.
   EXPECT_EQ(ErrorCodeName(ErrorCode::kParseError), "parse_error");
   EXPECT_EQ(ErrorCodeName(ErrorCode::kInvalidArgument), "invalid_argument");
-  EXPECT_EQ(ErrorCodeName(ErrorCode::kDuplicateCoordinate),
-            "duplicate_coordinate");
   EXPECT_EQ(ErrorCodeName(ErrorCode::kUnknownPoint), "unknown_point");
   EXPECT_EQ(ErrorCodeName(ErrorCode::kOverloaded), "overloaded");
 }
@@ -288,9 +286,6 @@ TEST(ErrorCodeTest, NamesAreStable) {
 TEST(ErrorCodeTest, StatusMapping) {
   EXPECT_EQ(ErrorCodeForStatus(Status::NotFound("unknown point id 3")),
             ErrorCode::kUnknownPoint);
-  EXPECT_EQ(ErrorCodeForStatus(
-                Status::AlreadyExists("duplicate x coordinate 7")),
-            ErrorCode::kDuplicateCoordinate);
   EXPECT_EQ(ErrorCodeForStatus(Status::ResourceExhausted(
                 "mutation backlog full (9 pending); flush or retry")),
             ErrorCode::kOverloaded);

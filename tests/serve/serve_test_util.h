@@ -22,20 +22,28 @@
 
 namespace skydia::testing {
 
-/// Builds a quadrant diagram over a seeded random dataset and saves it to
+/// Builds a diagram of `type` over a seeded random dataset and saves it to
 /// `path` (overwriting). Returns the dataset for oracle comparisons.
-inline Dataset SaveQuadrantFixture(size_t n, int64_t domain, uint64_t seed,
-                                   const std::string& path) {
+inline Dataset SaveFixture(SkylineQueryType type, size_t n, int64_t domain,
+                           uint64_t seed, const std::string& path) {
   Dataset dataset = RandomDataset(n, domain, seed);
-  auto diagram =
-      SkylineDiagram::Build(std::move(dataset), SkylineQueryType::kQuadrant);
+  auto diagram = SkylineDiagram::Build(std::move(dataset), type);
   SKYDIA_CHECK(diagram.ok());
-  SKYDIA_CHECK(
-      SaveCellDiagram(diagram->dataset(), *diagram->cell_diagram(), path)
-          .ok());
+  SKYDIA_CHECK((diagram->cell_diagram() != nullptr
+                    ? SaveCellDiagram(diagram->dataset(),
+                                      *diagram->cell_diagram(), path)
+                    : SaveSubcellDiagram(diagram->dataset(),
+                                         *diagram->subcell_diagram(), path))
+                   .ok());
   auto copy = Dataset::Create(diagram->dataset().points(),
                               diagram->dataset().domain_size());
   return std::move(copy).value();
+}
+
+/// SaveFixture for a quadrant diagram.
+inline Dataset SaveQuadrantFixture(size_t n, int64_t domain, uint64_t seed,
+                                   const std::string& path) {
+  return SaveFixture(SkylineQueryType::kQuadrant, n, domain, seed, path);
 }
 
 /// A blocking line-oriented test client with a receive timeout, so a server

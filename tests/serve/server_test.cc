@@ -351,18 +351,20 @@ TEST_F(ServerTest, IdleConnectionsAreClosedByTheWheel) {
 TEST_F(ServerTest, ActiveConnectionSurvivesTheIdleWheel) {
   ServerOptions options;
   options.port = 0;
-  // Generous timeout-to-cadence ratio: sanitizer builds on a loaded
-  // one-core host can stall a 30ms sleep past a tight idle window.
-  options.idle_timeout_ms = 300;
+  // A touched connection expires no sooner than 14 wheel ticks later,
+  // 1008 ms for a 1 s timeout, so only a stall of about a second between
+  // two 30 ms queries fails this test; sanitizer builds on a loaded host
+  // stall far less than that.
+  options.idle_timeout_ms = 1000;
   path_ = FixturePath("server_active.skd");
   SaveQuadrantFixture(16, 1024, /*seed=*/1, path_);
   server_ = std::make_unique<SkylineServer>(options);
   ASSERT_TRUE(server_->Start(path_).ok());
   ASSERT_TRUE(client_.Connect(server_->port()));
-  // Query steadily for several timeout periods; the touches must keep the
-  // connection enrolled ahead of the hand.
+  // Query steadily for more than two timeout periods; the touches must keep
+  // the connection enrolled ahead of the hand.
   const auto until =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(900);
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(2500);
   while (std::chrono::steady_clock::now() < until) {
     ASSERT_TRUE(client_.SendLine(R"({"q":[3,4]})"));
     ASSERT_FALSE(client_.ReadLine().empty());
@@ -575,6 +577,110 @@ TEST_F(ServerTest, ReloadDiscardsUnpublishedMutations) {
   ASSERT_TRUE(client_.SendLine(R"({"cmd":"flush","id":3})"));
   EXPECT_EQ(StripRid(client_.ReadLine()), "{\"id\":3,\"ok\":true,\"gen\":2}");
   EXPECT_EQ(server_->registry().Current()->diagram->dataset().size(), 32u);
+}
+
+TEST_F(ServerTest, ZeroCapacityCacheStaysOffAfterReloadAndPublish) {
+  // The registry sizes every snapshot's cache, whichever path installed it.
+  ServerOptions options;
+  options.port = 0;
+  options.cache.capacity = 0;
+  path_ = FixturePath("server_no_cache.skd");
+  SaveQuadrantFixture(32, 1024, /*seed=*/5, path_);
+  server_ = std::make_unique<SkylineServer>(options);
+  ASSERT_TRUE(server_->Start(path_).ok());
+  ASSERT_TRUE(client_.Connect(server_->port()));
+  const auto query_twice = [&](uint64_t generation) {
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(client_.SendLine(R"({"q":[512,512]})"));
+      const std::string reply = client_.ReadLine();
+      EXPECT_EQ(reply.rfind("{\"gen\":" + std::to_string(generation) +
+                                ",\"ids\":",
+                            0),
+                0u)
+          << reply;
+    }
+    const auto snapshot = server_->registry().Current();
+    EXPECT_EQ(snapshot->generation, generation);
+    EXPECT_EQ(snapshot->cache->Stats().hits, 0u);
+    EXPECT_EQ(snapshot->cache->Stats().misses, 2u);
+  };
+  query_twice(1);
+  ASSERT_TRUE(client_.SendLine(R"({"cmd":"reload"})"));
+  ASSERT_EQ(StripRid(client_.ReadLine()), "{\"ok\":true,\"gen\":2}");
+  query_twice(2);
+  ASSERT_TRUE(client_.SendLine(R"({"cmd":"insert","x":1,"y":1})"));
+  ASSERT_EQ(StripRid(client_.ReadLine()),
+            "{\"ok\":true,\"gen\":3,\"point\":32}");
+  query_twice(3);
+}
+
+TEST_F(ServerTest, GlobalServerReloadedFromAGlobalBlobKeepsGlobalSemantics) {
+  ServerOptions options;
+  options.port = 0;
+  options.cell_semantics = SkylineQueryType::kGlobal;
+  path_ = FixturePath("server_global.skd");
+  dataset_ = skydia::testing::SaveFixture(SkylineQueryType::kGlobal, 48, 1024,
+                                          /*seed=*/8, path_);
+  server_ = std::make_unique<SkylineServer>(options);
+  ASSERT_TRUE(server_->Start(path_).ok());
+  ASSERT_TRUE(client_.Connect(server_->port()));
+  const auto expect_global = [&](uint64_t generation) {
+    EXPECT_EQ(server_->registry().Current()->diagram->type(),
+              SkylineQueryType::kGlobal);
+    for (const Point2D q :
+         {Point2D{0, 0}, Point2D{300, 700}, Point2D{512, 512}}) {
+      ASSERT_TRUE(client_.SendLine("{\"q\":[" + std::to_string(q.x) + "," +
+                                   std::to_string(q.y) +
+                                   "],\"semantics\":\"global\"}"));
+      EXPECT_EQ(StripRid(client_.ReadLine()),
+                "{\"gen\":" + std::to_string(generation) + ",\"ids\":" +
+                    RenderIdsArray(GlobalSkyline(*dataset_, q)) + "}");
+    }
+  };
+  expect_global(1);
+  dataset_ = skydia::testing::SaveFixture(SkylineQueryType::kGlobal, 40, 1024,
+                                          /*seed=*/9, path_);
+  ASSERT_TRUE(server_->Reload("").ok());
+  expect_global(2);
+}
+
+TEST_F(ServerTest, FarOutCoordinatesAnswerLikeTheClampedPositions) {
+  // The wire accepts any int64, and a dynamic diagram doubles a coordinate
+  // to locate it: the answer must be the one at the clamped position.
+  ServerOptions options;
+  options.port = 0;
+  path_ = FixturePath("server_far_out.skd");
+  dataset_ = skydia::testing::SaveFixture(SkylineQueryType::kDynamic, 12, 64,
+                                          /*seed=*/4, path_);
+  server_ = std::make_unique<SkylineServer>(options);
+  ASSERT_TRUE(server_->Start(path_).ok());
+  ASSERT_TRUE(client_.Connect(server_->port()));
+  const std::string low = "-9223372036854775808";
+  const std::string high = "9223372036854775807";
+  const auto reply_to = [&](const std::string& line) {
+    EXPECT_TRUE(client_.SendLine(line));
+    return StripRid(client_.ReadLine());
+  };
+  const std::pair<std::string, std::string> lines[] = {
+      {"{\"q\":[" + high + ",3]}", R"({"q":[64,3]})"},
+      {"{\"q\":[5," + low + "]}", R"({"q":[5,-1]})"},
+      {"{\"q\":[" + low + "," + high + "],\"exact\":true}",
+       R"({"q":[-1,64],"exact":true})"},
+      {"{\"q\":[" + high + "," + high +
+           "],\"semantics\":\"quadrant\",\"exact\":true}",
+       R"({"q":[64,64],"semantics":"quadrant","exact":true})"},
+      {"{\"cmd\":\"range\",\"x\":[" + low + "," + high + "],\"y\":[" +
+           low + ",10]}",
+       R"({"cmd":"range","x":[-1,64],"y":[-1,10]})"},
+  };
+  for (const auto& [far, clamped] : lines) {
+    const std::string got = reply_to(far);
+    EXPECT_EQ(got.find("\"error\""), std::string::npos) << far << " -> " << got;
+    EXPECT_EQ(got, reply_to(clamped)) << far;
+  }
+  EXPECT_EQ(reply_to("{\"q\":[" + high + ",3],\"exact\":true}"),
+            "{\"gen\":1,\"ids\":" +
+                RenderIdsArray(DynamicSkyline(*dataset_, {64, 3})) + "}");
 }
 
 TEST(ServerStartTest, MissingBlobFailsCleanly) {

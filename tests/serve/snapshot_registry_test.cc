@@ -51,18 +51,13 @@ TEST(SnapshotRegistryTest, ReloadSwapsAndOldSnapshotSurvivesPin) {
   SaveQuadrantFixture(32, 1024, /*seed=*/1, path);
 
   SnapshotRegistry registry;
-  ASSERT_TRUE(registry
-                  .Reload(path, QueryEngineOptions{},
-                          SkylineQueryType::kQuadrant)
-                  .ok());
+  ASSERT_TRUE(registry.Reload(path).ok());
   const auto pinned = registry.Current();
   ASSERT_NE(pinned, nullptr);
 
   // Overwrite the blob with a different dataset and reload by stored path.
   SaveQuadrantFixture(48, 1024, /*seed=*/2, path);
-  ASSERT_TRUE(
-      registry.Reload("", QueryEngineOptions{}, SkylineQueryType::kQuadrant)
-          .ok());
+  ASSERT_TRUE(registry.Reload("").ok());
   EXPECT_EQ(registry.generation(), 2u);
 
   // The pinned generation keeps answering from the old dataset.
@@ -76,13 +71,8 @@ TEST(SnapshotRegistryTest, FailedReloadKeepsServing) {
   SaveQuadrantFixture(32, 1024, /*seed=*/1, path);
 
   SnapshotRegistry registry;
-  ASSERT_TRUE(registry
-                  .Reload(path, QueryEngineOptions{},
-                          SkylineQueryType::kQuadrant)
-                  .ok());
-  const Status bad = registry.Reload(path + ".does-not-exist",
-                                     QueryEngineOptions{},
-                                     SkylineQueryType::kQuadrant);
+  ASSERT_TRUE(registry.Reload(path).ok());
+  const Status bad = registry.Reload(path + ".does-not-exist");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(registry.generation(), 1u);
   ASSERT_NE(registry.Current(), nullptr);
@@ -91,8 +81,7 @@ TEST(SnapshotRegistryTest, FailedReloadKeepsServing) {
 
 TEST(SnapshotRegistryTest, PathlessReloadWithoutInstallFails) {
   SnapshotRegistry registry;
-  const Status s =
-      registry.Reload("", QueryEngineOptions{}, SkylineQueryType::kQuadrant);
+  const Status s = registry.Reload("");
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
@@ -102,14 +91,9 @@ TEST(SnapshotRegistryTest, FreshCachePerSnapshot) {
   SaveQuadrantFixture(32, 1024, /*seed=*/1, path);
 
   SnapshotRegistry registry;
-  ASSERT_TRUE(registry
-                  .Reload(path, QueryEngineOptions{},
-                          SkylineQueryType::kQuadrant)
-                  .ok());
+  ASSERT_TRUE(registry.Reload(path).ok());
   registry.Current()->cache->Insert(1, "stale");
-  ASSERT_TRUE(
-      registry.Reload("", QueryEngineOptions{}, SkylineQueryType::kQuadrant)
-          .ok());
+  ASSERT_TRUE(registry.Reload("").ok());
   std::string value;
   EXPECT_FALSE(registry.Current()->cache->Lookup(1, &value));
 }
@@ -151,10 +135,7 @@ TEST(SnapshotRegistryTest, ReplacedSnapshotIsFreedOutsideTheLock) {
 
   const std::string path = FixturePath("registry_free_outside_lock.skd");
   SaveQuadrantFixture(16, 256, /*seed=*/4, path);
-  ASSERT_TRUE(registry
-                  .Reload(path, QueryEngineOptions{},
-                          SkylineQueryType::kQuadrant)
-                  .ok());
+  ASSERT_TRUE(registry.Reload(path).ok());
   ASSERT_TRUE(deleter_ran);
   EXPECT_TRUE(reader_was_free)
       << "Current() blocked while the replaced snapshot was freed";

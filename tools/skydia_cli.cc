@@ -9,9 +9,9 @@
 //          --out diagram.skd
 //   skydia query   diagram.skd points.csv [--threads T] [--exact]
 //          [--semantics quadrant|global] [--stats] [--bench [--repeat R]]
-//          [--trace out.json] [--batch-threshold N]
+//          [--trace out.json]
 //   skydia query   diagram.skd --qx 10 --qy 80 [--exact]
-//   skydia serve   diagram.skd [--port 7447] [--threads T] [--workers W]
+//   skydia serve   diagram.skd [--port 7447] [--workers W]
 //          [--trace [f.json]] [--slow-query-ms MS]
 //   skydia stats   --diagram diagram.skd
 //   skydia check   diagram.skd [--samples 64] [--seed 1]
@@ -25,12 +25,14 @@
 #include <functional>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "src/common/csv.h"
+#include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/common/trace.h"
 #include "src/core/build_report.h"
@@ -144,13 +146,13 @@ void PrintUsage() {
          "  query    <diagram.skd> [<points.csv>] [--qx X --qy Y]\n"
          "           [--x x --y y] [--threads T] [--exact] [--stats]\n"
          "           [--semantics quadrant|global] [--bench [--repeat R]]\n"
-         "           [--trace out.json] [--batch-threshold N]\n"
+         "           [--trace out.json]  (--threads splits batches of\n"
+         "           1024+ points across T threads)\n"
          "  stats    --diagram diagram.skd\n"
          "  check    <diagram.skd> [--samples N] [--seed K]\n"
          "           [--allow-duplicate-sets]  (validate invariants;\n"
          "           non-zero exit on corruption)\n"
-         "  serve    <diagram.skd> [--host H] [--port P] [--threads T]\n"
-         "           [--workers W]\n"
+         "  serve    <diagram.skd> [--host H] [--port P] [--workers W]\n"
          "           [--semantics quadrant|global] [--cache-entries N]\n"
          "           [--idle-timeout-ms MS] [--max-connections N]\n"
          "           [--slow-query-ms MS] [--mutation-window-ms MS]\n"
@@ -326,9 +328,11 @@ void PrintEngineStats(const QueryEngine& engine) {
 }
 
 // Compares, over the same query stream: (a) from-scratch linear scans of the
-// dataset, (b) per-query indexed lookups, (c) the batched parallel API.
+// dataset, (b) per-query indexed lookups, (c) the batched API (split across
+// `pool` when given).
 int RunQueryBench(const ServableDiagram& servable,
-                  const std::vector<Point2D>& points, int repeat) {
+                  const std::vector<Point2D>& points, int repeat,
+                  ThreadPool* pool) {
   if (points.empty()) return Fail("--bench needs a non-empty points CSV");
   if (repeat < 1) repeat = 1;
   const Dataset& dataset = servable.dataset();
@@ -362,7 +366,7 @@ int RunQueryBench(const ServableDiagram& servable,
 
   std::vector<SetId> out;
   timer.Restart();
-  for (int r = 0; r < repeat; ++r) engine.AnswerBatch(points, &out);
+  for (int r = 0; r < repeat; ++r) engine.AnswerBatch(points, &out, pool);
   const double batch_ns = timer.ElapsedSeconds() * 1e9 / total;
   for (const SetId id : out) sink += id;
 
@@ -403,12 +407,7 @@ int CmdQuery(const Flags& flags,
 
   const std::string trace_path = EnableTraceIfRequested(flags);
 
-  QueryEngineOptions options;
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
-  options.parallel_batch_threshold = static_cast<size_t>(flags.GetInt(
-      "batch-threshold",
-      static_cast<int64_t>(options.parallel_batch_threshold)));
-  auto servable = ServableDiagram::Load(path, options, *cell_semantics);
+  auto servable = ServableDiagram::Load(path, *cell_semantics);
   if (!servable.ok()) return Fail(servable.status().ToString());
   const QueryEngine& engine = servable->engine();
   const Dataset& dataset = servable->dataset();
@@ -435,19 +434,25 @@ int CmdQuery(const Flags& flags,
     auto points = LoadQueryPoints(points_path, flags.GetString("x", "x"),
                                   flags.GetString("y", "y"));
     if (!points.ok()) return Fail(points.status().ToString());
+    // The batch splits across this pool; the engine owns no threads.
+    const int64_t threads = flags.GetInt("threads", 1);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) {
+      pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
+    }
     if (flags.GetBool("bench")) {
       const int repeat = static_cast<int>(flags.GetInt("repeat", 3));
-      const int rc = RunQueryBench(*servable, *points, repeat);
+      const int rc = RunQueryBench(*servable, *points, repeat, pool.get());
       if (rc != 0) return rc;
     } else if (query_options.exact) {
-      auto answers = engine.AnswerBatch(*points, query_options);
+      auto answers = engine.AnswerBatch(*points, query_options, pool.get());
       if (!answers.ok()) return Fail(answers.status().ToString());
       for (size_t i = 0; i < points->size(); ++i) {
         PrintAnswer(dataset, (*points)[i], (*answers)[i]);
       }
     } else {
       std::vector<SetId> out;
-      engine.AnswerBatch(*points, &out);
+      engine.AnswerBatch(*points, &out, pool.get());
       for (size_t i = 0; i < points->size(); ++i) {
         PrintAnswer(dataset, (*points)[i], engine.Get(out[i]));
       }
@@ -564,8 +569,7 @@ int CmdServe(const Flags& flags, const std::string& positional_path) {
   std::string path = flags.GetString("diagram");
   if (path.empty()) path = positional_path;
   if (path.empty()) {
-    return Fail("usage: skydia serve <diagram.skd> [--port P] [--threads T]"
-                " [--workers W]");
+    return Fail("usage: skydia serve <diagram.skd> [--port P] [--workers W]");
   }
 
   auto cell_semantics =
@@ -579,7 +583,6 @@ int CmdServe(const Flags& flags, const std::string& positional_path) {
   serve::ServerOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
   options.port = static_cast<int>(flags.GetInt("port", 7447));
-  options.engine.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.num_workers = static_cast<int>(flags.GetInt("workers", 1));
   options.cell_semantics = *cell_semantics;
   options.cache.capacity =
