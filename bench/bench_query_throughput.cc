@@ -68,8 +68,7 @@ void BM_QueryBatchedParallel(benchmark::State& state) {
       MakeDataset(state.range(0), 1 << 16, Distribution::kIndependent);
   auto diagram = SkylineDiagram::Build(ds, SkylineQueryType::kQuadrant);
   SKYDIA_CHECK(diagram.ok());
-  const QueryEngine engine(ds, *diagram->cell_diagram(),
-                           SkylineQueryType::kQuadrant);
+  const QueryEngine& engine = diagram->engine();
   // One thread answers on the calling thread, as the engine does without a
   // pool; kQueries is past the engine's split threshold.
   std::unique_ptr<ThreadPool> pool;

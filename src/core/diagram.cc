@@ -1,5 +1,8 @@
 #include "src/core/diagram.h"
 
+#include <utility>
+#include <variant>
+
 #include "src/common/logging.h"
 #include "src/common/trace.h"
 #include "src/core/build_report.h"
@@ -11,6 +14,8 @@
 #include "src/core/quadrant_dsg.h"
 #include "src/core/quadrant_scanning.h"
 #include "src/core/quadrant_staircase.h"
+#include "src/core/query_engine.h"
+#include "src/core/serialize.h"
 #include "src/core/validate.h"
 #include "src/skyline/query.h"
 
@@ -19,7 +24,8 @@ namespace skydia {
 namespace {
 
 // Debug builds re-check every freshly built diagram against the structural
-// invariants plus a few sampled brute-force queries (src/core/validate.h).
+// invariants plus a few sampled brute-force queries (src/core/validate.h),
+// and check that the semantics rule reads back the type that was built.
 // Release/RelWithDebInfo builds skip this entirely.
 #ifndef NDEBUG
 constexpr size_t kDebugValidateSamples = 4;
@@ -29,9 +35,7 @@ void DebugValidate(const SkylineDiagram& diagram) {
   validate.sample_queries = kDebugValidateSamples;
   Status status;
   if (diagram.cell_diagram() != nullptr) {
-    validate.semantics = diagram.type() == SkylineQueryType::kQuadrant
-                             ? CellSemantics::kQuadrant
-                             : CellSemantics::kGlobal;
+    SKYDIA_CHECK(DiagramSemantics(*diagram.cell_diagram()) == diagram.type());
     status =
         ValidateDiagram(diagram.dataset(), *diagram.cell_diagram(), validate);
   } else {
@@ -59,6 +63,13 @@ std::vector<PointId> OracleSkyline(const Dataset& dataset,
       return DynamicSkyline(dataset, q);
   }
   return {};
+}
+
+SkylineQueryType DiagramSemantics(const CellDiagram& diagram) {
+  const CellGrid& grid = diagram.grid();
+  const bool corner_empty =
+      diagram.CellSkyline(grid.num_columns() - 1, grid.num_rows() - 1).empty();
+  return corner_empty ? SkylineQueryType::kQuadrant : SkylineQueryType::kGlobal;
 }
 
 const char* SkylineQueryTypeName(SkylineQueryType type) {
@@ -203,7 +214,6 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(
   if (options.parallelism < 1) {
     return Status::InvalidArgument("parallelism must be >= 1");
   }
-  SkylineDiagram diagram(std::move(dataset), type);
   const int parallelism = ResolvedParallelism(type, options);
   BuildReport* report = options.report;
   if (report != nullptr) {
@@ -211,15 +221,16 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(
     report->diagram_type = SkylineQueryTypeName(type);
     report->algorithm = ResolvedAlgorithmName(type, options.algorithm);
     report->parallelism = parallelism;
-    report->dataset_points = diagram.dataset_.size();
+    report->dataset_points = dataset.size();
   }
+  std::unique_ptr<CellDiagram> cell;
+  std::unique_ptr<SubcellDiagram> subcell;
   {
     SKYDIA_TRACE_SPAN("build");
     build_report_internal::ReportInstaller installer(report);
     const uint64_t start_ns = trace::NowNanos();
-    const Status status =
-        Construct(diagram.dataset_, type, options.algorithm, parallelism,
-                  &diagram.cell_, &diagram.subcell_);
+    const Status status = Construct(dataset, type, options.algorithm,
+                                    parallelism, &cell, &subcell);
     if (!status.ok()) return status;
     if (report != nullptr) {
       report->total_seconds =
@@ -227,15 +238,15 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(
     }
   }
   if (report != nullptr) {
-    if (diagram.cell_ != nullptr) {
-      const CellDiagram::Stats stats = diagram.cell_->ComputeStats();
+    if (cell != nullptr) {
+      const CellDiagram::Stats stats = cell->ComputeStats();
       report->num_cells = stats.num_cells;
       report->num_distinct_sets = stats.num_distinct_sets;
       report->total_set_elements = stats.total_set_elements;
       report->arena_bytes = stats.pool_bytes;
       report->approx_bytes = stats.approx_bytes;
     } else {
-      const SubcellDiagram::Stats stats = diagram.subcell_->ComputeStats();
+      const SubcellDiagram::Stats stats = subcell->ComputeStats();
       report->num_cells = stats.num_subcells;
       report->num_distinct_sets = stats.num_distinct_sets;
       report->total_set_elements = stats.total_set_elements;
@@ -243,27 +254,96 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(
       report->approx_bytes = stats.approx_bytes;
     }
   }
-  if (diagram.cell_ != nullptr) {
-    diagram.index_.emplace(*diagram.cell_);
-  } else {
-    diagram.index_.emplace(*diagram.subcell_);
-  }
+  SkylineDiagram diagram(std::make_shared<const Dataset>(std::move(dataset)),
+                         std::move(cell), std::move(subcell), type);
 #ifndef NDEBUG
   DebugValidate(diagram);
 #endif
   return diagram;
 }
 
+StatusOr<SkylineDiagram> SkylineDiagram::Load(const std::string& path) {
+  SKYDIA_TRACE_SPAN("load");
+  StatusOr<LoadedDiagram> loaded = [&] {
+    SKYDIA_TRACE_SPAN("load.blob");
+    return LoadDiagram(path);
+  }();
+  if (!loaded.ok()) return loaded.status();
+  if (auto* cell = std::get_if<LoadedCellDiagram>(&*loaded)) {
+    return Wrap(std::make_shared<const Dataset>(std::move(cell->dataset)),
+                std::make_shared<const CellDiagram>(std::move(cell->diagram)));
+  }
+  auto& subcell = std::get<LoadedSubcellDiagram>(*loaded);
+  return Wrap(std::make_shared<const Dataset>(std::move(subcell.dataset)),
+              std::make_shared<const SubcellDiagram>(
+                  std::move(subcell.diagram)));
+}
+
+SkylineDiagram SkylineDiagram::Wrap(
+    std::shared_ptr<const Dataset> dataset,
+    std::shared_ptr<const CellDiagram> diagram) {
+  SKYDIA_CHECK(dataset != nullptr && diagram != nullptr);
+  SKYDIA_TRACE_SPAN("index.build");
+  const SkylineQueryType type = DiagramSemantics(*diagram);
+  return SkylineDiagram(std::move(dataset), std::move(diagram), nullptr, type);
+}
+
+SkylineDiagram SkylineDiagram::Wrap(
+    std::shared_ptr<const Dataset> dataset,
+    std::shared_ptr<const SubcellDiagram> diagram) {
+  SKYDIA_CHECK(dataset != nullptr && diagram != nullptr);
+  SKYDIA_TRACE_SPAN("index.build");
+  return SkylineDiagram(std::move(dataset), nullptr, std::move(diagram),
+                        SkylineQueryType::kDynamic);
+}
+
+SkylineDiagram SkylineDiagram::Wrap(std::shared_ptr<const Dataset> dataset,
+                                    std::shared_ptr<const CellDiagram> diagram,
+                                    SkylineQueryType type) {
+  SKYDIA_CHECK(diagram != nullptr && DiagramSemantics(*diagram) == type);
+  return Wrap(std::move(dataset), std::move(diagram));
+}
+
+SkylineDiagram::SkylineDiagram(std::shared_ptr<const Dataset> dataset,
+                               std::shared_ptr<const CellDiagram> cell,
+                               std::shared_ptr<const SubcellDiagram> subcell,
+                               SkylineQueryType type)
+    : dataset_(std::move(dataset)),
+      cell_(std::move(cell)),
+      subcell_(std::move(subcell)),
+      engine_(cell_ != nullptr ? new QueryEngine(*dataset_, *cell_, type)
+                               : new QueryEngine(*dataset_, *subcell_)) {}
+
+SkylineDiagram::SkylineDiagram(SkylineDiagram&&) noexcept = default;
+SkylineDiagram& SkylineDiagram::operator=(SkylineDiagram&&) noexcept = default;
+SkylineDiagram::~SkylineDiagram() = default;
+
+Status SkylineDiagram::Save(const std::string& path) const {
+  return cell_ != nullptr ? SaveCellDiagram(*dataset_, *cell_, path)
+                          : SaveSubcellDiagram(*dataset_, *subcell_, path);
+}
+
+SkylineQueryType SkylineDiagram::type() const { return engine_->semantics(); }
+
+std::span<const PointId> SkylineDiagram::Query(const Point2D& q) const {
+  return engine_->Answer(q);
+}
+
 std::vector<PointId> SkylineDiagram::QueryExact(const Point2D& q) const {
-  if (NeedsOracle(type_, *index_, q)) return OracleSkyline(dataset_, type_, q);
-  const auto span = Query(q);
-  return std::vector<PointId>(span.begin(), span.end());
+  QueryOptions exact;
+  exact.exact = true;
+  // Without a semantics override the exact Answer cannot fail.
+  return engine_->Answer(q, exact).value();
 }
 
 std::vector<std::string> SkylineDiagram::QueryLabels(const Point2D& q) const {
   std::vector<std::string> labels;
-  for (PointId id : QueryExact(q)) labels.push_back(dataset_.label(id));
+  for (PointId id : QueryExact(q)) labels.push_back(dataset_->label(id));
   return labels;
+}
+
+const PointLocationIndex& SkylineDiagram::index() const {
+  return engine_->index();
 }
 
 }  // namespace skydia

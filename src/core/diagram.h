@@ -1,10 +1,14 @@
-// SkylineDiagram: the library's user-facing entry point.
+// SkylineDiagram: the library's user-facing entry point, and the one
+// diagram type that is built, loaded, wrapped, saved and served.
 //
-// Builds the skyline diagram for one of the three query semantics and
-// answers point-location queries in O(log n) through a PointLocationIndex
-// built with it. This is the analogue of using a (k-th order) Voronoi
-// diagram to answer kNN queries: build once, then every skyline query is a
-// grid lookup instead of an O(n log n) computation.
+// Holds the diagram for one of the three query semantics together with its
+// dataset and the one QueryEngine (src/core/query_engine.h) that answers
+// point-location queries over it in O(log n). This is the analogue of using
+// a (k-th order) Voronoi diagram to answer kNN queries: build once, then
+// every skyline query is a grid lookup instead of an O(n log n) computation.
+//
+// A cell table states its own semantics (DiagramSemantics), so a loaded or
+// wrapped diagram serves what it is without a caller naming it.
 //
 // Example:
 //   auto dataset = Dataset::Create(points, /*domain_size=*/1024);
@@ -15,7 +19,6 @@
 #define SKYDIA_SRC_CORE_DIAGRAM_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,11 +32,24 @@
 namespace skydia {
 
 struct BuildReport;
+class QueryEngine;
 
 /// Which skyline query semantics the diagram precomputes.
 enum class SkylineQueryType { kQuadrant, kGlobal, kDynamic };
 
 const char* SkylineQueryTypeName(SkylineQueryType type);
+
+/// The one semantics rule: what a diagram's own table says it answers. Cell
+/// (num_columns - 1, num_rows - 1) lies beyond every point, so no point is
+/// in its first quadrant and every point is in its third: it is empty
+/// exactly when the table is quadrant, and holds global answers otherwise.
+/// The rule reads the cell's content, not its SetId, because a mutated pool
+/// can hold the empty set under another id. O(1).
+SkylineQueryType DiagramSemantics(const CellDiagram& diagram);
+/// A subcell diagram answers dynamic queries.
+inline SkylineQueryType DiagramSemantics(const SubcellDiagram& /*diagram*/) {
+  return SkylineQueryType::kDynamic;
+}
 
 /// The one exact-answer rule. The cell `index` locates for `q` answers it
 /// exactly unless a dynamic diagram puts `q` exactly on one of its grid or
@@ -90,7 +106,12 @@ struct SkylineBuildOptions {
   BuildReport* report = nullptr;
 };
 
-/// A built skyline diagram with its source dataset. Movable, not copyable.
+/// A skyline diagram with its dataset and the one QueryEngine answering
+/// queries over it: the one type that is built, loaded, wrapped, saved and
+/// served. It holds the dataset and diagram as shared_ptr<const ...>, which
+/// pins the addresses the engine's index references and lets others share
+/// them read-only (the mutation pipeline wraps its shadow's objects, and the
+/// shadow adopts a served diagram's). Movable, not copyable.
 class SkylineDiagram {
  public:
   /// Builds the diagram: the one way to build a 2-D diagram. Takes ownership
@@ -100,46 +121,84 @@ class SkylineDiagram {
       Dataset dataset, SkylineQueryType type,
       const SkylineBuildOptions& options = {});
 
-  SkylineDiagram(SkylineDiagram&&) = default;
-  SkylineDiagram& operator=(SkylineDiagram&&) = default;
+  /// Loads a serialized cell or subcell diagram (LoadDiagram: the blob's
+  /// kind byte decides) and wraps it under the semantics its table states.
+  static StatusOr<SkylineDiagram> Load(const std::string& path);
 
-  SkylineQueryType type() const { return type_; }
-  const Dataset& dataset() const { return dataset_; }
+  /// Wraps an existing diagram of `dataset` and builds its index; the
+  /// semantics are the ones DiagramSemantics reads from the table. Load
+  /// ends here, and the mutation pipeline wraps its shadow's objects here
+  /// at zero copy cost. Both pointers must be non-null.
+  static SkylineDiagram Wrap(std::shared_ptr<const Dataset> dataset,
+                             std::shared_ptr<const CellDiagram> diagram);
+  static SkylineDiagram Wrap(std::shared_ptr<const Dataset> dataset,
+                             std::shared_ptr<const SubcellDiagram> diagram);
+  /// Wrap for callers that still name the semantics (the serving
+  /// benchmark): CHECK-fails unless `type` is what the table states.
+  static SkylineDiagram Wrap(std::shared_ptr<const Dataset> dataset,
+                             std::shared_ptr<const CellDiagram> diagram,
+                             SkylineQueryType type);
+
+  SkylineDiagram(SkylineDiagram&&) noexcept;
+  SkylineDiagram& operator=(SkylineDiagram&&) noexcept;
+  ~SkylineDiagram();
+
+  /// Saves the diagram as a blob of its kind (SaveCellDiagram or
+  /// SaveSubcellDiagram).
+  Status Save(const std::string& path) const;
+
+  SkylineQueryType type() const;
+  const Dataset& dataset() const { return *dataset_; }
 
   /// Answers the skyline query at `q` via point location. For quadrant and
   /// global diagrams the answer is exact for every `q`; for dynamic diagrams
   /// it is exact for `q` off the grid and bisector lines (see
   /// subcell_diagram.h) — use QueryExact for guaranteed-exact answers at
   /// arbitrary positions.
-  std::span<const PointId> Query(const Point2D& q) const {
-    return index_->Query(q);
-  }
+  std::span<const PointId> Query(const Point2D& q) const;
 
-  /// Exact answer at any position: uses the diagram unless NeedsOracle, and
-  /// then the O(n log n) reference evaluation.
+  /// Exact answer at any position: the engine's exact Answer, which uses the
+  /// diagram unless NeedsOracle, and then the O(n log n) reference
+  /// evaluation.
   std::vector<PointId> QueryExact(const Point2D& q) const;
 
   /// Query result rendered through the dataset's labels.
   std::vector<std::string> QueryLabels(const Point2D& q) const;
 
-  /// The underlying cell diagram (quadrant/global builds only).
+  /// The underlying cell diagram (quadrant/global only; else null).
   const CellDiagram* cell_diagram() const { return cell_.get(); }
-  /// The underlying subcell diagram (dynamic builds only).
+  /// The underlying subcell diagram (dynamic only; else null).
   const SubcellDiagram* subcell_diagram() const { return subcell_.get(); }
-  /// The point-location index every query goes through.
-  const PointLocationIndex& index() const { return *index_; }
+  /// The point-location index every query goes through (the engine's).
+  const PointLocationIndex& index() const;
+  /// The engine answering every query: point batches, exact and range
+  /// queries, and the serving counters.
+  const QueryEngine& engine() const { return *engine_; }
+
+  /// The held objects themselves, for a producer that adopts them (the
+  /// mutation pipeline seeds its shadow here). Null for the other kind.
+  const std::shared_ptr<const Dataset>& shared_dataset() const {
+    return dataset_;
+  }
+  const std::shared_ptr<const CellDiagram>& shared_cell_diagram() const {
+    return cell_;
+  }
+  const std::shared_ptr<const SubcellDiagram>& shared_subcell_diagram()
+      const {
+    return subcell_;
+  }
 
  private:
-  SkylineDiagram(Dataset dataset, SkylineQueryType type)
-      : dataset_(std::move(dataset)), type_(type) {}
+  SkylineDiagram(std::shared_ptr<const Dataset> dataset,
+                 std::shared_ptr<const CellDiagram> cell,
+                 std::shared_ptr<const SubcellDiagram> subcell,
+                 SkylineQueryType type);
 
-  Dataset dataset_;
-  SkylineQueryType type_;
-  std::unique_ptr<CellDiagram> cell_;
-  std::unique_ptr<SubcellDiagram> subcell_;
-  // Built last in Build(). It views the heap objects above, which a move of
-  // the SkylineDiagram does not relocate.
-  std::optional<PointLocationIndex> index_;
+  std::shared_ptr<const Dataset> dataset_;
+  std::shared_ptr<const CellDiagram> cell_;
+  std::shared_ptr<const SubcellDiagram> subcell_;
+  // Declared last so it is destroyed first: its index references the above.
+  std::unique_ptr<QueryEngine> engine_;
 };
 
 }  // namespace skydia

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/core/diagram.h"
 #include "src/core/quadrant_scanning.h"
 #include "src/core/quadrant_staircase.h"
 
@@ -150,6 +151,11 @@ StatusOr<IncrementalQuadrantDiagram> IncrementalQuadrantDiagram::Adopt(
   SKYDIA_CHECK(dataset != nullptr && diagram != nullptr);
   if (Status seed = internal::CheckSeedDataset(*dataset); !seed.ok()) {
     return seed;
+  }
+  if (DiagramSemantics(*diagram) != SkylineQueryType::kQuadrant) {
+    return Status::InvalidArgument(
+        "mutations are not supported for global semantics: only a quadrant "
+        "diagram can be adopted");
   }
   return IncrementalQuadrantDiagram(std::move(dataset), std::move(diagram));
 }

@@ -77,7 +77,10 @@ class IncrementalQuadrantDiagram {
   /// state without rebuilding or copying it (see the adopt contract above).
   /// Any construction of it qualifies: every BuildAlgorithm, sequential or
   /// parallel, and a blob loaded back from disk. Both pointers must be
-  /// non-null. Same checks as Create (internal::CheckSeedDataset).
+  /// non-null. Same checks as Create (internal::CheckSeedDataset), plus
+  /// InvalidArgument for a table DiagramSemantics calls global: a point
+  /// outside every quadrant still shifts global answers everywhere, and no
+  /// incremental maintenance exists for them.
   static StatusOr<IncrementalQuadrantDiagram> Adopt(
       std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const CellDiagram> diagram);

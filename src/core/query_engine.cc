@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <utility>
-#include <variant>
 
-#include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 #include "src/common/trace.h"
 
@@ -191,56 +188,6 @@ QueryEngineStats QueryEngine::Stats() const {
   stats.p50_latency_ns = percentile(0.50);
   stats.p99_latency_ns = percentile(0.99);
   return stats;
-}
-
-StatusOr<ServableDiagram> ServableDiagram::Load(
-    const std::string& path, SkylineQueryType cell_semantics) {
-  if (cell_semantics == SkylineQueryType::kDynamic) {
-    return Status::InvalidArgument(
-        "cell_semantics must be kQuadrant or kGlobal; dynamic semantics are "
-        "inferred from subcell blobs");
-  }
-  SKYDIA_TRACE_SPAN("load");
-  StatusOr<LoadedDiagram> loaded = [&] {
-    SKYDIA_TRACE_SPAN("load.blob");
-    return LoadDiagram(path);
-  }();
-  if (!loaded.ok()) return loaded.status();
-  if (auto* cell = std::get_if<LoadedCellDiagram>(&*loaded)) {
-    return Wrap(std::make_shared<const Dataset>(std::move(cell->dataset)),
-                std::make_shared<const CellDiagram>(std::move(cell->diagram)),
-                cell_semantics);
-  }
-  auto& subcell = std::get<LoadedSubcellDiagram>(*loaded);
-  return Wrap(std::make_shared<const Dataset>(std::move(subcell.dataset)),
-              std::make_shared<const SubcellDiagram>(
-                  std::move(subcell.diagram)));
-}
-
-ServableDiagram ServableDiagram::Wrap(
-    std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const CellDiagram> diagram,
-    SkylineQueryType cell_semantics) {
-  SKYDIA_CHECK(cell_semantics != SkylineQueryType::kDynamic);
-  ServableDiagram servable;
-  servable.dataset_ = std::move(dataset);
-  servable.cell_ = std::move(diagram);
-  SKYDIA_TRACE_SPAN("index.build");
-  servable.engine_ = std::make_unique<QueryEngine>(
-      *servable.dataset_, *servable.cell_, cell_semantics);
-  return servable;
-}
-
-ServableDiagram ServableDiagram::Wrap(
-    std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const SubcellDiagram> diagram) {
-  ServableDiagram servable;
-  servable.dataset_ = std::move(dataset);
-  servable.subcell_ = std::move(diagram);
-  SKYDIA_TRACE_SPAN("index.build");
-  servable.engine_ =
-      std::make_unique<QueryEngine>(*servable.dataset_, *servable.subcell_);
-  return servable;
 }
 
 }  // namespace skydia

@@ -26,19 +26,16 @@
 // shared pool (they may wait on each other's shards, which affects latency,
 // not correctness).
 //
-// ServableDiagram closes the deployment loop: it loads a serialized blob
-// (v1 or v2) and rebuilds the index immediately, so a frozen file is
-// servable right after Load() returns. It owns what it serves through
-// shared_ptr<const ...> whether the diagram came from a blob or from memory,
-// so a producer (the mutation pipeline) can adopt the served objects
-// without a copy.
+// Each SkylineDiagram (diagram.h) owns exactly one engine, built when the
+// diagram is built, loaded or wrapped; nothing else constructs one, so one
+// diagram has one index and one set of counters. Reach it through
+// SkylineDiagram::engine().
 #ifndef SKYDIA_SRC_CORE_QUERY_ENGINE_H_
 #define SKYDIA_SRC_CORE_QUERY_ENGINE_H_
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,7 +45,6 @@
 #include "src/core/diagram.h"
 #include "src/core/point_location.h"
 #include "src/core/range_query.h"
-#include "src/core/serialize.h"
 #include "src/geometry/dataset.h"
 #include "src/geometry/point.h"
 #include "src/skyline/interning.h"
@@ -91,17 +87,10 @@ struct QueryOptions {
   std::optional<SkylineQueryType> semantics;
 };
 
-/// Batched query-serving over one diagram. Non-owning: the dataset and
-/// diagram must outlive the engine (ServableDiagram bundles ownership).
+/// Batched query-serving over one diagram. Non-owning: the SkylineDiagram
+/// that constructs it holds the dataset and diagram it references.
 class QueryEngine {
  public:
-  /// Serves a cell diagram. `semantics` names the semantics it encodes
-  /// (kQuadrant or kGlobal; a cell diagram never encodes kDynamic).
-  QueryEngine(const Dataset& dataset, const CellDiagram& diagram,
-              SkylineQueryType semantics);
-  /// Serves a subcell (dynamic) diagram.
-  QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram);
-
   /// AnswerBatch splits a batch across a caller's pool only from this many
   /// queries on; below it the sharding overhead dominates the lookups.
   static constexpr size_t kParallelBatchThreshold = 1024;
@@ -156,6 +145,15 @@ class QueryEngine {
   QueryEngineStats Stats() const;
 
  private:
+  friend class SkylineDiagram;
+
+  /// Serves a cell diagram under `semantics` (kQuadrant or kGlobal, as
+  /// DiagramSemantics reads the table).
+  QueryEngine(const Dataset& dataset, const CellDiagram& diagram,
+              SkylineQueryType semantics);
+  /// Serves a subcell (dynamic) diagram.
+  QueryEngine(const Dataset& dataset, const SubcellDiagram& diagram);
+
   static constexpr size_t kLatencyBuckets =
       QueryEngineStats::kNumLatencyBuckets;
   static constexpr size_t kLatencySampleStride = 32;
@@ -179,69 +177,8 @@ class QueryEngine {
   mutable std::array<std::atomic<uint64_t>, kLatencyBuckets> latency_buckets_{};
 };
 
-/// A diagram loaded from disk — or wrapped from memory — together with
-/// everything needed to serve it: dataset, diagram, and a ready QueryEngine.
-/// One ownership model for both origins: the dataset and diagram are held
-/// as shared_ptr<const ...>, which pins the addresses the engine's index
-/// references and lets others share them read-only (the publish path wraps
-/// the mutation shadow's objects; the shadow adopts a served snapshot's).
-/// Movable, not copyable. The one serving type: the snapshot registry, the
-/// server and the mutation pipeline hold it directly.
-class ServableDiagram {
- public:
-  /// Loads a serialized cell or subcell diagram (LoadDiagram: the blob's
-  /// kind byte decides) and wraps it. `cell_semantics` names the semantics a
-  /// cell blob serves — the file format does not record quadrant vs global
-  /// (kDynamic is inferred from subcell blobs and must not be passed here).
-  static StatusOr<ServableDiagram> Load(
-      const std::string& path,
-      SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant);
-
-  /// Wraps a diagram for serving and builds the index. Load ends here too;
-  /// in-memory callers skip the serializer round trip (the mutation publish
-  /// path wraps the shadow diagram's snapshots at zero copy cost).
-  /// `cell_semantics` must be kQuadrant or kGlobal, exactly like Load.
-  static ServableDiagram Wrap(std::shared_ptr<const Dataset> dataset,
-                              std::shared_ptr<const CellDiagram> diagram,
-                              SkylineQueryType cell_semantics);
-  static ServableDiagram Wrap(std::shared_ptr<const Dataset> dataset,
-                              std::shared_ptr<const SubcellDiagram> diagram);
-
-  ServableDiagram(ServableDiagram&&) = default;
-  ServableDiagram& operator=(ServableDiagram&&) = default;
-
-  /// The engine answering every query: point batches, exact and range
-  /// queries, and the serving counters.
-  const QueryEngine& engine() const { return *engine_; }
-  const Dataset& dataset() const { return *dataset_; }
-  SkylineQueryType type() const { return engine_->semantics(); }
-
-  /// Underlying diagrams (null for the other kind).
-  const CellDiagram* cell_diagram() const { return cell_.get(); }
-  const SubcellDiagram* subcell_diagram() const { return subcell_.get(); }
-
-  /// The served objects themselves, for a producer that adopts them (the
-  /// mutation pipeline seeds its shadow here). Null for the other kind.
-  const std::shared_ptr<const Dataset>& shared_dataset() const {
-    return dataset_;
-  }
-  const std::shared_ptr<const CellDiagram>& shared_cell_diagram() const {
-    return cell_;
-  }
-  const std::shared_ptr<const SubcellDiagram>& shared_subcell_diagram()
-      const {
-    return subcell_;
-  }
-
- private:
-  ServableDiagram() = default;
-
-  std::shared_ptr<const Dataset> dataset_;
-  std::shared_ptr<const CellDiagram> cell_;
-  std::shared_ptr<const SubcellDiagram> subcell_;
-  // Declared last so it is destroyed first: its index references the above.
-  std::unique_ptr<QueryEngine> engine_;
-};
+/// The serving benchmark's name for SkylineDiagram; nothing else uses it.
+using ServableDiagram = SkylineDiagram;
 
 }  // namespace skydia
 

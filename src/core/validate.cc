@@ -1,7 +1,6 @@
 #include "src/core/validate.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -10,6 +9,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/random.h"
+#include "src/core/diagram.h"
 #include "src/core/merge.h"
 #include "src/skyline/query.h"
 
@@ -196,47 +196,22 @@ std::string SampleError(const char* oracle, uint32_t cx, uint32_t cy) {
 Status SampleCellDiagram(const Dataset& dataset, const CellDiagram& diagram,
                          const ValidateOptions& options) {
   const CellGrid& grid = diagram.grid();
+  const bool quadrant = DiagramSemantics(diagram) == SkylineQueryType::kQuadrant;
   Rng rng(options.seed);
-  std::vector<std::pair<uint32_t, uint32_t>> samples;
-  samples.reserve(options.sample_queries);
   for (size_t i = 0; i < options.sample_queries; ++i) {
-    samples.emplace_back(
-        static_cast<uint32_t>(rng.NextBounded(grid.num_columns())),
-        static_cast<uint32_t>(rng.NextBounded(grid.num_rows())));
-  }
-  const auto check_all =
-      [&](bool quadrant) -> std::optional<Status> {
-    for (const auto& [cx, cy] : samples) {
-      const int64_t qx4 = ColumnRepresentative4(grid, cx);
-      const int64_t qy4 = RowRepresentative4(grid, cy);
-      const std::vector<PointId> expected =
-          quadrant ? QuadrantSkylineAt4(dataset, qx4, qy4, 0)
-                   : GlobalSkylineAt4(dataset, qx4, qy4);
-      if (!SameContents(diagram.CellSkyline(cx, cy), expected)) {
-        return Status::Corruption(
-            SampleError(quadrant ? "quadrant" : "global", cx, cy));
-      }
-    }
-    return std::nullopt;
-  };
-  switch (options.semantics) {
-    case CellSemantics::kQuadrant:
-      if (auto error = check_all(true)) return *error;
-      return Status::OK();
-    case CellSemantics::kGlobal:
-      if (auto error = check_all(false)) return *error;
-      return Status::OK();
-    case CellSemantics::kAuto: {
-      const auto quadrant_error = check_all(true);
-      if (!quadrant_error) return Status::OK();
-      const auto global_error = check_all(false);
-      if (!global_error) return Status::OK();
-      return Status::Corruption("cells match neither oracle — " +
-                                quadrant_error->message() + "; " +
-                                global_error->message());
+    const auto cx = static_cast<uint32_t>(rng.NextBounded(grid.num_columns()));
+    const auto cy = static_cast<uint32_t>(rng.NextBounded(grid.num_rows()));
+    const int64_t qx4 = ColumnRepresentative4(grid, cx);
+    const int64_t qy4 = RowRepresentative4(grid, cy);
+    const std::vector<PointId> expected =
+        quadrant ? QuadrantSkylineAt4(dataset, qx4, qy4, 0)
+                 : GlobalSkylineAt4(dataset, qx4, qy4);
+    if (!SameContents(diagram.CellSkyline(cx, cy), expected)) {
+      return Status::Corruption(
+          SampleError(quadrant ? "quadrant" : "global", cx, cy));
     }
   }
-  return Status::Internal("unreachable semantics value");
+  return Status::OK();
 }
 
 // Invariant 2 for subcell diagrams. The bisector arrangement itself is

@@ -23,7 +23,9 @@
 //  4. Sampled ground truth (sample_queries > 0): for randomly chosen cells,
 //     the stored result equals the O(n log n) brute-force skyline at an
 //     interior representative position (quarter-integer coordinates, so the
-//     sample never sits on a grid or bisector line).
+//     sample never sits on a grid or bisector line). A cell diagram is
+//     sampled against the oracle of the semantics its table states
+//     (DiagramSemantics, src/core/diagram.h).
 //
 // The checks are pure reads; validation never mutates the diagram.
 #ifndef SKYDIA_SRC_CORE_VALIDATE_H_
@@ -39,20 +41,12 @@
 
 namespace skydia {
 
-/// Which query semantics a cell diagram encodes. The serialized format does
-/// not record this, so loaded diagrams use kAuto: the sampled ground-truth
-/// check passes if all samples match the quadrant oracle or all samples match
-/// the global oracle.
-enum class CellSemantics { kAuto, kQuadrant, kGlobal };
-
 struct ValidateOptions {
   /// Number of random cells to compare against the brute-force oracle.
   /// 0 = structural checks only.
   size_t sample_queries = 0;
   /// Seed for the sample-cell choice (deterministic).
   uint64_t seed = 1;
-  /// Oracle used for cell diagrams (ignored for subcell diagrams).
-  CellSemantics semantics = CellSemantics::kAuto;
   /// Require the pool to be duplicate-free (hash-consing held). True for
   /// every diagram the builders produce; set false when validating a mutated
   /// diagram, whose adopted pool can hold duplicate contents

@@ -38,7 +38,7 @@ Status MutationPipeline::EnsureShadowLocked() {
   // readers see, with nothing rebuilt or copied. Mutations replace the
   // shadow's pointers and never write through them, so the snapshot keeps
   // serving what it served.
-  const ServableDiagram& served = *snapshot->diagram;
+  const SkylineDiagram& served = *snapshot->diagram;
   if (served.subcell_diagram() != nullptr) {
     auto shadow = IncrementalDynamicDiagram::Adopt(
         served.shared_dataset(), served.shared_subcell_diagram());
@@ -46,10 +46,6 @@ Status MutationPipeline::EnsureShadowLocked() {
     dynamic_ =
         std::make_unique<IncrementalDynamicDiagram>(std::move(*shadow));
   } else {
-    if (served.type() == SkylineQueryType::kGlobal) {
-      return Status::InvalidArgument(
-          "mutations are not supported for global semantics");
-    }
     auto shadow = IncrementalQuadrantDiagram::Adopt(
         served.shared_dataset(), served.shared_cell_diagram());
     if (!shadow.ok()) return shadow.status();
@@ -63,33 +59,67 @@ Status MutationPipeline::EnsureShadowLocked() {
 
 StatusOr<MutationAck> MutationPipeline::Insert(
     const Point2D& p, std::optional<std::string> label) {
+  const auto insert = [&](IncrementalQuadrantDiagram* quadrant,
+                          IncrementalDynamicDiagram* dynamic) {
+    return quadrant != nullptr ? quadrant->Insert(p, std::move(label))
+                               : dynamic->Insert(p, std::move(label));
+  };
+  return Mutate(/*insert=*/true, insert);
+}
+
+StatusOr<MutationAck> MutationPipeline::Delete(int64_t point) {
+  const auto erase = [&](IncrementalQuadrantDiagram* quadrant,
+                         IncrementalDynamicDiagram* dynamic)
+      -> StatusOr<PointId> {
+    const size_t size = quadrant != nullptr ? quadrant->dataset().size()
+                                            : dynamic->dataset().size();
+    if (point < 0 || static_cast<uint64_t>(point) >= size) {
+      return Status::NotFound("unknown point id " + std::to_string(point));
+    }
+    const auto id = static_cast<PointId>(point);
+    Status applied =
+        quadrant != nullptr ? quadrant->Delete(id) : dynamic->Delete(id);
+    if (!applied.ok()) return applied;
+    return id;
+  };
+  return Mutate(/*insert=*/false, erase);
+}
+
+StatusOr<MutationAck> MutationPipeline::Mutate(bool insert,
+                                               const ApplyFn& apply) {
   SKYDIA_TRACE_SPAN("mutation.apply");
+  const auto failed = [&](Status status) {
+    metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
+    return status;
+  };
   MutationAck ack;
   bool publish_now = false;
   bool first_pending = false;
   {
     MutexLock lock(mu_);
     if (Status seeded = EnsureShadowLocked(); !seeded.ok()) {
-      metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
-      return seeded;
+      return failed(std::move(seeded));
     }
     if (options_.max_pending > 0 && pending_ >= options_.max_pending) {
-      metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
+      return failed(Status::ResourceExhausted(
           "mutation backlog full (" + std::to_string(pending_) +
-          " pending); flush or retry");
+          " pending); flush or retry"));
     }
-    StatusOr<PointId> id = quadrant_ != nullptr
-                               ? quadrant_->Insert(p, std::move(label))
-                               : dynamic_->Insert(p, std::move(label));
-    if (!id.ok()) {
-      metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
-      return id.status();
+    StatusOr<PointId> point = apply(quadrant_.get(), dynamic_.get());
+    if (!point.ok()) return failed(point.status());
+    if (insert) {
+      ack.point = *point;
+      metrics_->mutation_inserts.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      metrics_->mutation_deletes.fetch_add(1, std::memory_order_relaxed);
     }
-    ack.point = *id;
-    pending_cells_ += quadrant_ != nullptr
-                          ? quadrant_->last_insert_recomputed_cells()
-                          : dynamic_->last_insert_recomputed_subcells();
+    if (quadrant_ != nullptr) {
+      pending_cells_ += insert ? quadrant_->last_insert_recomputed_cells()
+                               : quadrant_->last_delete_recomputed_cells();
+    } else {
+      pending_cells_ += insert ? dynamic_->last_insert_recomputed_subcells()
+                               : dynamic_->last_delete_recomputed_subcells();
+    }
     first_pending = pending_ == 0;
     if (first_pending) {
       first_pending_ = std::chrono::steady_clock::now();
@@ -97,7 +127,6 @@ StatusOr<MutationAck> MutationPipeline::Insert(
     }
     ++pending_;
     metrics_->mutation_pending.store(pending_, std::memory_order_relaxed);
-    metrics_->mutation_inserts.fetch_add(1, std::memory_order_relaxed);
     publish_now = options_.window_ms <= 0;
     // Deferred lower bound. When a publish is between its grab and its
     // Install, its generation does not contain this mutation (the grab
@@ -110,63 +139,6 @@ StatusOr<MutationAck> MutationPipeline::Insert(
     ack.generation = Publish();
   } else if (first_pending) {
     cv_.notify_all();  // arm the publisher's window deadline
-  }
-  return ack;
-}
-
-StatusOr<MutationAck> MutationPipeline::Delete(int64_t point) {
-  SKYDIA_TRACE_SPAN("mutation.apply");
-  MutationAck ack;
-  bool publish_now = false;
-  bool first_pending = false;
-  {
-    MutexLock lock(mu_);
-    if (Status seeded = EnsureShadowLocked(); !seeded.ok()) {
-      metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
-      return seeded;
-    }
-    if (options_.max_pending > 0 && pending_ >= options_.max_pending) {
-      metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "mutation backlog full (" + std::to_string(pending_) +
-          " pending); flush or retry");
-    }
-    const size_t size = quadrant_ != nullptr ? quadrant_->dataset().size()
-                                             : dynamic_->dataset().size();
-    if (point < 0 || static_cast<uint64_t>(point) >= size) {
-      metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
-      return Status::NotFound("unknown point id " + std::to_string(point));
-    }
-    const auto id = static_cast<PointId>(point);
-    Status applied =
-        quadrant_ != nullptr ? quadrant_->Delete(id) : dynamic_->Delete(id);
-    if (!applied.ok()) {
-      metrics_->mutation_failures.fetch_add(1, std::memory_order_relaxed);
-      return applied;
-    }
-    pending_cells_ += quadrant_ != nullptr
-                          ? quadrant_->last_delete_recomputed_cells()
-                          : dynamic_->last_delete_recomputed_subcells();
-    first_pending = pending_ == 0;
-    if (first_pending) {
-      first_pending_ = std::chrono::steady_clock::now();
-      pending_ctx_ = trace::CurrentRequestContext();
-    }
-    ++pending_;
-    metrics_->mutation_pending.store(pending_, std::memory_order_relaxed);
-    metrics_->mutation_deletes.fetch_add(1, std::memory_order_relaxed);
-    publish_now = options_.window_ms <= 0;
-    // Deferred lower bound. When a publish is between its grab and its
-    // Install, its generation does not contain this mutation (the grab
-    // predates the apply), so the first generation guaranteed to is the
-    // one after it; otherwise the next install is the including one.
-    ack.generation = publish_in_flight_ ? in_flight_generation_ + 1
-                                        : registry_->generation() + 1;
-  }
-  if (publish_now) {
-    ack.generation = Publish();
-  } else if (first_pending) {
-    cv_.notify_all();
   }
   return ack;
 }
@@ -277,10 +249,9 @@ uint64_t MutationPipeline::Publish() {
       ctx != 0 ? ctx : trace::CurrentRequestContext());
   SKYDIA_TRACE_SPAN("mutation.publish");
   const uint64_t start_ns = trace::NowNanos();
-  ServableDiagram wrapped =
-      cell != nullptr ? ServableDiagram::Wrap(std::move(dataset), cell,
-                                              SkylineQueryType::kQuadrant)
-                      : ServableDiagram::Wrap(std::move(dataset), subcell);
+  SkylineDiagram wrapped =
+      cell != nullptr ? SkylineDiagram::Wrap(std::move(dataset), cell)
+                      : SkylineDiagram::Wrap(std::move(dataset), subcell);
   const size_t points = wrapped.dataset().size();
   const uint64_t generation =
       registry_->Install(std::move(wrapped), std::move(source));

@@ -13,7 +13,7 @@
 // Publishing is what makes a mutation visible, and it is decoupled from
 // applying: the shadow's dataset/diagram are immutable snapshots behind
 // shared_ptrs, so a publish grabs the current pair, wraps it into a
-// ServableDiagram (index build) and Install()s it on the registry — the
+// SkylineDiagram (index build) and Install()s it on the registry — the
 // same RCU hot-swap path a reload takes, with a bumped generation and a
 // fresh cache. In-flight read batches keep their pinned snapshot; readers
 // never block on writers.
@@ -45,9 +45,10 @@
 // only; they do not rewrite the source blob.
 //
 // Supported families: quadrant cell snapshots and dynamic subcell
-// snapshots. Global-semantics snapshots reject mutations (a point outside
-// every quadrant still shifts global results everywhere; no incremental
-// maintenance is implemented for them).
+// snapshots. A global snapshot rejects mutations with InvalidArgument:
+// IncrementalQuadrantDiagram::Adopt refuses a table whose semantics rule
+// (DiagramSemantics) reads global, since a point outside every quadrant
+// still shifts global results everywhere.
 #ifndef SKYDIA_SRC_SERVE_MUTATION_PIPELINE_H_
 #define SKYDIA_SRC_SERVE_MUTATION_PIPELINE_H_
 
@@ -162,8 +163,20 @@ class MutationPipeline {
   void Stop() SKYDIA_EXCLUDES(mu_);
 
  private:
+  /// One mutation, applied to whichever shadow is seeded (the other is
+  /// null). Returns the point it inserted or deleted; on error the shadow is
+  /// unchanged.
+  using ApplyFn = std::function<StatusOr<PointId>(
+      IncrementalQuadrantDiagram* quadrant,
+      IncrementalDynamicDiagram* dynamic)>;
+
+  /// The one admission path of Insert and Delete: seeds the shadow, checks
+  /// the backlog, runs `apply` under mu_, then records the mutation as
+  /// pending (metrics, ack generation) and publishes or arms the window.
+  StatusOr<MutationAck> Mutate(bool insert, const ApplyFn& apply)
+      SKYDIA_EXCLUDES(publish_mu_, mu_);
   /// Seeds the shadow when absent by adopting the registry's current
-  /// snapshot (no build, no copy); global snapshots are rejected.
+  /// snapshot (no build, no copy); Adopt rejects global snapshots.
   Status EnsureShadowLocked() SKYDIA_REQUIRES(mu_);
   /// Reset()'s body, for callers already holding the locks.
   void ResetLocked() SKYDIA_REQUIRES(mu_);

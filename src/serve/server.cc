@@ -116,8 +116,7 @@ std::string RenderStatsJson(const ServingSnapshot* snapshot) {
 }  // namespace
 
 SkylineServer::SkylineServer(const ServerOptions& options)
-    : options_(options),
-      registry_(options.cell_semantics, options.cache) {
+    : options_(options), registry_(options.cache) {
   options_.num_workers = std::max(1, options_.num_workers);
 }
 
@@ -168,7 +167,7 @@ Status SkylineServer::Start(const std::string& blob_path) {
   return Serve();
 }
 
-Status SkylineServer::Start(ServableDiagram diagram, std::string source_path) {
+Status SkylineServer::Start(SkylineDiagram diagram, std::string source_path) {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server already running");
   }
@@ -788,9 +787,10 @@ void SkylineServer::ServeHttp(std::string_view request_target,
           .append(std::to_string(snapshot->generation));
       body.append(",\"points\":")
           .append(std::to_string(snapshot->diagram->dataset().size()));
-      body.append(",\"mutation_pending\":")
-          .append(std::to_string(
-              mutations_ != nullptr ? mutations_->pending() : 0));
+      body.append(",\"semantics\":\"")
+          .append(SkylineQueryTypeName(snapshot->diagram->type()));
+      body.append("\",\"mutation_pending\":")
+          .append(std::to_string(mutations_->pending()));
       body.append("}\n");
       content_type = "application/json";
     }
@@ -851,23 +851,20 @@ std::string SkylineServer::RenderDebugSnapshotJson() const {
           snapshot != nullptr ? snapshot->diagram->dataset().size() : 0));
   out.append(",\"recorder_active\":")
       .append(trace::RecorderActive() ? "true" : "false");
-  if (mutations_ != nullptr) {
-    const MutationDebugState m = mutations_->DebugState();
-    out.append(",\"mutation\":{\"pending\":").append(std::to_string(m.pending));
-    out.append(",\"pending_cells\":").append(std::to_string(m.pending_cells));
-    out.append(",\"shadow_seeded\":").append(m.shadow_seeded ? "true"
-                                                             : "false");
-    out.append(",\"shadow_age_ms\":").append(std::to_string(m.shadow_age_ms));
-    out.append(",\"publish_in_flight\":")
-        .append(m.publish_in_flight ? "true" : "false");
-    out.append(",\"in_flight_generation\":")
-        .append(std::to_string(m.in_flight_generation));
-    out.append(",\"pending_rid\":\"");
-    JsonEscape(m.pending_rid, &out);
-    out.append("\",\"window_ms\":").append(std::to_string(m.window_ms));
-    out.append(",\"max_pending\":").append(std::to_string(m.max_pending));
-    out.push_back('}');
-  }
+  const MutationDebugState m = mutations_->DebugState();
+  out.append(",\"mutation\":{\"pending\":").append(std::to_string(m.pending));
+  out.append(",\"pending_cells\":").append(std::to_string(m.pending_cells));
+  out.append(",\"shadow_seeded\":").append(m.shadow_seeded ? "true" : "false");
+  out.append(",\"shadow_age_ms\":").append(std::to_string(m.shadow_age_ms));
+  out.append(",\"publish_in_flight\":")
+      .append(m.publish_in_flight ? "true" : "false");
+  out.append(",\"in_flight_generation\":")
+      .append(std::to_string(m.in_flight_generation));
+  out.append(",\"pending_rid\":\"");
+  JsonEscape(m.pending_rid, &out);
+  out.append("\",\"window_ms\":").append(std::to_string(m.window_ms));
+  out.append(",\"max_pending\":").append(std::to_string(m.max_pending));
+  out.push_back('}');
   // Histogram exemplars: the most recent request to land in each populated
   // duration bucket, linking /metrics tail buckets to concrete rids.
   out.append(",\"request_duration_exemplars\":[");
@@ -997,12 +994,6 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
         break;
       }
       case RequestKind::kInsert: {
-        if (mutations_ == nullptr) {
-          AppendErrorReply(req.id, ErrorCode::kInvalidArgument,
-                           "mutations are not enabled", out, rid);
-          metrics_.error_replies.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
         auto ack = mutations_->Insert(req.insert().p, req.insert().label);
         if (!ack.ok()) {
           AppendErrorReply(req.id, ErrorCodeForStatus(ack.status()),
@@ -1014,12 +1005,6 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
         break;
       }
       case RequestKind::kDelete: {
-        if (mutations_ == nullptr) {
-          AppendErrorReply(req.id, ErrorCode::kInvalidArgument,
-                           "mutations are not enabled", out, rid);
-          metrics_.error_replies.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
         auto ack = mutations_->Delete(req.del().point);
         if (!ack.ok()) {
           AppendErrorReply(req.id, ErrorCodeForStatus(ack.status()),
@@ -1030,16 +1015,9 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
         AppendOkReply(req.id, ack->generation, out, rid);
         break;
       }
-      case RequestKind::kFlush: {
-        if (mutations_ == nullptr) {
-          AppendErrorReply(req.id, ErrorCode::kInvalidArgument,
-                           "mutations are not enabled", out, rid);
-          metrics_.error_replies.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
+      case RequestKind::kFlush:
         AppendOkReply(req.id, mutations_->Flush(), out, rid);
         break;
-      }
       case RequestKind::kRange: {
         if (snapshot == nullptr) {
           AppendErrorReply(req.id, ErrorCode::kInvalidArgument,

@@ -37,7 +37,8 @@
 //   /metrics            Prometheus text exposition
 //   /healthz            liveness: 200 "ok" while the process serves
 //   /readyz             readiness: 503 before the first snapshot, else a
-//                       JSON summary (generation, points, backlog)
+//                       JSON summary (generation, points, the semantics
+//                       served, backlog)
 //   /debug/trace        the flight recorder's recent window as Chrome
 //                       trace-event JSON (ui.perfetto.dev)
 //   /debug/snapshot     registry + mutation-pipeline introspection JSON,
@@ -91,11 +92,9 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// Listen port; 0 picks a free port (read it back via port()).
   int port = 0;
-  /// Semantics a cell blob encodes (the file format does not record
-  /// quadrant vs global; dynamic is inferred from subcell blobs). Given to
-  /// the snapshot registry, which applies it to every load.
-  SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant;
-  /// Per-snapshot reply cache sizing, likewise given to the registry.
+  /// Per-snapshot reply cache sizing, given to the snapshot registry, which
+  /// applies it to every install and reload. (What a snapshot serves needs
+  /// no option: each diagram's table states its semantics.)
   ResultCacheOptions cache;
   /// Worker threads executing parsed batches off the event loop (>= 1).
   int num_workers = 1;
@@ -141,7 +140,7 @@ class SkylineServer {
   Status Start(const std::string& blob_path);
   /// Starts serving an already-loaded diagram (tests and embedders).
   /// `source_path` is what a path-less reload re-reads ("" disables it).
-  Status Start(ServableDiagram diagram, std::string source_path);
+  Status Start(SkylineDiagram diagram, std::string source_path);
 
   /// Stops accepting, closes every connection, joins the reactor and the
   /// worker pool. Idempotent.
@@ -245,7 +244,10 @@ class SkylineServer {
   /// Answers one batch of complete request lines against one pinned
   /// snapshot, appending reply lines to `out`. Runs on worker threads and,
   /// for the inline fast path, on the event-loop thread, under the batch's
-  /// request context (a server token is opened when none is active).
+  /// request context (a server token is opened when none is active). Those
+  /// threads exist only between Serve() creating mutations_ and Stop()
+  /// resetting it after joining them, so ServeBatch and ServeHttp always
+  /// see the write path.
   void ServeBatch(std::span<const std::string_view> lines, std::string* out);
   void ServeHttp(std::string_view request_target, std::string* out);
   /// The /debug/connections payload. Reactor-only by necessity: the

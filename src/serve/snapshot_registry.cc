@@ -4,20 +4,18 @@
 
 namespace skydia::serve {
 
-SnapshotRegistry::SnapshotRegistry(SkylineQueryType cell_semantics,
-                                   const ResultCacheOptions& cache)
-    : cell_semantics_(cell_semantics), cache_(cache) {}
+SnapshotRegistry::SnapshotRegistry(const ResultCacheOptions& cache)
+    : cache_(cache) {}
 
 std::shared_ptr<const ServingSnapshot> SnapshotRegistry::Current() const {
   MutexLock lock(mu_);
   return current_;
 }
 
-uint64_t SnapshotRegistry::Install(ServableDiagram diagram,
+uint64_t SnapshotRegistry::Install(SkylineDiagram diagram,
                                    std::string source_path) {
   auto snapshot = std::make_shared<ServingSnapshot>();
-  snapshot->diagram =
-      std::make_shared<const ServableDiagram>(std::move(diagram));
+  snapshot->diagram = std::make_shared<const SkylineDiagram>(std::move(diagram));
   snapshot->cache = std::make_shared<ResultCache>(cache_);
   snapshot->source_path = std::move(source_path);
   std::shared_ptr<const ServingSnapshot> replaced;
@@ -48,7 +46,7 @@ Status SnapshotRegistry::Reload(const std::string& path) {
   }
   // Load outside the lock: queries keep flowing against the old snapshot
   // while the replacement deserializes and builds its index.
-  auto loaded = ServableDiagram::Load(target, cell_semantics_);
+  auto loaded = SkylineDiagram::Load(target);
   if (!loaded.ok()) return loaded.status();
   Install(std::move(loaded).value(), std::move(target));
   return Status::OK();

@@ -6,18 +6,19 @@
 // they pinned until they drop their reference — queries never block on a
 // reload and never observe a half-installed diagram.
 //
-// A snapshot serves through one ServableDiagram: every point, exact and
+// A snapshot serves through one SkylineDiagram: every point, exact and
 // range query it answers goes through that diagram's one QueryEngine and its
-// PointLocationIndex.
+// PointLocationIndex, under the semantics the diagram's table states
+// (DiagramSemantics), so a reload serves whatever the new blob is.
 //
 // Each snapshot carries its own ResultCache: SetIds are meaningless across
 // snapshots, so retiring the cache with its diagram makes stale cache hits
 // structurally impossible (no invalidation protocol to get wrong).
 //
-// The registry is the one place that says how a snapshot is served: it is
-// constructed once with the semantics a cell blob serves and the reply-cache
-// sizing, and every Install (start, mutation publish) and Reload applies
-// them, so a published or reloaded snapshot serves exactly like the first.
+// The registry is the one place that sizes a snapshot's reply cache: it is
+// constructed once with the sizing, and every Install (start, mutation
+// publish) and Reload applies it, so a published or reloaded snapshot is
+// cached exactly like the first.
 //
 // Generation numbers increase monotonically from 1 and stamp every reply
 // ("gen" field), which is what the hot-swap stress test asserts on.
@@ -40,7 +41,7 @@ namespace skydia::serve {
 /// One immutable serving generation: the loaded diagram, its reply cache,
 /// and where it came from. Shared read-only across connection threads.
 struct ServingSnapshot {
-  std::shared_ptr<const ServableDiagram> diagram;
+  std::shared_ptr<const SkylineDiagram> diagram;
   std::shared_ptr<ResultCache> cache;
   uint64_t generation = 0;
   std::string source_path;  ///< blob the snapshot was loaded from
@@ -49,12 +50,8 @@ struct ServingSnapshot {
 /// Thread-safe holder of the current ServingSnapshot.
 class SnapshotRegistry {
  public:
-  /// `cell_semantics` names what Reload serves a cell blob as (kQuadrant or
-  /// kGlobal; the file format does not record it, and subcell blobs always
-  /// serve kDynamic). `cache` sizes every snapshot's reply cache.
-  explicit SnapshotRegistry(
-      SkylineQueryType cell_semantics = SkylineQueryType::kQuadrant,
-      const ResultCacheOptions& cache = {});
+  /// `cache` sizes every snapshot's reply cache.
+  explicit SnapshotRegistry(const ResultCacheOptions& cache = {});
   SnapshotRegistry(const SnapshotRegistry&) = delete;
   SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
 
@@ -66,13 +63,12 @@ class SnapshotRegistry {
   /// fresh cache. Returns the new generation. The replaced snapshot is
   /// released after the swap's lock is dropped, so freeing it never stalls
   /// Current().
-  uint64_t Install(ServableDiagram diagram, std::string source_path)
+  uint64_t Install(SkylineDiagram diagram, std::string source_path)
       SKYDIA_EXCLUDES(mu_);
 
-  /// Loads `path` under the registry's cell semantics and installs it. On
-  /// failure the current snapshot is left serving untouched. An empty
-  /// `path` reloads the current snapshot's source file (error when nothing
-  /// is installed yet).
+  /// Loads `path` (SkylineDiagram::Load) and installs it. On failure the
+  /// current snapshot is left serving untouched. An empty `path` reloads the
+  /// current snapshot's source file (error when nothing is installed yet).
   Status Reload(const std::string& path) SKYDIA_EXCLUDES(mu_);
 
   /// Generation of the current snapshot (0 = nothing installed). Lock-free.
@@ -81,7 +77,6 @@ class SnapshotRegistry {
   }
 
  private:
-  const SkylineQueryType cell_semantics_;
   const ResultCacheOptions cache_;
   mutable Mutex mu_;
   std::shared_ptr<const ServingSnapshot> current_ SKYDIA_GUARDED_BY(mu_);

@@ -31,6 +31,19 @@ expect_err() {
   if "$@" 2>/dev/null; then fail "$what: expected non-zero exit"; fi
 }
 
+# Expects exit code 1 exactly and `message` on stderr: a process killed by
+# `timeout` or a signal exits non-zero too, without saying why.
+expect_exit1() {
+  local what="$1"
+  local message="$2"
+  shift 2
+  "$@" > /dev/null 2> stderr.txt
+  local rc=$?
+  if [ "$rc" -ne 1 ]; then fail "$what: expected exit 1, got $rc"; fi
+  grep -qF -- "$message" stderr.txt ||
+    fail "$what: stderr lacks \"$message\""
+}
+
 step "generate a deterministic workload"
 expect_ok "generate" "$SKYDIA" generate --n 32 --domain 64 --seed 7 \
   --out points.csv
@@ -65,10 +78,38 @@ for type in quadrant global; do
     fail "build $type --algo auto wrote other bytes than --algo scanning"
 done
 
-step "check validates every blob"
-expect_ok "check quadrant" "$SKYDIA" check quadrant.skd
-expect_ok "check global" "$SKYDIA" check global.skd
-expect_ok "check dynamic" "$SKYDIA" check dynamic.skd
+step "check validates every blob against the semantics it states"
+for type in quadrant global dynamic; do
+  if ! "$SKYDIA" check "$type.skd" > "check_$type.out"; then
+    fail "check $type: expected exit 0"
+  fi
+  grep -qF "sampled $type queries verified" "check_$type.out" ||
+    fail "check $type does not name the $type oracle"
+done
+
+step "stats names each blob's semantics"
+for kind in "quadrant cell" "global cell" "dynamic subcell"; do
+  type="${kind%% *}"
+  "$SKYDIA" stats --diagram "$type.skd" > "stats_$type.out" ||
+    fail "stats $type: expected exit 0"
+  grep -qxF "kind: $kind diagram" "stats_$type.out" ||
+    fail "stats $type does not print \"kind: $kind diagram\""
+done
+
+step "a cell blob serves the semantics its table states"
+# At (5, 5) the quadrant skyline is {b}; the global one adds a, alone in the
+# third quadrant.
+printf 'label,x,y\na,2,2\nb,8,8\n' > two.csv
+for type in quadrant global; do
+  expect_ok "build two-point $type" "$SKYDIA" build --in two.csv \
+    --type "$type" --out "two_$type.skd"
+done
+[ "$("$SKYDIA" query two_global.skd --qx 5 --qy 5 --exact)" = \
+  "skyline((5, 5)) = {a, b}" ] ||
+  fail "query --exact on a global blob does not print the global skyline"
+[ "$("$SKYDIA" query two_quadrant.skd --qx 5 --qy 5 --exact)" = \
+  "skyline((5, 5)) = {b}" ] ||
+  fail "query --exact on a quadrant blob does not print the quadrant skyline"
 
 step "query a blob with a points CSV (golden output)"
 cat > queries.csv <<'EOF'
@@ -91,7 +132,7 @@ fi
 step "single-point and exact queries answer on every semantics"
 expect_ok "query quadrant point" "$SKYDIA" query quadrant.skd --qx 5 --qy 5
 expect_ok "query global exact" "$SKYDIA" query global.skd --qx 5 --qy 5 \
-  --exact --semantics global
+  --exact
 expect_ok "query dynamic exact" "$SKYDIA" query dynamic.skd --qx 5 --qy 5 \
   --exact
 
@@ -171,10 +212,19 @@ step "bad invocations exit non-zero"
 expect_err "query without arguments" "$SKYDIA" query
 expect_err "query missing blob" "$SKYDIA" query missing.skd queries.csv
 expect_err "query missing csv" "$SKYDIA" query quadrant.skd missing.csv
-expect_err "query bad semantics" "$SKYDIA" query quadrant.skd queries.csv \
-  --semantics sideways
 expect_err "query --qx without --qy" "$SKYDIA" query quadrant.skd --qx 1
 expect_err "unknown command" "$SKYDIA" frobnicate
+
+step "each command rejects flags it does not read, and unparsed integers"
+expect_exit1 "query --semantics" "unknown flag --semantics for query" \
+  "$SKYDIA" query quadrant.skd queries.csv --semantics global
+expect_exit1 "query --batch-threshold" \
+  "unknown flag --batch-threshold for query" \
+  "$SKYDIA" query quadrant.skd queries.csv --batch-threshold 1
+expect_exit1 "generate --n abc" "--n expects an integer, got \"abc\"" \
+  "$SKYDIA" generate --n abc --out never.csv
+expect_exit1 "serve --threads" "unknown flag --threads for serve" \
+  timeout 5 "$SKYDIA" serve quadrant.skd --port 0 --threads 4
 
 step "corrupt blobs are rejected by check and query"
 head -c 64 quadrant.skd > corrupt.skd

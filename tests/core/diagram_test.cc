@@ -266,6 +266,93 @@ TEST(SkylineDiagramTest, MovedDiagramKeepsAnsweringThroughItsIndex) {
   }
 }
 
+// The semantics rule reads back the built type from every construction of a
+// cell table: each builder and both semantics, on tie-heavy domains (2, 4,
+// 16) and a wide one, from n = 1 up. Wrap, which Load ends in, serves what
+// the rule reads; a subcell table is dynamic.
+TEST(DiagramSemanticsTest, ReadsTheBuiltTypeFromEveryConstruction) {
+  for (const BuildAlgorithm algorithm :
+       {BuildAlgorithm::kAuto, BuildAlgorithm::kBaseline, BuildAlgorithm::kDsg,
+        BuildAlgorithm::kScanning}) {
+    for (const SkylineQueryType type :
+         {SkylineQueryType::kQuadrant, SkylineQueryType::kGlobal}) {
+      for (const int64_t domain : {2, 4, 16, 1024}) {
+        for (const size_t n : {1, 2, 5, 40}) {
+          for (uint64_t seed = 1; seed <= 3; ++seed) {
+            const SkylineDiagram built = testing::BuildDiagram(
+                RandomDataset(n, domain, seed), type, algorithm);
+            const std::string where =
+                std::string(BuildAlgorithmName(algorithm)) + " " +
+                SkylineQueryTypeName(type) + " n=" + std::to_string(n) +
+                " domain=" + std::to_string(domain) +
+                " seed=" + std::to_string(seed);
+            EXPECT_EQ(DiagramSemantics(*built.cell_diagram()), type) << where;
+            const SkylineDiagram wrapped = SkylineDiagram::Wrap(
+                built.shared_dataset(), built.shared_cell_diagram());
+            EXPECT_EQ(wrapped.type(), type) << where;
+          }
+        }
+      }
+    }
+  }
+  const SkylineDiagram dynamic =
+      testing::BuildDiagram(RandomDataset(6, 4, 1), SkylineQueryType::kDynamic);
+  EXPECT_EQ(DiagramSemantics(*dynamic.subcell_diagram()),
+            SkylineQueryType::kDynamic);
+  EXPECT_EQ(SkylineDiagram::Wrap(dynamic.shared_dataset(),
+                                 dynamic.shared_subcell_diagram())
+                .type(),
+            SkylineQueryType::kDynamic);
+}
+
+// Inserts and deletes keep a quadrant table quadrant. A delete empties the
+// dropped point's sets in the adopted pool, so the rule reads the corner's
+// content rather than testing for SetId 0.
+TEST(DiagramSemanticsTest, QuadrantTablesStayQuadrantUnderMutations) {
+  for (const int64_t domain : {2, 4, 16, 1024}) {
+    auto diagram =
+        IncrementalQuadrantDiagram::Create(RandomDataset(12, domain, 7));
+    ASSERT_TRUE(diagram.ok()) << diagram.status();
+    Rng rng(static_cast<uint64_t>(domain));
+    for (int step = 0; step < 40; ++step) {
+      const size_t size = diagram->dataset().size();
+      if (size <= 2 || rng.NextBounded(2) == 0) {
+        ASSERT_TRUE(diagram
+                        ->Insert({rng.NextInt(0, domain - 1),
+                                  rng.NextInt(0, domain - 1)})
+                        .ok());
+      } else {
+        ASSERT_TRUE(
+            diagram->Delete(static_cast<PointId>(rng.NextBounded(size))).ok());
+      }
+      ASSERT_EQ(DiagramSemantics(diagram->diagram()),
+                SkylineQueryType::kQuadrant)
+          << "domain " << domain << ", step " << step;
+      EXPECT_EQ(SkylineDiagram::Wrap(diagram->shared_dataset(),
+                                     diagram->shared_diagram())
+                    .type(),
+                SkylineQueryType::kQuadrant);
+    }
+  }
+}
+
+// Adopt checks what it adopts: a table the rule calls global is refused, so
+// no caller can start quadrant maintenance on it.
+TEST(DiagramSemanticsTest, AdoptRefusesATableThatStatesGlobal) {
+  const Dataset ds = RandomDataset(16, 64, 9);
+  const SkylineDiagram global =
+      testing::BuildDiagram(ds, SkylineQueryType::kGlobal);
+  auto refused = IncrementalQuadrantDiagram::Adopt(
+      global.shared_dataset(), global.shared_cell_diagram());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  const SkylineDiagram quadrant =
+      testing::BuildDiagram(ds, SkylineQueryType::kQuadrant);
+  EXPECT_TRUE(IncrementalQuadrantDiagram::Adopt(quadrant.shared_dataset(),
+                                                quadrant.shared_cell_diagram())
+                  .ok());
+}
+
 TEST(SkylineDiagramTest, EnumNames) {
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kQuadrant), "quadrant");
   EXPECT_STREQ(SkylineQueryTypeName(SkylineQueryType::kGlobal), "global");

@@ -16,7 +16,6 @@
 #include "src/core/incremental.h"
 #include "src/core/incremental_dynamic.h"
 #include "src/core/query_engine.h"
-#include "src/core/serialize.h"
 #include "src/datagen/distributions.h"
 #include "tests/testing/property.h"
 #include "tests/testing/util.h"
@@ -41,7 +40,7 @@ std::vector<PointId> Sorted(std::span<const PointId> ids) {
 struct Seeding {
   /// nullopt: Create() (its own scanning build). Otherwise Adopt() of the
   /// diagram this algorithm builds at the trace's parallelism, saved to a
-  /// blob and served from it (ServableDiagram::Load), which is how the
+  /// blob and served from it (SkylineDiagram::Load), which is how the
   /// serve layer's shadow starts.
   std::optional<BuildAlgorithm> adopted_blob;
   /// Mutations in the trace. Long traces check the rebuild every fourth
@@ -60,12 +59,9 @@ void AdoptFromBlob(const Dataset& dataset, SkylineQueryType family,
       BuildDiagram(dataset, family, algorithm, parallelism);
   const std::string path = ::testing::TempDir() + "/mutation_seed_" +
                            std::to_string(::getpid()) + ".skd";
-  const Status saved =
-      built.cell_diagram() != nullptr
-          ? SaveCellDiagram(dataset, *built.cell_diagram(), path)
-          : SaveSubcellDiagram(dataset, *built.subcell_diagram(), path);
+  const Status saved = built.Save(path);
   ASSERT_TRUE(saved.ok()) << saved;
-  auto served = ServableDiagram::Load(path);
+  auto served = SkylineDiagram::Load(path);
   std::remove(path.c_str());
   ASSERT_TRUE(served.ok()) << served.status();
   if (family == SkylineQueryType::kQuadrant) {

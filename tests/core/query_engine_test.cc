@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -20,7 +21,6 @@
 #include "src/common/thread_pool.h"
 #include "src/common/trace.h"
 #include "src/core/diagram.h"
-#include "src/core/serialize.h"
 #include "src/datagen/distributions.h"
 #include "src/skyline/query.h"
 #include "tests/testing/property.h"
@@ -58,14 +58,6 @@ SkylineDiagram BuildOrDie(const Dataset& dataset, SkylineQueryType type) {
   auto diagram = SkylineDiagram::Build(dataset, type);
   EXPECT_TRUE(diagram.ok()) << diagram.status();
   return std::move(diagram).value();
-}
-
-QueryEngine MakeEngine(const SkylineDiagram& diagram) {
-  if (diagram.cell_diagram() != nullptr) {
-    return QueryEngine(diagram.dataset(), *diagram.cell_diagram(),
-                       diagram.type());
-  }
-  return QueryEngine(diagram.dataset(), *diagram.subcell_diagram());
 }
 
 /// Answer(q, {.exact = true}), unwrapped.
@@ -124,8 +116,7 @@ TEST_P(QueryEngineDifferentialTest, MatchesOracleOnEveryDistribution) {
         [&](Rng& rng, uint64_t seed) {
           const Dataset ds = GeneratedDataset(40, 64, distribution, seed);
           const SkylineDiagram diagram = BuildOrDie(ds, type);
-          const QueryEngine engine = MakeEngine(diagram);
-          CheckEngineAgainstOracle(engine, rng, kQueriesPerDataset);
+          CheckEngineAgainstOracle(diagram.engine(), rng, kQueriesPerDataset);
         });
   }
 }
@@ -141,8 +132,7 @@ TEST_P(QueryEngineDifferentialTest, MatchesOracleOnDuplicateHeavyData) {
       [&](Rng& rng, uint64_t seed) {
         const Dataset ds = RandomDataset(24, 8, seed);
         const SkylineDiagram diagram = BuildOrDie(ds, type);
-        const QueryEngine engine = MakeEngine(diagram);
-        CheckEngineAgainstOracle(engine, rng, kQueriesPerDataset);
+        CheckEngineAgainstOracle(diagram.engine(), rng, kQueriesPerDataset);
       });
 }
 
@@ -159,7 +149,6 @@ TEST(QueryEngineBatchTest, BatchMatchesSingleAcrossThreadCounts) {
   const Dataset ds =
       GeneratedDataset(48, 128, Distribution::kIndependent, 11);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  const QueryEngine reference = MakeEngine(diagram);
 
   Rng rng(12);
   std::vector<Point2D> queries;
@@ -173,7 +162,7 @@ TEST(QueryEngineBatchTest, BatchMatchesSingleAcrossThreadCounts) {
     }
   }
 
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
   for (const size_t threads : {1, 2, 7}) {
     // One thread means no pool: the batch answers on the calling thread.
     std::unique_ptr<ThreadPool> pool;
@@ -182,7 +171,7 @@ TEST(QueryEngineBatchTest, BatchMatchesSingleAcrossThreadCounts) {
     ASSERT_EQ(answers.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       const auto got = engine.Get(answers[i]);
-      const auto expected = reference.Answer(queries[i]);
+      const auto expected = diagram.index().Query(queries[i]);
       ASSERT_TRUE(got.size() == expected.size() &&
                   std::equal(got.begin(), got.end(), expected.begin()))
           << "batch answer " << i << " (threads=" << threads
@@ -199,7 +188,7 @@ TEST(QueryEngineBatchTest, ShardsWithoutWorkLeaveNoSlotUnwritten) {
   const Dataset ds =
       GeneratedDataset(40, 64, Distribution::kAnticorrelated, 17);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kGlobal);
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
   ThreadPool pool(33);
 
   constexpr SetId kUnwritten = std::numeric_limits<SetId>::max();
@@ -229,7 +218,7 @@ TEST(QueryEngineBatchTest, PoolShardsCarryTheCallersRequestId) {
   const Dataset ds =
       GeneratedDataset(64, 256, Distribution::kIndependent, 35);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
   ThreadPool pool(3);
   Rng rng(36);
   std::vector<Point2D> queries;
@@ -263,7 +252,7 @@ TEST(QueryEngineBatchTest, PoolShardsCarryTheCallersRequestId) {
 TEST(QueryEngineBatchTest, SmallBatchesStayInline) {
   const Dataset ds = GeneratedDataset(16, 32, Distribution::kCorrelated, 5);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
   ThreadPool pool(4);
   const std::vector<Point2D> queries(100, Point2D{3, 3});
   const std::vector<SetId> answers = engine.AnswerBatch(queries, &pool);
@@ -275,7 +264,7 @@ TEST(QueryEngineStatsTest, CountersAndLatencyPercentiles) {
   const Dataset ds =
       GeneratedDataset(32, 64, Distribution::kIndependent, 21);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
 
   const std::vector<Point2D> repeated(512, Point2D{7, 9});
   (void)engine.AnswerBatch(repeated);
@@ -296,7 +285,7 @@ TEST(QueryEngineStatsTest, ParallelBatchCountsEveryQueryOnce) {
   const Dataset ds =
       GeneratedDataset(64, 256, Distribution::kIndependent, 33);
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kQuadrant);
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
   ThreadPool pool(4);
 
   Rng rng(34);
@@ -319,7 +308,7 @@ TEST(QueryEngineStatsTest, ParallelBatchCountsEveryQueryOnce) {
 TEST(QueryEngineStatsTest, ExactBatchFallsBackOnlyOnBoundaries) {
   const Dataset ds = RandomDataset(24, 16, 29);  // tie-heavy: many lines
   const SkylineDiagram diagram = BuildOrDie(ds, SkylineQueryType::kDynamic);
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
 
   std::vector<Point2D> queries;
   for (int64_t x = 0; x < 16; ++x) {
@@ -370,18 +359,10 @@ std::string TempBlobPath(const char* name) {
 
 // Saves `built` as a blob at `path`, loads it back for serving and deletes
 // the file.
-StatusOr<ServableDiagram> SaveAndLoad(const SkylineDiagram& built,
-                                      const std::string& path) {
-  const Status saved =
-      built.cell_diagram() != nullptr
-          ? SaveCellDiagram(built.dataset(), *built.cell_diagram(), path)
-          : SaveSubcellDiagram(built.dataset(), *built.subcell_diagram(),
-                               path);
-  if (!saved.ok()) return saved;
-  const SkylineQueryType cell_semantics =
-      built.type() == SkylineQueryType::kDynamic ? SkylineQueryType::kQuadrant
-                                                 : built.type();
-  auto loaded = ServableDiagram::Load(path, cell_semantics);
+StatusOr<SkylineDiagram> SaveAndLoad(const SkylineDiagram& built,
+                                     const std::string& path) {
+  if (Status saved = built.Save(path); !saved.ok()) return saved;
+  auto loaded = SkylineDiagram::Load(path);
   std::remove(path.c_str());
   return loaded;
 }
@@ -389,17 +370,17 @@ StatusOr<ServableDiagram> SaveAndLoad(const SkylineDiagram& built,
 class ExactAnswerRuleTest
     : public ::testing::TestWithParam<SkylineQueryType> {};
 
-// SkylineDiagram::QueryExact and the engine's exact Answer share one rule,
-// NeedsOracle. At every position of a tie-heavy domain, and one step outside
-// it, the diagram, an engine over it and an engine over its loaded blob all
-// return the oracle's answer, and both engines fall back exactly at the
-// positions the rule names: only for dynamic diagrams, whose bisector lines
-// are where two mapped distances tie.
+// SkylineDiagram::QueryExact goes through the diagram's engine, so it and
+// the engine's exact Answer share one rule, NeedsOracle. At every position of
+// a tie-heavy domain, and one step outside it, the diagram, its engine and
+// the engine of its loaded blob all return the oracle's answer, and both
+// engines fall back exactly at the positions the rule names: only for
+// dynamic diagrams, whose bisector lines are where two mapped distances tie.
 TEST_P(ExactAnswerRuleTest, DiagramAndEngineFallBackAtTheSamePositions) {
   const SkylineQueryType type = GetParam();
   const Dataset ds = RandomDataset(14, 10, 37);
   const SkylineDiagram diagram = BuildOrDie(ds, type);
-  const QueryEngine engine = MakeEngine(diagram);
+  const QueryEngine& engine = diagram.engine();
   const std::string name =
       std::string("exact_rule_") + SkylineQueryTypeName(type) + ".skd";
   auto loaded = SaveAndLoad(diagram, TempBlobPath(name.c_str()));
@@ -419,7 +400,8 @@ TEST_P(ExactAnswerRuleTest, DiagramAndEngineFallBackAtTheSamePositions) {
     }
   }
   EXPECT_GT(on_line, 0u);
-  EXPECT_EQ(engine.Stats().oracle_fallbacks, needs_oracle);
+  // QueryExact and ExactAnswer each asked the diagram's one engine.
+  EXPECT_EQ(engine.Stats().oracle_fallbacks, 2 * needs_oracle);
   EXPECT_EQ(loaded->engine().Stats().oracle_fallbacks, needs_oracle);
   if (type == SkylineQueryType::kDynamic) {
     EXPECT_GT(needs_oracle, 0u);
@@ -466,9 +448,8 @@ class QueryEngineParallelBatchTest
     : public ::testing::TestWithParam<SkylineQueryType> {};
 
 // A loaded blob whose batch splits across a four-thread pool: each batched
-// answer is the set a single lookup on a second engine over the same diagram
-// returns, boundary positions included, with the members the fresh build
-// answers.
+// answer is the set a single lookup on the same index returns, boundary
+// positions included, with the members the fresh build answers.
 TEST_P(QueryEngineParallelBatchTest, BoundaryProbesMatchSingleAnswers) {
   const SkylineQueryType type = GetParam();
   const Dataset ds =
@@ -477,20 +458,16 @@ TEST_P(QueryEngineParallelBatchTest, BoundaryProbesMatchSingleAnswers) {
   ThreadPool pool(4);
   const std::string name =
       std::string("parallel_batch_") + SkylineQueryTypeName(type) + ".skd";
-  auto servable = SaveAndLoad(built, TempBlobPath(name.c_str()));
-  ASSERT_TRUE(servable.ok()) << servable.status();
-  const QueryEngine& engine = servable->engine();
-  const QueryEngine reference =
-      servable->subcell_diagram() != nullptr
-          ? QueryEngine(servable->dataset(), *servable->subcell_diagram())
-          : QueryEngine(servable->dataset(), *servable->cell_diagram(), type);
+  auto loaded = SaveAndLoad(built, TempBlobPath(name.c_str()));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const QueryEngine& engine = loaded->engine();
 
   const std::vector<Point2D> queries = BoundaryProbes(ds, 23);
   const std::vector<SetId> batch = engine.AnswerBatch(queries, &pool);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const Point2D& q = queries[i];
-    ASSERT_EQ(batch[i], reference.AnswerSetId(q)) << "q = " << q;
+    ASSERT_EQ(batch[i], loaded->index().LocateSet(q)) << "q = " << q;
     const auto fresh = built.Query(q);
     ExpectSameIds(engine.Get(batch[i]),
                   std::vector<PointId>(fresh.begin(), fresh.end()), q,
@@ -529,7 +506,7 @@ TEST_P(FarOutQueryTest, AnswersEqualTheClampedPositions) {
           .value();
   for (const Dataset& ds : {four, RandomDataset(12, 16, 43)}) {
     const SkylineDiagram diagram = BuildOrDie(ds, type);
-    const QueryEngine engine = MakeEngine(diagram);
+    const QueryEngine& engine = diagram.engine();
     const int64_t domain = ds.domain_size();
     std::vector<int64_t> coords(std::begin(kFar), std::end(kFar));
     for (const int64_t inside : {int64_t{0}, int64_t{3}, domain - 1}) {
@@ -596,48 +573,73 @@ INSTANTIATE_TEST_SUITE_P(AllSemantics, FarOutQueryTest,
                                SkylineQueryTypeName(info.param));
                          });
 
-TEST(ServableDiagramTest, LoadedBlobServesIdenticallyToFreshBuild) {
+TEST(SkylineDiagramLoadTest, LoadedBlobServesIdenticallyToFreshBuild) {
   struct Case {
     SkylineQueryType type;
     const char* file;
   };
   const Case cases[] = {
-      {SkylineQueryType::kQuadrant, "servable_quadrant.skd"},
-      {SkylineQueryType::kGlobal, "servable_global.skd"},
-      {SkylineQueryType::kDynamic, "servable_dynamic.skd"},
+      {SkylineQueryType::kQuadrant, "loaded_quadrant.skd"},
+      {SkylineQueryType::kGlobal, "loaded_global.skd"},
+      {SkylineQueryType::kDynamic, "loaded_dynamic.skd"},
   };
   for (const Case& c : cases) {
     const Dataset ds =
         GeneratedDataset(28, 48, Distribution::kAnticorrelated, 31);
     const SkylineDiagram built = BuildOrDie(ds, c.type);
-    auto servable = SaveAndLoad(built, TempBlobPath(c.file));
-    ASSERT_TRUE(servable.ok()) << servable.status();
-    EXPECT_EQ(servable->type(), c.type);
-    ASSERT_EQ(servable->dataset().size(), ds.size());
+    // The loaded blob serves the semantics its table states: no caller
+    // names them.
+    auto loaded = SaveAndLoad(built, TempBlobPath(c.file));
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->type(), c.type);
+    ASSERT_EQ(loaded->dataset().size(), ds.size());
 
-    const QueryEngine in_memory = MakeEngine(built);
     Rng rng(41);
     for (size_t i = 0; i < 200; ++i) {
       const Point2D q = RandomQueryPoint(rng, ds);
-      const auto expected = ExactAnswer(in_memory, q);
-      const auto got = ExactAnswer(servable->engine(), q);
+      const auto expected = built.QueryExact(q);
+      const auto got = loaded->QueryExact(q);
       ASSERT_EQ(got, expected)
           << SkylineQueryTypeName(c.type) << " blob diverges at q = " << q;
     }
   }
 }
 
-TEST(ServableDiagramTest, RejectsDynamicCellSemantics) {
-  const auto servable = ServableDiagram::Load(TempBlobPath("unused.skd"),
-                                              SkylineQueryType::kDynamic);
-  ASSERT_FALSE(servable.ok());
-  EXPECT_EQ(servable.status().code(), StatusCode::kInvalidArgument);
+TEST(SkylineDiagramLoadTest, MissingFileFailsWithStatus) {
+  const auto loaded = SkylineDiagram::Load(TempBlobPath("does_not_exist.skd"));
+  ASSERT_FALSE(loaded.ok());
 }
 
-TEST(ServableDiagramTest, MissingFileFailsWithStatus) {
-  const auto servable =
-      ServableDiagram::Load(TempBlobPath("does_not_exist.skd"));
-  ASSERT_FALSE(servable.ok());
+// The whole file at `path`, or "" when it cannot be opened.
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Save and Load are inverse on every semantics: a loaded blob, saved again,
+// writes the bytes it was loaded from.
+TEST(SkylineDiagramLoadTest, SavingALoadedBlobRewritesItsBytes) {
+  for (const SkylineQueryType type :
+       {SkylineQueryType::kQuadrant, SkylineQueryType::kGlobal,
+        SkylineQueryType::kDynamic}) {
+    SCOPED_TRACE(SkylineQueryTypeName(type));
+    const Dataset ds = RandomDataset(24, 32, 47);  // tie-heavy
+    const SkylineDiagram built = BuildOrDie(ds, type);
+    const std::string name = SkylineQueryTypeName(type);
+    const std::string first = TempBlobPath(("resave_a_" + name).c_str());
+    const std::string second = TempBlobPath(("resave_b_" + name).c_str());
+    ASSERT_TRUE(built.Save(first).ok());
+    auto loaded = SkylineDiagram::Load(first);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->type(), type);
+    ASSERT_TRUE(loaded->Save(second).ok());
+    const std::string bytes = ReadFileBytes(first);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_TRUE(bytes == ReadFileBytes(second));
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+  }
 }
 
 }  // namespace

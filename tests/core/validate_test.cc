@@ -29,10 +29,9 @@ constexpr Distribution kDistributions[] = {Distribution::kIndependent,
                                            Distribution::kCorrelated,
                                            Distribution::kAnticorrelated};
 
-ValidateOptions Sampled(size_t samples, CellSemantics semantics) {
+ValidateOptions Sampled(size_t samples) {
   ValidateOptions options;
   options.sample_queries = samples;
-  options.semantics = semantics;
   return options;
 }
 
@@ -44,8 +43,8 @@ TEST(ValidateParityTest, QuadrantBuildersPassOnEveryDistribution) {
           BuildAlgorithm::kScanning}) {
       const SkylineDiagram built =
           BuildDiagram(ds, SkylineQueryType::kQuadrant, algorithm);
-      const Status status = ValidateDiagram(
-          ds, *built.cell_diagram(), Sampled(32, CellSemantics::kQuadrant));
+      const Status status =
+          ValidateDiagram(ds, *built.cell_diagram(), Sampled(32));
       EXPECT_TRUE(status.ok())
           << DistributionName(distribution) << "/"
           << BuildAlgorithmName(algorithm) << ": " << status;
@@ -61,8 +60,8 @@ TEST(ValidateParityTest, GlobalBuildersPassOnEveryDistribution) {
           BuildAlgorithm::kScanning}) {
       const SkylineDiagram built =
           BuildDiagram(ds, SkylineQueryType::kGlobal, algorithm);
-      const Status status = ValidateDiagram(
-          ds, *built.cell_diagram(), Sampled(32, CellSemantics::kGlobal));
+      const Status status =
+          ValidateDiagram(ds, *built.cell_diagram(), Sampled(32));
       EXPECT_TRUE(status.ok())
           << DistributionName(distribution) << "/"
           << BuildAlgorithmName(algorithm) << ": " << status;
@@ -78,8 +77,8 @@ TEST(ValidateParityTest, DynamicBuildersPassOnEveryDistribution) {
           BuildAlgorithm::kScanning}) {
       const SkylineDiagram built =
           BuildDiagram(ds, SkylineQueryType::kDynamic, algorithm);
-      const Status status = ValidateDiagram(
-          ds, *built.subcell_diagram(), Sampled(32, CellSemantics::kAuto));
+      const Status status =
+          ValidateDiagram(ds, *built.subcell_diagram(), Sampled(32));
       EXPECT_TRUE(status.ok())
           << DistributionName(distribution) << "/"
           << BuildAlgorithmName(algorithm) << ": " << status;
@@ -94,15 +93,15 @@ TEST(ValidateParityTest, ParallelBuildersPass) {
       const SkylineDiagram cells =
           BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kAuto,
                        threads);
-      const Status cell_status = ValidateDiagram(
-          ds, *cells.cell_diagram(), Sampled(16, CellSemantics::kQuadrant));
+      const Status cell_status =
+          ValidateDiagram(ds, *cells.cell_diagram(), Sampled(16));
       EXPECT_TRUE(cell_status.ok()) << cell_status;
 
       const SkylineDiagram subcells =
           BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kAuto,
                        threads);
-      const Status subcell_status = ValidateDiagram(
-          ds, *subcells.subcell_diagram(), Sampled(16, CellSemantics::kAuto));
+      const Status subcell_status =
+          ValidateDiagram(ds, *subcells.subcell_diagram(), Sampled(16));
       EXPECT_TRUE(subcell_status.ok()) << subcell_status;
     }
   }
@@ -118,30 +117,36 @@ TEST(ValidateParityTest, SweepingPartitionMatchesValidatedDiagram) {
   const SkylineDiagram built =
       BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
   const CellDiagram& diagram = *built.cell_diagram();
-  ASSERT_TRUE(
-      ValidateDiagram(ds, diagram, Sampled(32, CellSemantics::kQuadrant)).ok());
+  ASSERT_TRUE(ValidateDiagram(ds, diagram, Sampled(32)).ok());
   const auto swept = BuildQuadrantSweeping(ds);
   ASSERT_TRUE(swept.ok());
   EXPECT_EQ(swept->polyominoes.size(), MergeCells(diagram).num_polyominoes());
 }
 
-TEST(ValidateParityTest, AutoSemanticsAcceptsBothCellFamilies) {
+TEST(ValidateParityTest, CellDiagramsAreSampledUnderTheSemanticsTheyState) {
+  // Nobody names a cell diagram's semantics: its table states them
+  // (DiagramSemantics) and the sampler follows.
   const Dataset ds = RandomDataset(20, 24, 3);
   const SkylineDiagram quadrant =
       BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
   const SkylineDiagram global =
       BuildDiagram(ds, SkylineQueryType::kGlobal, BuildAlgorithm::kScanning);
-  EXPECT_TRUE(ValidateDiagram(ds, *quadrant.cell_diagram(),
-                              Sampled(48, CellSemantics::kAuto))
-                  .ok());
-  EXPECT_TRUE(ValidateDiagram(ds, *global.cell_diagram(),
-                              Sampled(48, CellSemantics::kAuto))
-                  .ok());
-  // And the wrong fixed oracle is rejected (the sampled cells of a 20-point
-  // dataset inevitably include one where quadrant != global).
-  EXPECT_FALSE(ValidateDiagram(ds, *global.cell_diagram(),
-                               Sampled(48, CellSemantics::kQuadrant))
-                   .ok());
+  EXPECT_TRUE(ValidateDiagram(ds, *quadrant.cell_diagram(), Sampled(48)).ok());
+  EXPECT_TRUE(ValidateDiagram(ds, *global.cell_diagram(), Sampled(48)).ok());
+  // Emptying a global table's corner cell makes it state quadrant, and the
+  // wrong oracle is rejected: the sampled cells of a 20-point dataset
+  // inevitably include one where quadrant != global.
+  auto relabelled =
+      ParseCellDiagram(SerializeCellDiagram(ds, *global.cell_diagram()));
+  ASSERT_TRUE(relabelled.ok()) << relabelled.status();
+  const CellGrid& grid = relabelled->diagram.grid();
+  relabelled->diagram.set_cell(grid.num_columns() - 1, grid.num_rows() - 1,
+                               kEmptySetId);
+  ASSERT_EQ(DiagramSemantics(relabelled->diagram), SkylineQueryType::kQuadrant);
+  const Status status = ValidateDiagram(ds, relabelled->diagram, Sampled(48));
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status;
+  EXPECT_NE(status.message().find("quadrant skyline"), std::string::npos)
+      << status;
 }
 
 // The corruption tests below construct through the direct builder entry
@@ -166,10 +171,7 @@ TEST(ValidateCorruptionTest, DetectsOverwrittenCellResults) {
   }
   ASSERT_GT(corrupted, grid.num_cells() / 2)
       << "dataset too degenerate for the corruption to be observable";
-  ValidateOptions options;
-  options.sample_queries = 64;
-  options.semantics = CellSemantics::kQuadrant;
-  EXPECT_FALSE(ValidateDiagram(ds, diagram, options).ok());
+  EXPECT_FALSE(ValidateDiagram(ds, diagram, Sampled(64)).ok());
 }
 
 TEST(ValidateCorruptionTest, DetectsDuplicatePoolEntry) {
@@ -210,7 +212,7 @@ TEST(ValidateCorruptionTest, MutatedDiagramNeedsRelaxedOptions) {
   EXPECT_EQ(canonical.code(), StatusCode::kCorruption);
   EXPECT_NE(canonical.message().find("not canonical"), std::string::npos)
       << canonical;
-  ValidateOptions relaxed = Sampled(16, CellSemantics::kQuadrant);
+  ValidateOptions relaxed = Sampled(16);
   relaxed.require_canonical_pool = false;
   const Status status = ValidateDiagram(ds, diagram, relaxed);
   EXPECT_TRUE(status.ok()) << status;

@@ -169,6 +169,8 @@ TEST_F(DebugEndpointsTest, HealthzIsLivenessAndReadyzReportsServingState) {
   EXPECT_NE(ready.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(ready.find("\"generation\":1"), std::string::npos) << ready;
   EXPECT_NE(ready.find("\"points\":64"), std::string::npos) << ready;
+  EXPECT_NE(ready.find("\"semantics\":\"quadrant\""), std::string::npos)
+      << ready;
   EXPECT_NE(ready.find("\"mutation_pending\":0"), std::string::npos);
 }
 

@@ -230,11 +230,11 @@ class MetricsFormatTest : public ::testing::Test {
     const std::string path = ::testing::TempDir() + "/metrics_format_" +
                              std::to_string(::getpid()) + ".skd";
     skydia::testing::SaveQuadrantFixture(256, 1 << 10, 7, path);
-    auto servable = ServableDiagram::Load(path);
+    auto loaded = SkylineDiagram::Load(path);
     std::remove(path.c_str());
-    ASSERT_TRUE(servable.ok()) << servable.status().ToString();
-    snapshot_.diagram = std::make_shared<const ServableDiagram>(
-        std::move(servable).value());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    snapshot_.diagram =
+        std::make_shared<const SkylineDiagram>(std::move(loaded).value());
     snapshot_.cache = std::make_shared<ResultCache>();
     snapshot_.generation = 2;
     snapshot_.source_path = path;

@@ -87,11 +87,11 @@ class MetricsRenderTest : public ::testing::Test {
     const std::string path = ::testing::TempDir() + "/metrics_fixture_" +
                              std::to_string(::getpid()) + ".skd";
     skydia::testing::SaveQuadrantFixture(256, 1 << 10, 99, path);
-    auto servable = ServableDiagram::Load(path);
+    auto loaded = SkylineDiagram::Load(path);
     std::remove(path.c_str());
-    ASSERT_TRUE(servable.ok()) << servable.status().ToString();
-    snapshot_.diagram = std::make_shared<const ServableDiagram>(
-        std::move(servable).value());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    snapshot_.diagram =
+        std::make_shared<const SkylineDiagram>(std::move(loaded).value());
     snapshot_.cache = std::make_shared<ResultCache>();
     snapshot_.generation = 3;
     snapshot_.source_path = path;
@@ -180,12 +180,12 @@ TEST(MetricsEngineTest, PoolThreadQueriesAreAllCounted) {
   const std::string path = ::testing::TempDir() + "/metrics_pool_" +
                            std::to_string(::getpid()) + ".skd";
   skydia::testing::SaveQuadrantFixture(256, 1 << 10, 98, path);
-  auto servable = ServableDiagram::Load(path);
+  auto loaded = SkylineDiagram::Load(path);
   std::remove(path.c_str());
-  ASSERT_TRUE(servable.ok()) << servable.status().ToString();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ServingSnapshot snapshot;
   snapshot.diagram =
-      std::make_shared<const ServableDiagram>(std::move(servable).value());
+      std::make_shared<const SkylineDiagram>(std::move(loaded).value());
   snapshot.cache = std::make_shared<ResultCache>();
   snapshot.generation = 1;
 

@@ -16,7 +16,6 @@
 #include "src/core/incremental.h"
 #include "src/core/incremental_dynamic.h"
 #include "src/core/query_engine.h"
-#include "src/core/serialize.h"
 #include "src/serve/metrics.h"
 #include "src/serve/protocol.h"
 #include "src/serve/snapshot_registry.h"
@@ -36,8 +35,7 @@ uint64_t InstallQuadrant(SnapshotRegistry* registry, const Dataset& dataset) {
   auto built = IncrementalQuadrantDiagram::Create(dataset);
   SKYDIA_CHECK(built.ok());
   return registry->Install(
-      ServableDiagram::Wrap(built->shared_dataset(), built->shared_diagram(),
-                            SkylineQueryType::kQuadrant),
+      SkylineDiagram::Wrap(built->shared_dataset(), built->shared_diagram()),
       "mem://quadrant");
 }
 
@@ -46,7 +44,7 @@ uint64_t InstallDynamic(SnapshotRegistry* registry, const Dataset& dataset) {
   auto built = IncrementalDynamicDiagram::Create(dataset);
   SKYDIA_CHECK(built.ok());
   return registry->Install(
-      ServableDiagram::Wrap(built->shared_dataset(), built->shared_diagram()),
+      SkylineDiagram::Wrap(built->shared_dataset(), built->shared_diagram()),
       "mem://dynamic");
 }
 
@@ -309,14 +307,8 @@ TEST(MutationPipelineTest, GlobalSemanticsSnapshotRejectsMutations) {
   SnapshotRegistry registry;
   ServerMetrics metrics;
   const Dataset dataset = RandomDistinctDataset(16, 1024, /*seed=*/12);
-  auto holder = std::make_shared<SkylineDiagram>(
-      BuildDiagram(dataset, SkylineQueryType::kGlobal));
-  registry.Install(
-      ServableDiagram::Wrap(
-          std::shared_ptr<const Dataset>(holder, &holder->dataset()),
-          std::shared_ptr<const CellDiagram>(holder, holder->cell_diagram()),
-          SkylineQueryType::kGlobal),
-      "mem://global");
+  registry.Install(BuildDiagram(dataset, SkylineQueryType::kGlobal),
+                   "mem://global");
 
   MutationPipeline pipeline(&registry, &metrics, {});
   auto rejected = pipeline.Insert({3, 3}, std::nullopt);
@@ -332,6 +324,70 @@ TEST(MutationPipelineTest, NoSnapshotInstalledFailsCleanly) {
   auto rejected = pipeline.Insert({1, 2}, std::nullopt);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Inserts and deletes pass one admission path. The three tests below pin
+// the delete side of it: the same refusals, codes and counters as an insert.
+
+TEST(MutationPipelineTest, DeleteWithNoSnapshotInstalledFailsCleanly) {
+  SnapshotRegistry registry;
+  ServerMetrics metrics;
+  MutationPipeline pipeline(&registry, &metrics, {});
+  auto rejected = pipeline.Delete(0);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(metrics.mutation_failures.load(), 1u);
+  EXPECT_EQ(metrics.mutation_deletes.load(), 0u);
+}
+
+TEST(MutationPipelineTest, GlobalSemanticsSnapshotRejectsDeletes) {
+  SnapshotRegistry registry;
+  ServerMetrics metrics;
+  const Dataset dataset = RandomDistinctDataset(16, 1024, /*seed=*/14);
+  registry.Install(BuildDiagram(dataset, SkylineQueryType::kGlobal),
+                   "mem://global");
+
+  MutationPipeline pipeline(&registry, &metrics, {});
+  auto rejected = pipeline.Delete(3);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.generation(), 1u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 16u);
+  EXPECT_EQ(metrics.mutation_failures.load(), 1u);
+  EXPECT_EQ(metrics.mutation_deletes.load(), 0u);
+}
+
+TEST(MutationPipelineTest, DeletesShareTheInsertBacklog) {
+  SnapshotRegistry registry;
+  ServerMetrics metrics;
+  InstallQuadrant(&registry, RandomDistinctDataset(8, 4096, /*seed=*/15));
+
+  MutationPipelineOptions options;
+  options.window_ms = 60'000;
+  options.max_pending = 2;
+  MutationPipeline pipeline(&registry, &metrics, options);
+  ASSERT_TRUE(pipeline.Insert({100, 101}, std::nullopt).ok());
+  ASSERT_TRUE(pipeline.Delete(0).ok());
+  EXPECT_EQ(pipeline.pending(), 2u);
+
+  // A full backlog refuses a delete before it looks at the id: an unknown
+  // id is refused as overloaded too, and neither touches the shadow.
+  for (const int64_t point : {int64_t{1}, int64_t{99}}) {
+    auto overloaded = pipeline.Delete(point);
+    ASSERT_FALSE(overloaded.ok()) << "point " << point;
+    EXPECT_EQ(overloaded.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(ErrorCodeForStatus(overloaded.status()), ErrorCode::kOverloaded);
+  }
+  EXPECT_EQ(pipeline.pending(), 2u);
+  EXPECT_EQ(metrics.mutation_inserts.load(), 1u);
+  EXPECT_EQ(metrics.mutation_deletes.load(), 1u);
+  EXPECT_EQ(metrics.mutation_failures.load(), 2u);
+
+  // Flushing publishes the two admitted mutations and unblocks deletes.
+  EXPECT_EQ(pipeline.Flush(), 2u);
+  EXPECT_EQ(registry.Current()->diagram->dataset().size(), 8u);
+  ASSERT_TRUE(pipeline.Delete(1).ok());
+  EXPECT_EQ(metrics.mutation_deletes.load(), 2u);
 }
 
 TEST(MutationPipelineTest, DynamicFamilyMutatesAndKeepsSubcellShape) {
@@ -378,12 +434,7 @@ TEST(MutationPipelineTest, DynamicFamilyMutatesAndKeepsSubcellShape) {
 /// Saves the `type` diagram of `dataset` where the registry can load it.
 void SaveBlob(const Dataset& dataset, SkylineQueryType type,
               const std::string& path) {
-  const SkylineDiagram built = BuildDiagram(dataset, type);
-  const Status saved =
-      built.cell_diagram() != nullptr
-          ? SaveCellDiagram(dataset, *built.cell_diagram(), path)
-          : SaveSubcellDiagram(dataset, *built.subcell_diagram(), path);
-  SKYDIA_CHECK(saved.ok());
+  SKYDIA_CHECK(BuildDiagram(dataset, type).Save(path).ok());
 }
 
 /// Spans called `name` recorded since the last trace::Reset().
@@ -464,12 +515,13 @@ TEST(MutationPipelineTest, FirstWriteAdoptsTheServedDiagramWithoutABuild) {
 }
 
 TEST(MutationPipelineTest, LoadedGlobalBlobStillRejectsMutations) {
-  // A cell blob served with global semantics is not adoptable: global
-  // results shift everywhere under a mutation.
+  // A global cell blob is not adoptable: global results shift everywhere
+  // under a mutation. A default registry loads it as global, because its
+  // table says so.
   const std::string path = ::testing::TempDir() + "/adopt_global.skd";
   SaveBlob(RandomDistinctDataset(16, 1024, /*seed=*/33),
            SkylineQueryType::kGlobal, path);
-  SnapshotRegistry registry(SkylineQueryType::kGlobal);
+  SnapshotRegistry registry;
   ServerMetrics metrics;
   ASSERT_TRUE(registry.Reload(path).ok());
   MutationPipeline pipeline(&registry, &metrics, {});

@@ -17,7 +17,6 @@
 #include "src/common/logging.h"
 #include "src/common/status.h"
 #include "src/core/diagram.h"
-#include "src/core/serialize.h"
 #include "tests/testing/util.h"
 
 namespace skydia::testing {
@@ -29,12 +28,7 @@ inline Dataset SaveFixture(SkylineQueryType type, size_t n, int64_t domain,
   Dataset dataset = RandomDataset(n, domain, seed);
   auto diagram = SkylineDiagram::Build(std::move(dataset), type);
   SKYDIA_CHECK(diagram.ok());
-  SKYDIA_CHECK((diagram->cell_diagram() != nullptr
-                    ? SaveCellDiagram(diagram->dataset(),
-                                      *diagram->cell_diagram(), path)
-                    : SaveSubcellDiagram(diagram->dataset(),
-                                         *diagram->subcell_diagram(), path))
-                   .ok());
+  SKYDIA_CHECK(diagram->Save(path).ok());
   auto copy = Dataset::Create(diagram->dataset().points(),
                               diagram->dataset().domain_size());
   return std::move(copy).value();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <set>
@@ -617,7 +618,6 @@ TEST_F(ServerTest, ZeroCapacityCacheStaysOffAfterReloadAndPublish) {
 TEST_F(ServerTest, GlobalServerReloadedFromAGlobalBlobKeepsGlobalSemantics) {
   ServerOptions options;
   options.port = 0;
-  options.cell_semantics = SkylineQueryType::kGlobal;
   path_ = FixturePath("server_global.skd");
   dataset_ = skydia::testing::SaveFixture(SkylineQueryType::kGlobal, 48, 1024,
                                           /*seed=*/8, path_);
@@ -642,6 +642,147 @@ TEST_F(ServerTest, GlobalServerReloadedFromAGlobalBlobKeepsGlobalSemantics) {
                                           /*seed=*/9, path_);
   ASSERT_TRUE(server_->Reload("").ok());
   expect_global(2);
+}
+
+/// The whole HTTP response to `GET target` on a fresh connection.
+std::string HttpGet(int port, const std::string& target) {
+  LineClient http;
+  if (!http.Connect(port) ||
+      !http.Send("GET " + target + " HTTP/1.1\r\nHost: x\r\n\r\n")) {
+    return "";
+  }
+  return http.ReadAll();
+}
+
+std::string QueryLine(const Point2D& q, const std::string& extra = "") {
+  return "{\"q\":[" + std::to_string(q.x) + "," + std::to_string(q.y) + "]" +
+         extra + "}";
+}
+
+TEST_F(ServerTest, ReloadServesWhateverSemanticsTheNewBlobStates) {
+  // One server with default options, reloaded from a global blob and back:
+  // each snapshot serves the semantics its own table states. Only the global
+  // one answers {"semantics":"global"} without "exact", and only it refuses
+  // inserts.
+  ServerOptions options;
+  options.port = 0;
+  path_ = FixturePath("server_swap_quadrant.skd");
+  const std::string global_path = FixturePath("server_swap_global.skd");
+  const Dataset quadrant_ds = SaveQuadrantFixture(40, 1024, /*seed=*/21, path_);
+  const Dataset global_ds = skydia::testing::SaveFixture(
+      SkylineQueryType::kGlobal, 36, 1024, /*seed=*/22, global_path);
+  server_ = std::make_unique<SkylineServer>(options);
+  ASSERT_TRUE(server_->Start(path_).ok());
+  ASSERT_TRUE(client_.Connect(server_->port()));
+  const auto expect_serving = [&](SkylineQueryType type,
+                                  const Dataset& dataset) {
+    SCOPED_TRACE(SkylineQueryTypeName(type));
+    const bool global = type == SkylineQueryType::kGlobal;
+    const uint64_t generation = server_->registry().generation();
+    EXPECT_EQ(server_->registry().Current()->diagram->type(), type);
+    const std::string ready = HttpGet(server_->port(), "/readyz");
+    EXPECT_NE(ready.find(std::string("\"semantics\":\"") +
+                         SkylineQueryTypeName(type) + "\""),
+              std::string::npos)
+        << ready;
+    const Point2D q{300, 700};
+    ASSERT_TRUE(client_.SendLine(QueryLine(q, ",\"semantics\":\"global\"")));
+    const std::string reply = StripRid(client_.ReadLine());
+    if (global) {
+      EXPECT_EQ(reply, "{\"gen\":" + std::to_string(generation) +
+                           ",\"ids\":" +
+                           RenderIdsArray(GlobalSkyline(dataset, q)) + "}");
+    } else {
+      EXPECT_NE(reply.find("\"code\":\"invalid_argument\""),
+                std::string::npos)
+          << reply;
+    }
+    ASSERT_TRUE(client_.SendLine(R"({"cmd":"insert","x":3,"y":5})"));
+    const std::string ack = StripRid(client_.ReadLine());
+    if (global) {
+      EXPECT_NE(ack.find("\"code\":\"invalid_argument\""), std::string::npos)
+          << ack;
+      EXPECT_EQ(server_->registry().generation(), generation);
+    } else {
+      EXPECT_EQ(ack, "{\"ok\":true,\"gen\":" +
+                         std::to_string(generation + 1) + ",\"point\":" +
+                         std::to_string(dataset.size()) + "}");
+    }
+  };
+  expect_serving(SkylineQueryType::kQuadrant, quadrant_ds);
+  ASSERT_TRUE(server_->Reload(global_path).ok());
+  expect_serving(SkylineQueryType::kGlobal, global_ds);
+  ASSERT_TRUE(server_->Reload(path_).ok());
+  expect_serving(SkylineQueryType::kQuadrant, quadrant_ds);
+  std::remove(global_path.c_str());
+}
+
+TEST_F(ServerTest, DefaultServerOnAGlobalBlobRefusesInsertsAndAnswersGlobally) {
+  // Nothing tells a default server that its blob is global: the table does.
+  // The insert is refused (adopting a global table as quadrant would corrupt
+  // it), and every probe gets the global skyline.
+  ServerOptions options;
+  options.port = 0;
+  path_ = FixturePath("server_default_global.skd");
+  dataset_ = skydia::testing::SaveFixture(SkylineQueryType::kGlobal, 64, 1024,
+                                          /*seed=*/23, path_);
+  server_ = std::make_unique<SkylineServer>(options);
+  ASSERT_TRUE(server_->Start(path_).ok());
+  ASSERT_TRUE(client_.Connect(server_->port()));
+  ASSERT_TRUE(client_.SendLine(R"({"cmd":"insert","x":512,"y":512})"));
+  const std::string ack = StripRid(client_.ReadLine());
+  EXPECT_NE(ack.find("\"code\":\"invalid_argument\""), std::string::npos)
+      << ack;
+  Rng rng(24);
+  for (int i = 0; i < 400; ++i) {
+    const Point2D q{rng.NextInt(-2, 1025), rng.NextInt(-2, 1025)};
+    ASSERT_TRUE(client_.SendLine(QueryLine(q)));
+    ASSERT_EQ(StripRid(client_.ReadLine()),
+              "{\"gen\":1,\"ids\":" +
+                  RenderIdsArray(GlobalSkyline(*dataset_, q)) + "}")
+        << "probe " << i << " at q = " << q;
+  }
+}
+
+TEST_F(ServerTest, DynamicBlobStatesDynamicBeforeAndAfterAPublish) {
+  // A subcell blob serves dynamic semantics with no option naming them, and
+  // the snapshot its first insert publishes says the same.
+  ServerOptions options;
+  options.port = 0;
+  path_ = FixturePath("server_dynamic_semantics.skd");
+  dataset_ = skydia::testing::SaveFixture(SkylineQueryType::kDynamic, 20, 1024,
+                                          /*seed=*/25, path_);
+  server_ = std::make_unique<SkylineServer>(options);
+  ASSERT_TRUE(server_->Start(path_).ok());
+  ASSERT_TRUE(client_.Connect(server_->port()));
+  const auto expect_dynamic = [&] {
+    EXPECT_EQ(server_->registry().Current()->diagram->type(),
+              SkylineQueryType::kDynamic);
+    const std::string ready = HttpGet(server_->port(), "/readyz");
+    EXPECT_NE(ready.find("\"semantics\":\"dynamic\""), std::string::npos)
+        << ready;
+  };
+  expect_dynamic();
+
+  ASSERT_TRUE(client_.SendLine(R"({"cmd":"insert","x":3,"y":5})"));
+  EXPECT_EQ(StripRid(client_.ReadLine()),
+            "{\"ok\":true,\"gen\":2,\"point\":20}");
+  expect_dynamic();
+
+  std::vector<Point2D> points(dataset_->points().begin(),
+                              dataset_->points().end());
+  points.push_back({3, 5});
+  auto mutated = Dataset::Create(points, 1024);
+  ASSERT_TRUE(mutated.ok()) << mutated.status();
+  Rng rng(26);
+  for (int i = 0; i < 100; ++i) {
+    const Point2D q{rng.NextInt(-1, 1024), rng.NextInt(-1, 1024)};
+    ASSERT_TRUE(client_.SendLine(QueryLine(q, ",\"exact\":true")));
+    ASSERT_EQ(StripRid(client_.ReadLine()),
+              "{\"gen\":2,\"ids\":" +
+                  RenderIdsArray(DynamicSkyline(*mutated, q)) + "}")
+        << "probe " << i << " at q = " << q;
+  }
 }
 
 TEST_F(ServerTest, FarOutCoordinatesAnswerLikeTheClampedPositions) {

@@ -3,17 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/query_engine.h"
+#include "src/skyline/query.h"
 #include "tests/serve/serve_test_util.h"
 
 namespace skydia::serve {
 namespace {
 
+using skydia::testing::AsSorted;
 using skydia::testing::BuildDiagram;
 using skydia::testing::RandomDataset;
 using skydia::testing::SaveQuadrantFixture;
@@ -33,7 +37,7 @@ TEST(SnapshotRegistryTest, InstallBumpsGeneration) {
   SaveQuadrantFixture(32, 1024, /*seed=*/1, path);
 
   SnapshotRegistry registry;
-  auto loaded = ServableDiagram::Load(path);
+  auto loaded = SkylineDiagram::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(registry.Install(std::move(loaded).value(), path), 1u);
   EXPECT_EQ(registry.generation(), 1u);
@@ -64,6 +68,37 @@ TEST(SnapshotRegistryTest, ReloadSwapsAndOldSnapshotSurvivesPin) {
   EXPECT_EQ(pinned->generation, 1u);
   EXPECT_EQ(pinned->diagram->dataset().size(), 32u);
   EXPECT_EQ(registry.Current()->diagram->dataset().size(), 48u);
+}
+
+TEST(SnapshotRegistryTest, ReloadServesTheSemanticsEachBlobStates) {
+  // One default registry reloads a blob of each semantics: every snapshot
+  // serves what its own table states, with no setting naming it.
+  const std::string path = FixturePath("registry_semantics.skd");
+  SnapshotRegistry registry;
+  uint64_t seed = 30;
+  for (const SkylineQueryType type :
+       {SkylineQueryType::kGlobal, SkylineQueryType::kQuadrant,
+        SkylineQueryType::kDynamic, SkylineQueryType::kGlobal}) {
+    SCOPED_TRACE(SkylineQueryTypeName(type));
+    const Dataset dataset =
+        skydia::testing::SaveFixture(type, 24, 64, ++seed, path);
+    ASSERT_TRUE(registry.Reload(path).ok());
+    const auto snapshot = registry.Current();
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_EQ(snapshot->diagram->type(), type);
+    Rng rng(seed);
+    for (int i = 0; i < 64; ++i) {
+      const Point2D q{rng.NextInt(-1, 64), rng.NextInt(-1, 64)};
+      const std::vector<PointId> expected =
+          type == SkylineQueryType::kQuadrant ? FirstQuadrantSkyline(dataset, q)
+          : type == SkylineQueryType::kGlobal ? GlobalSkyline(dataset, q)
+                                              : DynamicSkyline(dataset, q);
+      ASSERT_EQ(AsSorted(snapshot->diagram->QueryExact(q)), AsSorted(expected))
+          << "q = " << q;
+    }
+  }
+  EXPECT_EQ(registry.generation(), 4u);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotRegistryTest, FailedReloadKeepsServing) {
@@ -125,11 +160,10 @@ TEST(SnapshotRegistryTest, ReplacedSnapshotIsFreedOutsideTheLock) {
                               built->dataset().domain_size());
   ASSERT_TRUE(copy.ok());
   registry.Install(
-      ServableDiagram::Wrap(
+      SkylineDiagram::Wrap(
           std::shared_ptr<const Dataset>(new Dataset(std::move(copy).value()),
                                          free_dataset),
-          std::shared_ptr<const CellDiagram>(built, built->cell_diagram()),
-          SkylineQueryType::kQuadrant),
+          built->shared_cell_diagram()),
       "mem://first");
   EXPECT_FALSE(deleter_ran);
 

@@ -8,8 +8,7 @@
 //          [--algo auto] [--threads 1] [--report] [--trace out.json]
 //          --out diagram.skd
 //   skydia query   diagram.skd points.csv [--threads T] [--exact]
-//          [--semantics quadrant|global] [--stats] [--bench [--repeat R]]
-//          [--trace out.json]
+//          [--stats] [--bench [--repeat R]] [--trace out.json]
 //   skydia query   diagram.skd --qx 10 --qy 80 [--exact]
 //   skydia serve   diagram.skd [--port 7447] [--workers W]
 //          [--trace [f.json]] [--slow-query-ms MS]
@@ -17,8 +16,11 @@
 //   skydia check   diagram.skd [--samples 64] [--seed 1]
 //   skydia render  --diagram diagram.skd --out diagram.svg [--labels]
 //
-// Exit code 0 on success; errors print to stderr.
+// Each command accepts only the flags it reads: an unknown flag, or an
+// integer flag whose value does not parse, exits 1. Exit code 0 on success;
+// errors print to stderr.
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -26,6 +28,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <variant>
@@ -52,6 +55,31 @@ namespace {
 
 // --- tiny flag parser --------------------------------------------------------
 
+/// How a command reads a flag: kInt values must be whole decimal integers.
+enum class FlagType { kText, kInt };
+/// The flags one command reads, by name (without the leading "--").
+using FlagSpec = std::map<std::string, FlagType>;
+
+std::optional<int64_t> ParseInt(const std::string& text) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The error for `--name value` given to `command`, or "" when `spec` reads
+/// the flag and, for an integer flag, the value parses.
+std::string FlagError(const std::string& command, const FlagSpec& spec,
+                      const std::string& name, const std::string& value) {
+  const auto it = spec.find(name);
+  if (it == spec.end()) return "unknown flag --" + name + " for " + command;
+  if (it->second == FlagType::kInt && !ParseInt(value).has_value()) {
+    return "--" + name + " expects an integer, got \"" + value + "\"";
+  }
+  return "";
+}
+
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -68,21 +96,33 @@ class Flags {
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[arg] = argv[++i];
       } else {
-        values_[arg] = "true";  // boolean flag
+        values_[arg] = "";  // a bare flag: a boolean, or --trace alone
       }
     }
   }
 
   const std::string& error() const { return error_; }
 
+  /// "" when every given flag is one `command` reads (`spec`) and every
+  /// integer flag parses; else the first error (FlagError) to print.
+  std::string Check(const std::string& command, const FlagSpec& spec) const {
+    for (const auto& [name, value] : values_) {
+      std::string error = FlagError(command, spec, name, value);
+      if (!error.empty()) return error;
+    }
+    return "";
+  }
+
   std::string GetString(const std::string& name,
                         const std::string& fallback = "") const {
     const auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
+  /// The flag's value (Check() has proved that it parses), or `fallback`.
   int64_t GetInt(const std::string& name, int64_t fallback) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    return ParseInt(it->second).value_or(fallback);
   }
   bool GetBool(const std::string& name) const {
     const auto it = values_.find(name);
@@ -109,8 +149,7 @@ int Fail(const std::string& message) {
 std::string EnableTraceIfRequested(const Flags& flags) {
   if (!flags.Has("trace")) return "";
   trace::SetEnabled(true);
-  const std::string path = flags.GetString("trace");
-  return path == "true" ? "" : path;
+  return flags.GetString("trace");
 }
 
 /// Writes the collected spans as Chrome trace-event JSON (open it at
@@ -145,15 +184,15 @@ void PrintUsage() {
          "           --trace writes Chrome trace-event JSON for Perfetto)\n"
          "  query    <diagram.skd> [<points.csv>] [--qx X --qy Y]\n"
          "           [--x x --y y] [--threads T] [--exact] [--stats]\n"
-         "           [--semantics quadrant|global] [--bench [--repeat R]]\n"
-         "           [--trace out.json]  (--threads splits batches of\n"
-         "           1024+ points across T threads)\n"
+         "           [--bench [--repeat R]] [--trace out.json]\n"
+         "           (--threads splits batches of 1024+ points across T\n"
+         "           threads)\n"
          "  stats    --diagram diagram.skd\n"
          "  check    <diagram.skd> [--samples N] [--seed K]\n"
          "           [--allow-duplicate-sets]  (validate invariants;\n"
          "           non-zero exit on corruption)\n"
          "  serve    <diagram.skd> [--host H] [--port P] [--workers W]\n"
-         "           [--semantics quadrant|global] [--cache-entries N]\n"
+         "           [--cache-entries N]\n"
          "           [--idle-timeout-ms MS] [--max-connections N]\n"
          "           [--slow-query-ms MS] [--mutation-window-ms MS]\n"
          "           [--mutation-max-pending N] [--trace [out.json]]\n"
@@ -170,7 +209,10 @@ void PrintUsage() {
          "           fatal signal; --trace records every span and\n"
          "           flushes a summary on exit, even under SIGTERM)\n"
          "  render   --diagram diagram.skd --out out.svg [--labels]\n"
-         "  hotels   (print the paper's Figure 1 example)\n";
+         "  hotels   (print the paper's Figure 1 example)\n\n"
+         "A cell blob serves the semantics its table states (quadrant or\n"
+         "global), a subcell blob dynamic. A command rejects any flag it\n"
+         "does not list above, and any integer flag that does not parse.\n";
 }
 
 // --- commands ----------------------------------------------------------------
@@ -238,12 +280,9 @@ int CmdBuild(const Flags& flags) {
   auto diagram = SkylineDiagram::Build(*std::move(dataset), *type, build);
   if (!diagram.ok()) return Fail(diagram.status().ToString());
 
-  const Status saved =
-      diagram->cell_diagram() != nullptr
-          ? SaveCellDiagram(diagram->dataset(), *diagram->cell_diagram(), out)
-          : SaveSubcellDiagram(diagram->dataset(),
-                               *diagram->subcell_diagram(), out);
-  if (!saved.ok()) return Fail(saved.ToString());
+  if (Status saved = diagram->Save(out); !saved.ok()) {
+    return Fail(saved.ToString());
+  }
   std::cout << "built " << SkylineQueryTypeName(*type) << " diagram ("
             << report.algorithm << ", " << report.parallelism
             << " thread(s)) over " << diagram->dataset().size()
@@ -330,30 +369,21 @@ void PrintEngineStats(const QueryEngine& engine) {
 // Compares, over the same query stream: (a) from-scratch linear scans of the
 // dataset, (b) per-query indexed lookups, (c) the batched API (split across
 // `pool` when given).
-int RunQueryBench(const ServableDiagram& servable,
+int RunQueryBench(const SkylineDiagram& diagram,
                   const std::vector<Point2D>& points, int repeat,
                   ThreadPool* pool) {
   if (points.empty()) return Fail("--bench needs a non-empty points CSV");
   if (repeat < 1) repeat = 1;
-  const Dataset& dataset = servable.dataset();
-  const QueryEngine& engine = servable.engine();
+  const Dataset& dataset = diagram.dataset();
+  const QueryEngine& engine = diagram.engine();
   const double total = static_cast<double>(points.size()) * repeat;
 
+  const SkylineQueryType type = diagram.type();
   uint64_t sink = 0;
   Timer timer;
   for (int r = 0; r < repeat; ++r) {
     for (const Point2D& q : points) {
-      switch (engine.semantics()) {
-        case SkylineQueryType::kQuadrant:
-          sink += FirstQuadrantSkyline(dataset, q).size();
-          break;
-        case SkylineQueryType::kGlobal:
-          sink += GlobalSkyline(dataset, q).size();
-          break;
-        case SkylineQueryType::kDynamic:
-          sink += DynamicSkyline(dataset, q).size();
-          break;
-      }
+      sink += OracleSkyline(dataset, type, q).size();
     }
   }
   const double scan_ns = timer.ElapsedSeconds() * 1e9 / total;
@@ -397,20 +427,12 @@ int CmdQuery(const Flags& flags,
     points_path = positionals[1];
   }
 
-  auto cell_semantics =
-      ParseSkylineQueryType(flags.GetString("semantics", "quadrant"));
-  if (!cell_semantics.ok()) return Fail(cell_semantics.status().ToString());
-  if (*cell_semantics == SkylineQueryType::kDynamic) {
-    return Fail("--semantics names the semantics a cell blob serves"
-                " (quadrant|global); dynamic is inferred from subcell blobs");
-  }
-
   const std::string trace_path = EnableTraceIfRequested(flags);
 
-  auto servable = ServableDiagram::Load(path, *cell_semantics);
-  if (!servable.ok()) return Fail(servable.status().ToString());
-  const QueryEngine& engine = servable->engine();
-  const Dataset& dataset = servable->dataset();
+  auto diagram = SkylineDiagram::Load(path);
+  if (!diagram.ok()) return Fail(diagram.status().ToString());
+  const QueryEngine& engine = diagram->engine();
+  const Dataset& dataset = diagram->dataset();
   QueryOptions query_options;
   query_options.exact = flags.GetBool("exact");
 
@@ -442,7 +464,7 @@ int CmdQuery(const Flags& flags,
     }
     if (flags.GetBool("bench")) {
       const int repeat = static_cast<int>(flags.GetInt("repeat", 3));
-      const int rc = RunQueryBench(*servable, *points, repeat, pool.get());
+      const int rc = RunQueryBench(*diagram, *points, repeat, pool.get());
       if (rc != 0) return rc;
     } else if (query_options.exact) {
       auto answers = engine.AnswerBatch(*points, query_options, pool.get());
@@ -469,7 +491,9 @@ int CmdStats(const Flags& flags) {
       [&](const LoadedCellDiagram* loaded) {
         const auto stats = loaded->diagram.ComputeStats();
         const MergedPolyominoes merged = MergeCells(loaded->diagram);
-        std::cout << "kind: cell diagram (quadrant/global)\n"
+        const char* semantics =
+            SkylineQueryTypeName(DiagramSemantics(loaded->diagram));
+        std::cout << "kind: " << semantics << " cell diagram\n"
                   << "points: " << loaded->dataset.size() << "\n"
                   << "domain: " << loaded->dataset.domain_size() << "\n"
                   << "cells: " << stats.num_cells << "\n"
@@ -482,7 +506,7 @@ int CmdStats(const Flags& flags) {
       },
       [&](const LoadedSubcellDiagram* loaded) {
         const auto stats = loaded->diagram.ComputeStats();
-        std::cout << "kind: subcell diagram (dynamic)\n"
+        std::cout << "kind: dynamic subcell diagram\n"
                   << "points: " << loaded->dataset.size() << "\n"
                   << "domain: " << loaded->dataset.domain_size() << "\n"
                   << "subcells: " << stats.num_subcells << "\n"
@@ -517,11 +541,15 @@ int CmdCheck(const Flags& flags, const std::string& positional_path) {
             !s.ok()) {
           return Fail(path + ": " + s.ToString());
         }
-        std::cout << "ok: cell diagram, " << loaded->dataset.size()
-                  << " points, " << loaded->diagram.grid().num_cells()
-                  << " cells, " << loaded->diagram.pool().size()
-                  << " result sets, " << validate.sample_queries
-                  << " sampled queries verified\n";
+        // The validator samples against the semantics the table states.
+        const char* semantics =
+            SkylineQueryTypeName(DiagramSemantics(loaded->diagram));
+        std::cout << "ok: " << semantics << " cell diagram, "
+                  << loaded->dataset.size() << " points, "
+                  << loaded->diagram.grid().num_cells() << " cells, "
+                  << loaded->diagram.pool().size() << " result sets, "
+                  << validate.sample_queries << " sampled " << semantics
+                  << " queries verified\n";
         return 0;
       },
       [&](const LoadedSubcellDiagram* loaded) {
@@ -530,11 +558,11 @@ int CmdCheck(const Flags& flags, const std::string& positional_path) {
             !s.ok()) {
           return Fail(path + ": " + s.ToString());
         }
-        std::cout << "ok: subcell diagram, " << loaded->dataset.size()
+        std::cout << "ok: dynamic subcell diagram, " << loaded->dataset.size()
                   << " points, " << loaded->diagram.grid().num_subcells()
                   << " subcells, " << loaded->diagram.pool().size()
                   << " result sets, " << validate.sample_queries
-                  << " sampled queries verified\n";
+                  << " sampled dynamic queries verified\n";
         return 0;
       });
 }
@@ -572,19 +600,10 @@ int CmdServe(const Flags& flags, const std::string& positional_path) {
     return Fail("usage: skydia serve <diagram.skd> [--port P] [--workers W]");
   }
 
-  auto cell_semantics =
-      ParseSkylineQueryType(flags.GetString("semantics", "quadrant"));
-  if (!cell_semantics.ok()) return Fail(cell_semantics.status().ToString());
-  if (*cell_semantics == SkylineQueryType::kDynamic) {
-    return Fail("--semantics names the semantics a cell blob serves"
-                " (quadrant|global); dynamic is inferred from subcell blobs");
-  }
-
   serve::ServerOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
   options.port = static_cast<int>(flags.GetInt("port", 7447));
   options.num_workers = static_cast<int>(flags.GetInt("workers", 1));
-  options.cell_semantics = *cell_semantics;
   options.cache.capacity =
       static_cast<size_t>(flags.GetInt("cache-entries", 1 << 14));
   options.idle_timeout_ms =
@@ -698,8 +717,45 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  // `check` and `query` accept leading positional arguments (the diagram
-  // path, and for `query` an optional points CSV).
+  // The flags each command reads. Anything else is rejected, so a removed
+  // or misspelled flag cannot run on unnoticed.
+  constexpr FlagType kText = FlagType::kText;
+  constexpr FlagType kInt = FlagType::kInt;
+  const std::map<std::string, FlagSpec> commands = {
+      {"generate",
+       {{"n", kInt}, {"domain", kInt}, {"seed", kInt}, {"dist", kText},
+        {"distinct", kText}, {"out", kText}}},
+      {"build",
+       {{"in", kText}, {"out", kText}, {"x", kText}, {"y", kText},
+        {"type", kText}, {"algo", kText}, {"threads", kInt},
+        {"report", kText}, {"trace", kText}}},
+      {"query",
+       {{"diagram", kText}, {"points", kText}, {"x", kText}, {"y", kText},
+        {"qx", kInt}, {"qy", kInt}, {"exact", kText}, {"threads", kInt},
+        {"bench", kText}, {"repeat", kInt}, {"stats", kText},
+        {"trace", kText}}},
+      {"stats", {{"diagram", kText}}},
+      {"check",
+       {{"diagram", kText}, {"samples", kInt}, {"seed", kInt},
+        {"allow-duplicate-sets", kText}}},
+      {"serve",
+       {{"diagram", kText}, {"host", kText}, {"port", kInt},
+        {"workers", kInt}, {"cache-entries", kInt},
+        {"idle-timeout-ms", kInt}, {"max-connections", kInt},
+        {"slow-query-ms", kInt}, {"mutation-window-ms", kInt},
+        {"mutation-max-pending", kInt}, {"trace", kText},
+        {"trace-sample", kInt}, {"trace-window-ms", kInt},
+        {"crash-trace", kText}}},
+      {"render", {{"diagram", kText}, {"out", kText}, {"labels", kText}}},
+      {"hotels", {}},
+  };
+  const auto spec = commands.find(command);
+  if (spec == commands.end()) {
+    PrintUsage();
+    return Fail("unknown command " + command);
+  }
+  // `check`, `query` and `serve` accept leading positional arguments (the
+  // diagram path, and for `query` an optional points CSV).
   std::vector<std::string> positionals;
   int first_flag = 2;
   if (command == "check" || command == "query" || command == "serve") {
@@ -710,21 +766,19 @@ int Main(int argc, char** argv) {
   }
   const Flags flags(argc, argv, first_flag);
   if (!flags.error().empty()) return Fail(flags.error());
+  if (std::string error = flags.Check(command, spec->second); !error.empty()) {
+    return Fail(error);
+  }
+  const std::string positional = positionals.empty() ? "" : positionals[0];
 
   if (command == "generate") return CmdGenerate(flags);
   if (command == "build") return CmdBuild(flags);
   if (command == "query") return CmdQuery(flags, positionals);
   if (command == "stats") return CmdStats(flags);
-  if (command == "check") {
-    return CmdCheck(flags, positionals.empty() ? "" : positionals[0]);
-  }
-  if (command == "serve") {
-    return CmdServe(flags, positionals.empty() ? "" : positionals[0]);
-  }
+  if (command == "check") return CmdCheck(flags, positional);
+  if (command == "serve") return CmdServe(flags, positional);
   if (command == "render") return CmdRender(flags);
-  if (command == "hotels") return CmdHotels();
-  PrintUsage();
-  return Fail("unknown command " + command);
+  return CmdHotels();
 }
 
 }  // namespace
