@@ -23,14 +23,13 @@ void StructureArgs(benchmark::internal::Benchmark* b) {
 void BM_QuadrantStructure(benchmark::State& state) {
   const Dataset ds = MakeDataset(state.range(1), 1 << 16,
                                  DistributionFromIndex(state.range(0)));
-  CellDiagram::Stats stats;
+  DiagramStats stats;
   uint32_t polyominoes = 0;
   for (auto _ : state) {
     const SkylineDiagram built = BuildDiagram(
         ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-    const CellDiagram& diagram = *built.cell_diagram();
-    stats = diagram.ComputeStats();
-    polyominoes = MergeCells(diagram).num_polyominoes();
+    stats = built.ComputeStats();
+    polyominoes = MergeCells(*built.cell_diagram()).num_polyominoes();
   }
   state.counters["cells"] = static_cast<double>(stats.num_cells);
   state.counters["polyominoes"] = static_cast<double>(polyominoes);
@@ -68,13 +67,13 @@ BENCHMARK(BM_SweepingStructure)->Apply(StructureArgs);
 void BM_DynamicStructure(benchmark::State& state) {
   const Dataset ds = MakeDataset(state.range(1), 512,
                                  DistributionFromIndex(state.range(0)));
-  SubcellDiagram::Stats stats;
+  DiagramStats stats;
   for (auto _ : state) {
     const SkylineDiagram built =
         BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
-    stats = built.subcell_diagram()->ComputeStats();
+    stats = built.ComputeStats();
   }
-  state.counters["subcells"] = static_cast<double>(stats.num_subcells);
+  state.counters["subcells"] = static_cast<double>(stats.num_cells);
   state.counters["distinct_sets"] = static_cast<double>(stats.num_distinct_sets);
   state.counters["set_elems"] = static_cast<double>(stats.total_set_elements);
   state.counters["pool_bytes"] = static_cast<double>(stats.pool_bytes);

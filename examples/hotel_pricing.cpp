@@ -49,9 +49,8 @@ int main(int argc, char** argv) {
   print("Dynamic skyline (closest overall)", dynamic->QueryLabels(q));
 
   // Show the precomputed structure the queries run against.
-  const CellDiagram& cells = *quadrant->cell_diagram();
-  const MergedPolyominoes merged = MergeCells(cells);
-  const auto stats = cells.ComputeStats();
+  const MergedPolyominoes merged = MergeCells(*quadrant->cell_diagram());
+  const DiagramStats stats = quadrant->ComputeStats();
   std::cout << "\nQuadrant diagram structure: " << stats.num_cells
             << " skyline cells merged into " << merged.num_polyominoes()
             << " skyline polyominoes (" << stats.num_distinct_sets

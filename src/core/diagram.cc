@@ -31,17 +31,12 @@ namespace {
 constexpr size_t kDebugValidateSamples = 4;
 
 void DebugValidate(const SkylineDiagram& diagram) {
-  ValidateOptions validate;
-  validate.sample_queries = kDebugValidateSamples;
-  Status status;
   if (diagram.cell_diagram() != nullptr) {
     SKYDIA_CHECK(DiagramSemantics(*diagram.cell_diagram()) == diagram.type());
-    status =
-        ValidateDiagram(diagram.dataset(), *diagram.cell_diagram(), validate);
-  } else {
-    status = ValidateDiagram(diagram.dataset(), *diagram.subcell_diagram(),
-                             validate);
   }
+  ValidateOptions validate;
+  validate.sample_queries = kDebugValidateSamples;
+  const Status status = ValidateDiagram(diagram, validate);
   if (!status.ok()) {
     SKYDIA_LOG(Error) << "freshly built " << SkylineQueryTypeName(diagram.type())
                       << " diagram violates its invariants: " << status;
@@ -237,25 +232,16 @@ StatusOr<SkylineDiagram> SkylineDiagram::Build(
           static_cast<double>(trace::NowNanos() - start_ns) / 1e9;
     }
   }
-  if (report != nullptr) {
-    if (cell != nullptr) {
-      const CellDiagram::Stats stats = cell->ComputeStats();
-      report->num_cells = stats.num_cells;
-      report->num_distinct_sets = stats.num_distinct_sets;
-      report->total_set_elements = stats.total_set_elements;
-      report->arena_bytes = stats.pool_bytes;
-      report->approx_bytes = stats.approx_bytes;
-    } else {
-      const SubcellDiagram::Stats stats = subcell->ComputeStats();
-      report->num_cells = stats.num_subcells;
-      report->num_distinct_sets = stats.num_distinct_sets;
-      report->total_set_elements = stats.total_set_elements;
-      report->arena_bytes = stats.pool_bytes;
-      report->approx_bytes = stats.approx_bytes;
-    }
-  }
   SkylineDiagram diagram(std::make_shared<const Dataset>(std::move(dataset)),
                          std::move(cell), std::move(subcell), type);
+  if (report != nullptr) {
+    const DiagramStats stats = diagram.ComputeStats();
+    report->num_cells = stats.num_cells;
+    report->num_distinct_sets = stats.num_distinct_sets;
+    report->total_set_elements = stats.total_set_elements;
+    report->arena_bytes = stats.pool_bytes;
+    report->approx_bytes = stats.approx_bytes;
+  }
 #ifndef NDEBUG
   DebugValidate(diagram);
 #endif
@@ -344,6 +330,18 @@ std::vector<std::string> SkylineDiagram::QueryLabels(const Point2D& q) const {
 
 const PointLocationIndex& SkylineDiagram::index() const {
   return engine_->index();
+}
+
+DiagramStats SkylineDiagram::ComputeStats() const {
+  const PointLocationIndex& index = engine_->index();
+  const SkylineSetPool& pool = index.pool();
+  DiagramStats stats;
+  stats.num_cells = index.num_cells();
+  stats.num_distinct_sets = pool.size();
+  stats.total_set_elements = pool.total_elements();
+  stats.pool_bytes = pool.ApproximateMemoryBytes();
+  stats.approx_bytes = stats.pool_bytes + stats.num_cells * sizeof(SetId);
+  return stats;
 }
 
 }  // namespace skydia

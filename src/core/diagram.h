@@ -18,6 +18,7 @@
 #ifndef SKYDIA_SRC_CORE_DIAGRAM_H_
 #define SKYDIA_SRC_CORE_DIAGRAM_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -106,6 +107,18 @@ struct SkylineBuildOptions {
   BuildReport* report = nullptr;
 };
 
+/// Structure statistics of a built or loaded diagram of either kind, for
+/// the space-analysis experiments and `skydia stats`.
+struct DiagramStats {
+  uint64_t num_cells = 0;           // cells (quadrant/global) or subcells
+  uint64_t num_distinct_sets = 0;   // interned sets incl. empty
+  uint64_t total_set_elements = 0;  // sum of distinct set sizes
+  /// SkylineSetPool::ApproximateMemoryBytes: the arena plus the set
+  /// records, hash chains and dedup index, where built.
+  uint64_t pool_bytes = 0;
+  uint64_t approx_bytes = 0;  // pool + cell table footprint
+};
+
 /// A skyline diagram with its dataset and the one QueryEngine answering
 /// queries over it: the one type that is built, loaded, wrapped, saved and
 /// served. It holds the dataset and diagram as shared_ptr<const ...>, which
@@ -164,6 +177,10 @@ class SkylineDiagram {
 
   /// Query result rendered through the dataset's labels.
   std::vector<std::string> QueryLabels(const Point2D& q) const;
+
+  /// Cell count and pool footprint, read from the engine's index and pool:
+  /// the same for either kind.
+  DiagramStats ComputeStats() const;
 
   /// The underlying cell diagram (quadrant/global only; else null).
   const CellDiagram* cell_diagram() const { return cell_.get(); }

@@ -1,14 +1,18 @@
 #include "src/core/render_svg.h"
 
-#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "src/common/hash.h"
+#include "src/core/diagram.h"
 
 namespace skydia {
 
 namespace {
+
+constexpr int kWidthPx = 640;
 
 // Stable pastel color for a result set id: hash -> hue, fixed
 // saturation/lightness, so equal results share a color across renders.
@@ -54,94 +58,89 @@ void EmitSeeds(std::ostringstream* svg, const Dataset& dataset,
   }
 }
 
-}  // namespace
+// The slab bounds of a diagram in data coordinates: column cx spans
+// [x[cx], x[cx + 1]] and row cy spans [y[cy], y[cy + 1]], the outer bounds
+// clamped to the domain box [0, s]. The kind supplies these and whether its
+// grid lines are drawn; everything else is drawn the same for both kinds.
+struct Slabs {
+  std::vector<double> x;
+  std::vector<double> y;
+  bool grid_lines = false;
+};
 
-std::string RenderCellDiagramSvg(const Dataset& dataset,
-                                 const CellDiagram& diagram,
-                                 const SvgOptions& options) {
-  const auto s = static_cast<double>(dataset.domain_size());
-  const Mapper m{options.width_px / s, options.width_px};
-  const CellGrid& grid = diagram.grid();
-
-  std::ostringstream svg;
-  EmitHeader(&svg, options.width_px, options.width_px);
-
-  // Cell rectangles: column cx spans [left, right) where the boundaries are
-  // the grid values (clamped to the domain box).
-  auto column_span = [&](uint32_t cx) {
-    const double left = cx == 0 ? 0.0 : static_cast<double>(grid.x_value(cx - 1));
-    const double right = cx < grid.num_distinct_x()
-                             ? static_cast<double>(grid.x_value(cx))
-                             : s;
-    return std::pair<double, double>(left, right);
-  };
-  auto row_span = [&](uint32_t cy) {
-    const double lo = cy == 0 ? 0.0 : static_cast<double>(grid.y_value(cy - 1));
-    const double hi = cy < grid.num_distinct_y()
-                          ? static_cast<double>(grid.y_value(cy))
-                          : s;
-    return std::pair<double, double>(lo, hi);
-  };
-
-  for (uint32_t cy = 0; cy < grid.num_rows(); ++cy) {
-    const auto [ylo, yhi] = row_span(cy);
-    if (yhi <= ylo) continue;
-    for (uint32_t cx = 0; cx < grid.num_columns(); ++cx) {
-      const auto [xlo, xhi] = column_span(cx);
-      if (xhi <= xlo) continue;
-      svg << "<rect x=\"" << m.X(xlo) << "\" y=\"" << m.Y(yhi) << "\" width=\""
-          << (xhi - xlo) * m.scale << "\" height=\"" << (yhi - ylo) * m.scale
-          << "\" fill=\"" << ColorForSet(diagram.pool(), diagram.cell_set(cx, cy))
-          << "\"/>\n";
-    }
+// A cell diagram's slabs end on the distinct point coordinates.
+Slabs CellSlabs(const CellGrid& grid, double s) {
+  Slabs slabs;
+  slabs.grid_lines = true;
+  slabs.x.push_back(0.0);
+  for (uint32_t i = 0; i < grid.num_distinct_x(); ++i) {
+    slabs.x.push_back(static_cast<double>(grid.x_value(i)));
   }
-
-  if (options.draw_grid_lines) {
-    for (uint32_t i = 0; i < grid.num_distinct_x(); ++i) {
-      const double x = m.X(static_cast<double>(grid.x_value(i)));
-      svg << "<line x1=\"" << x << "\" y1=\"0\" x2=\"" << x << "\" y2=\""
-          << options.width_px
-          << "\" stroke=\"#999\" stroke-width=\"0.5\"/>\n";
-    }
-    for (uint32_t i = 0; i < grid.num_distinct_y(); ++i) {
-      const double y = m.Y(static_cast<double>(grid.y_value(i)));
-      svg << "<line x1=\"0\" y1=\"" << y << "\" x2=\"" << options.width_px
-          << "\" y2=\"" << y << "\" stroke=\"#999\" stroke-width=\"0.5\"/>\n";
-    }
+  slabs.x.push_back(s);
+  slabs.y.push_back(0.0);
+  for (uint32_t i = 0; i < grid.num_distinct_y(); ++i) {
+    slabs.y.push_back(static_cast<double>(grid.y_value(i)));
   }
-  EmitSeeds(&svg, dataset, m, options.draw_labels);
-  svg << "</svg>\n";
-  return svg.str();
+  slabs.y.push_back(s);
+  return slabs;
 }
 
-std::string RenderSubcellDiagramSvg(const Dataset& dataset,
-                                    const SubcellDiagram& diagram,
-                                    const SvgOptions& options) {
+// A subcell diagram's slabs end on its grid and bisector lines, which the
+// axes store doubled (half-integer coordinates).
+Slabs SubcellSlabs(const SubcellGrid& grid, double s) {
+  const auto bounds = [s](const SubcellAxis& axis) {
+    std::vector<double> out{0.0};
+    for (uint32_t i = 0; i < axis.num_lines(); ++i) {
+      out.push_back(axis.line(i) / 2.0);
+    }
+    out.push_back(s);
+    return out;
+  };
+  Slabs slabs;
+  slabs.x = bounds(grid.x_axis());
+  slabs.y = bounds(grid.y_axis());
+  return slabs;
+}
+
+}  // namespace
+
+std::string RenderDiagramSvg(const SkylineDiagram& diagram,
+                             const SvgOptions& options) {
+  const Dataset& dataset = diagram.dataset();
   const auto s = static_cast<double>(dataset.domain_size());
-  const Mapper m{options.width_px / s, options.width_px};
-  const SubcellGrid& grid = diagram.grid();
+  const Mapper m{kWidthPx / s, kWidthPx};
+  const Slabs slabs = diagram.cell_diagram() != nullptr
+                          ? CellSlabs(diagram.cell_diagram()->grid(), s)
+                          : SubcellSlabs(diagram.subcell_diagram()->grid(), s);
+  const PointLocationIndex& index = diagram.index();
 
   std::ostringstream svg;
-  EmitHeader(&svg, options.width_px, options.width_px);
-
-  // Subcell boundaries are half-integer (doubled coordinates / 2).
-  auto slab_span = [&](const SubcellAxis& axis, uint32_t slab) {
-    const double lo = slab == 0 ? 0.0 : axis.line(slab - 1) / 2.0;
-    const double hi = slab < axis.num_lines() ? axis.line(slab) / 2.0 : s;
-    return std::pair<double, double>(lo, hi);
-  };
-
-  for (uint32_t sy = 0; sy < grid.num_rows(); ++sy) {
-    const auto [ylo, yhi] = slab_span(grid.y_axis(), sy);
+  EmitHeader(&svg, kWidthPx, kWidthPx);
+  for (uint32_t cy = 0; cy < index.num_rows(); ++cy) {
+    const double ylo = slabs.y[cy];
+    const double yhi = slabs.y[cy + 1];
     if (yhi <= ylo) continue;
-    for (uint32_t sx = 0; sx < grid.num_columns(); ++sx) {
-      const auto [xlo, xhi] = slab_span(grid.x_axis(), sx);
+    for (uint32_t cx = 0; cx < index.num_columns(); ++cx) {
+      const double xlo = slabs.x[cx];
+      const double xhi = slabs.x[cx + 1];
       if (xhi <= xlo) continue;
       svg << "<rect x=\"" << m.X(xlo) << "\" y=\"" << m.Y(yhi) << "\" width=\""
           << (xhi - xlo) * m.scale << "\" height=\"" << (yhi - ylo) * m.scale
-          << "\" fill=\""
-          << ColorForSet(diagram.pool(), diagram.subcell_set(sx, sy))
+          << "\" fill=\"" << ColorForSet(index.pool(), index.cell_set(cx, cy))
           << "\"/>\n";
+    }
+  }
+  if (slabs.grid_lines) {
+    // The interior bounds are the grid lines: one per distinct coordinate.
+    for (size_t i = 1; i + 1 < slabs.x.size(); ++i) {
+      const double x = m.X(slabs.x[i]);
+      svg << "<line x1=\"" << x << "\" y1=\"0\" x2=\"" << x << "\" y2=\""
+          << kWidthPx << "\" stroke=\"#999\" stroke-width=\"0.5\"/>\n";
+    }
+    for (size_t i = 1; i + 1 < slabs.y.size(); ++i) {
+      const double y = m.Y(slabs.y[i]);
+      svg << "<line x1=\"0\" y1=\"" << y << "\" x2=\"" << kWidthPx
+          << "\" y2=\"" << y << "\" stroke=\"#999\" stroke-width=\"0.5\"/>\n";
     }
   }
   EmitSeeds(&svg, dataset, m, options.draw_labels);
@@ -153,10 +152,10 @@ std::string RenderSweepingDiagramSvg(const Dataset& dataset,
                                      const SweepingDiagram& diagram,
                                      const SvgOptions& options) {
   const auto s = static_cast<double>(dataset.domain_size());
-  const Mapper m{options.width_px / s, options.width_px};
+  const Mapper m{kWidthPx / s, kWidthPx};
 
   std::ostringstream svg;
-  EmitHeader(&svg, options.width_px, options.width_px);
+  EmitHeader(&svg, kWidthPx, kWidthPx);
   for (size_t i = 0; i < diagram.polyominoes.size(); ++i) {
     const SweepingPolyomino& poly = diagram.polyominoes[i];
     const int hue = static_cast<int>(

@@ -9,29 +9,23 @@
 
 #include "src/common/status.h"
 #include "src/core/quadrant_sweeping.h"
-#include "src/core/skyline_cell.h"
-#include "src/core/subcell_diagram.h"
 #include "src/geometry/dataset.h"
 
 namespace skydia {
 
-/// Rendering options. Defaults produce a 640-pixel-wide standalone SVG.
+class SkylineDiagram;
+
+/// Rendering options. Every SVG is 640 pixels wide and tall.
 struct SvgOptions {
-  int width_px = 640;
-  bool draw_grid_lines = true;
   bool draw_labels = false;  // point labels next to the seeds
 };
 
-/// Renders a cell diagram (quadrant/global): each cell is a rectangle filled
-/// with a color derived from its result set.
-std::string RenderCellDiagramSvg(const Dataset& dataset,
-                                 const CellDiagram& diagram,
-                                 const SvgOptions& options = {});
-
-/// Renders a dynamic (subcell) diagram.
-std::string RenderSubcellDiagramSvg(const Dataset& dataset,
-                                    const SubcellDiagram& diagram,
-                                    const SvgOptions& options = {});
+/// Renders a quadrant, global or dynamic diagram: each cell (subcell for
+/// dynamic) is a rectangle filled with a color derived from its result set.
+/// Cell diagrams also draw their grid lines; the denser subcell grid does
+/// not.
+std::string RenderDiagramSvg(const SkylineDiagram& diagram,
+                             const SvgOptions& options = {});
 
 /// Renders the sweeping diagram's polyomino outlines directly (distinct
 /// coordinates only — the outlines come from BuildQuadrantSweeping).

@@ -21,14 +21,4 @@ bool CellDiagram::SameResults(const CellDiagram& other) const {
   return true;
 }
 
-CellDiagram::Stats CellDiagram::ComputeStats() const {
-  Stats stats;
-  stats.num_cells = grid_.num_cells();
-  stats.num_distinct_sets = pool_->size();
-  stats.total_set_elements = pool_->total_elements();
-  stats.pool_bytes = pool_->ApproximateMemoryBytes();
-  stats.approx_bytes = stats.pool_bytes + cells_.size() * sizeof(SetId);
-  return stats;
-}
-
 }  // namespace skydia

@@ -62,18 +62,6 @@ class CellDiagram {
   /// algorithms compare equal when they agree).
   bool SameResults(const CellDiagram& other) const;
 
-  /// Structure statistics for the space-analysis experiments.
-  struct Stats {
-    uint64_t num_cells = 0;
-    uint64_t num_distinct_sets = 0;   // interned sets incl. empty
-    uint64_t total_set_elements = 0;  // sum of distinct set sizes
-    /// SkylineSetPool::ApproximateMemoryBytes: the arena plus the set
-    /// records, hash chains and dedup index, where built.
-    uint64_t pool_bytes = 0;
-    uint64_t approx_bytes = 0;  // pool + cell map footprint
-  };
-  Stats ComputeStats() const;
-
  private:
   CellGrid grid_;
   std::unique_ptr<SkylineSetPool> pool_;

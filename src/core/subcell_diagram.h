@@ -73,25 +73,6 @@ class SubcellDiagram {
     return true;
   }
 
-  struct Stats {
-    uint64_t num_subcells = 0;
-    uint64_t num_distinct_sets = 0;
-    uint64_t total_set_elements = 0;
-    /// SkylineSetPool::ApproximateMemoryBytes: the arena plus the set
-    /// records, hash chains and dedup index, where built.
-    uint64_t pool_bytes = 0;
-    uint64_t approx_bytes = 0;
-  };
-  Stats ComputeStats() const {
-    Stats stats;
-    stats.num_subcells = grid_.num_subcells();
-    stats.num_distinct_sets = pool_->size();
-    stats.total_set_elements = pool_->total_elements();
-    stats.pool_bytes = pool_->ApproximateMemoryBytes();
-    stats.approx_bytes = stats.pool_bytes + cells_.size() * sizeof(SetId);
-    return stats;
-  }
-
  private:
   SubcellGrid grid_;
   std::unique_ptr<SkylineSetPool> pool_;

@@ -282,6 +282,15 @@ Status SampleSubcellDiagram(const Dataset& dataset,
 
 }  // namespace
 
+Status ValidateDiagram(const SkylineDiagram& diagram,
+                       const ValidateOptions& options) {
+  if (const CellDiagram* cells = diagram.cell_diagram()) {
+    return ValidateDiagram(diagram.dataset(), *cells, options);
+  }
+  return ValidateDiagram(diagram.dataset(), *diagram.subcell_diagram(),
+                         options);
+}
+
 Status ValidateDiagram(const Dataset& dataset, const CellDiagram& diagram,
                        const ValidateOptions& options) {
   if (dataset.empty()) {

@@ -41,6 +41,8 @@
 
 namespace skydia {
 
+class SkylineDiagram;
+
 struct ValidateOptions {
   /// Number of random cells to compare against the brute-force oracle.
   /// 0 = structural checks only.
@@ -54,13 +56,18 @@ struct ValidateOptions {
   bool require_canonical_pool = true;
 };
 
-/// Validates a quadrant/global cell diagram against `dataset` (the dataset it
-/// was built from). Returns OK or Corruption naming the first violated
-/// invariant.
-Status ValidateDiagram(const Dataset& dataset, const CellDiagram& diagram,
+/// Validates a built or loaded diagram of either kind against its own
+/// dataset: what `skydia check` and the debug re-check of every build run.
+/// Returns OK or Corruption naming the first violated invariant.
+Status ValidateDiagram(const SkylineDiagram& diagram,
                        const ValidateOptions& options = {});
 
-/// Validates a dynamic subcell diagram.
+/// The per-kind checks it dispatches to, over a bare table and the dataset
+/// it was built from: a quadrant/global cell diagram or a dynamic subcell
+/// diagram. They also check a table that cannot be wrapped (Wrap reads the
+/// corner cell, which a corrupted table may not have).
+Status ValidateDiagram(const Dataset& dataset, const CellDiagram& diagram,
+                       const ValidateOptions& options = {});
 Status ValidateDiagram(const Dataset& dataset, const SubcellDiagram& diagram,
                        const ValidateOptions& options = {});
 

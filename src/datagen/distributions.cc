@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -82,6 +84,12 @@ StatusOr<DatasetNd> GenerateDatasetNd(const DataGenOptions& options,
   }
   if (options.domain_size <= 0) {
     return Status::InvalidArgument("domain_size must be positive");
+  }
+  // Checked before anything is reserved: the point ids are 32-bit.
+  if (options.n > std::numeric_limits<PointId>::max()) {
+    return Status::InvalidArgument(
+        "n = " + std::to_string(options.n) +
+        " is more points than a PointId can address (at most 4294967295)");
   }
   if (options.distinct_coordinates &&
       static_cast<int64_t>(options.n) > options.domain_size) {

@@ -37,7 +37,8 @@ struct DataGenOptions {
   int clusters = 8;
 };
 
-/// Generates a 2-D dataset. Returns InvalidArgument when
+/// Generates a 2-D dataset. Returns InvalidArgument, before allocating,
+/// when n exceeds what a PointId can address (2^32 - 1), or when
 /// distinct_coordinates is requested with n > domain_size.
 StatusOr<Dataset> GenerateDataset(const DataGenOptions& options);
 

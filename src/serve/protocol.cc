@@ -162,28 +162,18 @@ void AppendRidSuffix(std::string_view rid, std::string* out) {
   out->append("}\n");
 }
 
-/// The "rid" field contract: bounded (it lands in logs, replies, and the
-/// trace-context ring) and printable (no control characters even via
-/// escapes, so log lines stay one line).
-constexpr size_t kMaxRidBytes = 64;
+}  // namespace
 
-Status ValidateRid(const std::string& rid) {
-  if (rid.empty()) {
-    return Status::InvalidArgument("\"rid\" must be a non-empty string");
-  }
-  if (rid.size() > kMaxRidBytes) {
-    return Status::InvalidArgument("\"rid\" exceeds 64 bytes");
-  }
+std::string_view RidError(std::string_view rid) {
+  if (rid.empty()) return "\"rid\" must be a non-empty string";
+  if (rid.size() > kMaxRidBytes) return "\"rid\" exceeds 64 bytes";
   for (const char c : rid) {
     if (static_cast<unsigned char>(c) < 0x20) {
-      return Status::InvalidArgument(
-          "\"rid\" may not contain control characters");
+      return "\"rid\" may not contain control characters";
     }
   }
-  return Status::OK();
+  return "";
 }
-
-}  // namespace
 
 std::string_view ErrorCodeName(ErrorCode code) {
   switch (code) {
@@ -321,7 +311,9 @@ StatusOr<Request> ParseRequest(std::string_view line) {
       } else if (*key == "rid") {
         auto v = cursor.ParseString();
         if (!v.ok()) return v.status();
-        if (Status valid = ValidateRid(*v); !valid.ok()) return valid;
+        if (const std::string_view error = RidError(*v); !error.empty()) {
+          return Status::InvalidArgument(std::string(error));
+        }
         request.rid = *std::move(v);
       } else if (*key == "cmd") {
         auto v = cursor.ParseString();

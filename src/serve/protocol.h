@@ -168,6 +168,15 @@ std::string_view ErrorCodeName(ErrorCode code);
 /// invalid_argument.
 ErrorCode ErrorCodeForStatus(const Status& status);
 
+/// The request-id rule: a "rid" is 1 to kMaxRidBytes bytes with no control
+/// character, not even via an escape (it lands in logs, replies and the
+/// trace-context ring, and a log line must stay one line).
+constexpr size_t kMaxRidBytes = 64;
+/// Why `rid` breaks the request-id rule, or "" when it keeps it. A line
+/// whose rid breaks it fails ParseRequest, and the server stamps only a rid
+/// that keeps it on a batch and its replies.
+std::string_view RidError(std::string_view rid);
+
 /// Parses one request line (without the trailing newline). Returns
 /// InvalidArgument with a position-annotated message on malformed input.
 StatusOr<Request> ParseRequest(std::string_view line);

@@ -48,8 +48,10 @@ void AppendHttpResponse(const char* status_line, const char* content_type,
 /// Resolves the request-context token for one line batch: the first
 /// client-supplied "rid" wins, else a fresh server token. A raw scan, not a
 /// parse — the reactor must not pay per-line parsing, and a false positive
-/// (the literal inside a string value) merely names the batch oddly. Rids
-/// containing escapes fall back to a server token; ParseRequest still
+/// (the literal inside a string value) merely names the batch oddly. An id
+/// the parser would reject (RidError) must not be interned, logged or
+/// echoed as the batch context. The scan cannot decode escapes, so a rid
+/// containing one falls back to a server token too; ParseRequest still
 /// surfaces the exact client rid on the reply.
 uint64_t BatchRequestContext(std::string_view batch) {
   const size_t pos = batch.find("\"rid\":\"");
@@ -58,9 +60,7 @@ uint64_t BatchRequestContext(std::string_view batch) {
     const size_t end = batch.find('"', begin);
     if (end != std::string_view::npos) {
       const std::string_view rid = batch.substr(begin, end - begin);
-      // Mirror protocol.cc's ValidateRid bounds: an id the parser would
-      // reject must not be interned (or echoed) as the batch context.
-      if (!rid.empty() && rid.size() <= 64 &&
+      if (RidError(rid).empty() &&
           rid.find('\\') == std::string_view::npos) {
         return trace::RegisterRequestId(rid);
       }
@@ -84,7 +84,6 @@ void SplitLines(std::string_view view, std::vector<std::string_view>* lines) {
 /// Renders the {"cmd":"stats"} reply body: one flat JSON object of the
 /// engine's and cache's counters for the pinned snapshot.
 std::string RenderStatsJson(const ServingSnapshot* snapshot) {
-  if (snapshot == nullptr) return "{}";
   const QueryEngineStats engine = snapshot->diagram->engine().Stats();
   const ResultCacheStats cache = snapshot->cache->Stats();
   std::string out;
@@ -161,21 +160,13 @@ Status SkylineServer::Start(const std::string& blob_path) {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server already running");
   }
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(options_.port) +
+                                   " is outside [0, 65535]");
+  }
   if (Status loaded = registry_.Reload(blob_path); !loaded.ok()) {
     return loaded;
   }
-  return Serve();
-}
-
-Status SkylineServer::Start(SkylineDiagram diagram, std::string source_path) {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("server already running");
-  }
-  registry_.Install(std::move(diagram), std::move(source_path));
-  return Serve();
-}
-
-Status SkylineServer::Serve() {
   MutationPipelineOptions mutation_options;
   mutation_options.window_ms = options_.mutation_window_ms;
   mutation_options.max_pending = options_.mutation_max_pending;
@@ -778,22 +769,16 @@ void SkylineServer::ServeHttp(std::string_view request_target,
     content_type = "text/plain; charset=utf-8";
   } else if (request_target == "/readyz") {
     const auto snapshot = registry_.Current();
-    if (snapshot == nullptr) {
-      body = "no snapshot\n";
-      content_type = "text/plain; charset=utf-8";
-      status_line = "HTTP/1.1 503 Service Unavailable";
-    } else {
-      body.append("{\"generation\":")
-          .append(std::to_string(snapshot->generation));
-      body.append(",\"points\":")
-          .append(std::to_string(snapshot->diagram->dataset().size()));
-      body.append(",\"semantics\":\"")
-          .append(SkylineQueryTypeName(snapshot->diagram->type()));
-      body.append("\",\"mutation_pending\":")
-          .append(std::to_string(mutations_->pending()));
-      body.append("}\n");
-      content_type = "application/json";
-    }
+    body.append("{\"generation\":")
+        .append(std::to_string(snapshot->generation));
+    body.append(",\"points\":")
+        .append(std::to_string(snapshot->diagram->dataset().size()));
+    body.append(",\"semantics\":\"")
+        .append(SkylineQueryTypeName(snapshot->diagram->type()));
+    body.append("\",\"mutation_pending\":")
+        .append(std::to_string(mutations_->pending()));
+    body.append("}\n");
+    content_type = "application/json";
   } else if (request_target == "/debug/trace") {
     body = trace::ToChromeTraceJson(trace::CollectRecent());
     content_type = "application/json";
@@ -844,11 +829,9 @@ std::string SkylineServer::RenderDebugSnapshotJson() const {
   std::string out;
   out.reserve(512);
   const auto snapshot = registry_.Current();
-  out.append("{\"generation\":")
-      .append(std::to_string(snapshot != nullptr ? snapshot->generation : 0));
+  out.append("{\"generation\":").append(std::to_string(snapshot->generation));
   out.append(",\"points\":")
-      .append(std::to_string(
-          snapshot != nullptr ? snapshot->diagram->dataset().size() : 0));
+      .append(std::to_string(snapshot->diagram->dataset().size()));
   out.append(",\"recorder_active\":")
       .append(trace::RecorderActive() ? "true" : "false");
   const MutationDebugState m = mutations_->DebugState();
@@ -937,7 +920,7 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
   }
 
   std::vector<SetId> fast_sets;
-  if (!fast_queries.empty() && snapshot != nullptr) {
+  if (!fast_queries.empty()) {
     SKYDIA_TRACE_SPAN("serve.answer");
     snapshot->diagram->engine().AnswerBatch(fast_queries, &fast_sets);
   }
@@ -953,7 +936,7 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
   const int64_t slow_ns = options_.slow_query_ms > 0
                               ? int64_t{options_.slow_query_ms} * 1'000'000
                               : -1;
-  const uint64_t generation = snapshot != nullptr ? snapshot->generation : 0;
+  const uint64_t generation = snapshot->generation;
   std::string cached;
   // Reply rid: the line's own "rid" when the client sent one, else the
   // batch's server-generated id — suffixed with the line index so every
@@ -1019,12 +1002,6 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
         AppendOkReply(req.id, mutations_->Flush(), out, rid);
         break;
       case RequestKind::kRange: {
-        if (snapshot == nullptr) {
-          AppendErrorReply(req.id, ErrorCode::kInvalidArgument,
-                           "no snapshot installed", out, rid);
-          metrics_.error_replies.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
         const RangePayload& range = req.range();
         auto summary = snapshot->diagram->engine().AnswerRange(range.range);
         if (!summary.ok()) {
@@ -1046,12 +1023,6 @@ void SkylineServer::ServeBatch(std::span<const std::string_view> lines,
         break;
       }
       case RequestKind::kQuery: {
-        if (snapshot == nullptr) {
-          AppendErrorReply(req.id, ErrorCode::kInvalidArgument,
-                           "no snapshot installed", out, rid);
-          metrics_.error_replies.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
         const QueryPayload& query = req.query();
         const QueryEngine& engine = snapshot->diagram->engine();
         const char* key = query.labels ? "labels" : "ids";

@@ -36,9 +36,9 @@
 // after one response — the same port works for both nc and curl:
 //   /metrics            Prometheus text exposition
 //   /healthz            liveness: 200 "ok" while the process serves
-//   /readyz             readiness: 503 before the first snapshot, else a
-//                       JSON summary (generation, points, the semantics
-//                       served, backlog)
+//   /readyz             readiness: a JSON summary (generation, points, the
+//                       semantics served, backlog); Start() installs the
+//                       first snapshot before any request is read
 //   /debug/trace        the flight recorder's recent window as Chrome
 //                       trace-event JSON (ui.perfetto.dev)
 //   /debug/snapshot     registry + mutation-pipeline introspection JSON,
@@ -90,7 +90,8 @@ struct ServerOptions {
   /// Listen address. The default stays loopback-only; the daemon has no
   /// authentication story, so exposing it wider is an explicit choice.
   std::string host = "127.0.0.1";
-  /// Listen port; 0 picks a free port (read it back via port()).
+  /// Listen port in [0, 65535]; 0 picks a free port (read it back via
+  /// port()).
   int port = 0;
   /// Per-snapshot reply cache sizing, given to the snapshot registry, which
   /// applies it to every install and reload. (What a snapshot serves needs
@@ -136,11 +137,9 @@ class SkylineServer {
   SkylineServer& operator=(const SkylineServer&) = delete;
 
   /// Loads `blob_path` as the initial snapshot (through the registry, like
-  /// a reload), binds and starts serving.
+  /// a reload), creates the write path, binds and starts the reactor and
+  /// the workers. InvalidArgument for a port outside [0, 65535].
   Status Start(const std::string& blob_path);
-  /// Starts serving an already-loaded diagram (tests and embedders).
-  /// `source_path` is what a path-less reload re-reads ("" disables it).
-  Status Start(SkylineDiagram diagram, std::string source_path);
 
   /// Stops accepting, closes every connection, joins the reactor and the
   /// worker pool. Idempotent.
@@ -206,9 +205,6 @@ class SkylineServer {
     bool close_after = false;  ///< HTTP one-shot: close once flushed
   };
 
-  /// Start's common tail: the write path, the socket, the reactor and the
-  /// workers, over the snapshot just installed.
-  Status Serve();
   Status BindAndListen();
   void ReactorLoop() SKYDIA_REACTOR_ONLY;
   void WorkerLoop() SKYDIA_EXCLUDES(jobs_mu_, completions_mu_);
@@ -245,9 +241,10 @@ class SkylineServer {
   /// snapshot, appending reply lines to `out`. Runs on worker threads and,
   /// for the inline fast path, on the event-loop thread, under the batch's
   /// request context (a server token is opened when none is active). Those
-  /// threads exist only between Serve() creating mutations_ and Stop()
-  /// resetting it after joining them, so ServeBatch and ServeHttp always
-  /// see the write path.
+  /// threads exist only between Start() installing a snapshot and creating
+  /// mutations_, and Stop() resetting it after joining them; the registry
+  /// never uninstalls a snapshot. So ServeBatch and ServeHttp always see a
+  /// snapshot and the write path.
   void ServeBatch(std::span<const std::string_view> lines, std::string* out);
   void ServeHttp(std::string_view request_target, std::string* out);
   /// The /debug/connections payload. Reactor-only by necessity: the

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the skydia CLI: generate -> build -> check ->
-# query round trip, exit-code contract for bad invocations, and a golden
-# diff for batched query output.
+# stats -> render -> query round trip, exit-code contract for bad
+# invocations, and a golden diff for batched query output.
 #
 # Usage: smoke_test.sh <path-to-skydia-binary> <path-to-tests/cli-dir>
 set -u
@@ -94,6 +94,28 @@ for kind in "quadrant cell" "global cell" "dynamic subcell"; do
     fail "stats $type: expected exit 0"
   grep -qxF "kind: $kind diagram" "stats_$type.out" ||
     fail "stats $type does not print \"kind: $kind diagram\""
+done
+
+step "render draws every blob, with labels only on request"
+points=$(($(wc -l < points.csv) - 1))
+for type in quadrant global dynamic; do
+  for labels in "" "--labels"; do
+    what="render $type${labels:+ $labels}"
+    svg="$type${labels:+.labels}.svg"
+    # shellcheck disable=SC2086  # $labels is one flag or nothing
+    expect_ok "$what" "$SKYDIA" render --diagram "$type.skd" --out "$svg" \
+      $labels
+    [ "$(head -c 4 "$svg")" = "<svg" ] || fail "$what: does not open <svg"
+    [ "$(tail -n 1 "$svg")" = "</svg>" ] || fail "$what: does not close </svg>"
+    circles=$(grep -c "<circle" "$svg")
+    [ "$circles" -eq "$points" ] ||
+      fail "$what: $circles circles for $points points"
+    texts=$(grep -c "<text" "$svg")
+    want_texts=0
+    [ -n "$labels" ] && want_texts=$points
+    [ "$texts" -eq "$want_texts" ] ||
+      fail "$what: $texts labels, expected $want_texts"
+  done
 done
 
 step "a cell blob serves the semantics its table states"
@@ -225,6 +247,30 @@ expect_exit1 "generate --n abc" "--n expects an integer, got \"abc\"" \
   "$SKYDIA" generate --n abc --out never.csv
 expect_exit1 "serve --threads" "unknown flag --threads for serve" \
   timeout 5 "$SKYDIA" serve quadrant.skd --port 0 --threads 4
+
+step "a count or size must not be negative, and a port must fit 16 bits"
+# Unchecked, each of these would wrap: --n -1 aborts on std::length_error,
+# --samples -1 asks for 2^64 samples, and serve serves on.
+nonneg() { echo "--$1 expects a non-negative integer, got \"-1\""; }
+expect_exit1 "generate --n -1" "$(nonneg n)" \
+  "$SKYDIA" generate --n -1 --out never.csv
+expect_exit1 "check --samples -1" "$(nonneg samples)" \
+  timeout 5 "$SKYDIA" check quadrant.skd --samples -1
+expect_exit1 "build --threads -1" "$(nonneg threads)" \
+  "$SKYDIA" build --in points.csv --type dynamic --threads -1 --out never.skd
+expect_exit1 "query --threads -1" "$(nonneg threads)" \
+  "$SKYDIA" query quadrant.skd queries.csv --threads -1
+expect_exit1 "query --repeat -1" "$(nonneg repeat)" \
+  "$SKYDIA" query quadrant.skd queries.csv --bench --repeat -1
+for flag in workers cache-entries max-connections mutation-max-pending; do
+  expect_exit1 "serve --$flag -1" "$(nonneg "$flag")" \
+    timeout 5 "$SKYDIA" serve quadrant.skd --port 0 --crash-trace none \
+    "--$flag" -1
+done
+for port in 70000 -1; do
+  expect_exit1 "serve --port $port" "port $port is outside [0, 65535]" \
+    timeout 5 "$SKYDIA" serve quadrant.skd --port "$port" --crash-trace none
+done
 
 step "corrupt blobs are rejected by check and query"
 head -c 64 quadrant.skd > corrupt.skd

@@ -167,8 +167,8 @@ TEST(DynamicDiagramCrossTest, StatsAreConsistent) {
   const Dataset ds = RandomDataset(12, 20, 29);
   const SkylineDiagram built =
       BuildDiagram(ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
-  const SubcellDiagram::Stats stats = built.subcell_diagram()->ComputeStats();
-  EXPECT_EQ(stats.num_subcells, built.subcell_diagram()->grid().num_subcells());
+  const DiagramStats stats = built.ComputeStats();
+  EXPECT_EQ(stats.num_cells, built.subcell_diagram()->grid().num_subcells());
   EXPECT_GE(stats.num_distinct_sets, 1u);
   EXPECT_GT(stats.approx_bytes, 0u);
 }

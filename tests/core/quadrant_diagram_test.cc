@@ -188,7 +188,7 @@ TEST(QuadrantDiagramTest, StatsAreConsistent) {
   const Dataset ds = RandomDataset(40, 32, 9);
   const SkylineDiagram built =
       BuildDiagram(ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram::Stats stats = built.cell_diagram()->ComputeStats();
+  const DiagramStats stats = built.ComputeStats();
   EXPECT_EQ(stats.num_cells, built.cell_diagram()->grid().num_cells());
   EXPECT_GE(stats.num_distinct_sets, 2u);  // empty + at least one real set
   EXPECT_LE(stats.num_distinct_sets, stats.num_cells + 1);

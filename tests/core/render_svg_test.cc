@@ -29,26 +29,28 @@ TEST(RenderSvgTest, CellDiagramProducesWellFormedSvg) {
   const Dataset ds = RandomDataset(15, 20, 3);
   const SkylineDiagram built = testing::BuildDiagram(
       ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
-  const std::string svg = RenderCellDiagramSvg(ds, diagram);
+  const std::string svg = RenderDiagramSvg(built);
   EXPECT_NE(svg.find("<svg xmlns"), std::string::npos);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
   // One circle per seed.
   EXPECT_EQ(CountOccurrences(svg, "<circle"), ds.size());
   // At least one rectangle per distinct x-column with positive width.
   EXPECT_GT(CountOccurrences(svg, "<rect"), ds.size());
+  // One grid line per distinct coordinate of either axis.
+  const CellGrid& grid = built.cell_diagram()->grid();
+  EXPECT_EQ(CountOccurrences(svg, "<line"),
+            grid.num_distinct_x() + grid.num_distinct_y());
 }
 
 TEST(RenderSvgTest, LabelsToggle) {
   const Dataset hotels = HotelExample();
   const SkylineDiagram built = testing::BuildDiagram(
       hotels, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
   SvgOptions with_labels;
   with_labels.draw_labels = true;
-  const std::string svg = RenderCellDiagramSvg(hotels, diagram, with_labels);
+  const std::string svg = RenderDiagramSvg(built, with_labels);
   EXPECT_NE(svg.find(">p11</text>"), std::string::npos);
-  const std::string plain = RenderCellDiagramSvg(hotels, diagram);
+  const std::string plain = RenderDiagramSvg(built);
   EXPECT_EQ(plain.find("<text"), std::string::npos);
 }
 
@@ -56,11 +58,10 @@ TEST(RenderSvgTest, EqualResultsShareColors) {
   const Dataset ds = RandomDataset(10, 16, 5);
   const SkylineDiagram built = testing::BuildDiagram(
       ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
-  const std::string svg = RenderCellDiagramSvg(ds, diagram);
+  const std::string svg = RenderDiagramSvg(built);
   // Distinct fill colors cannot exceed distinct result sets + background
   // tones; sanity-check by counting unique hsl() strings.
-  const size_t distinct_sets = diagram.ComputeStats().num_distinct_sets;
+  const size_t distinct_sets = built.ComputeStats().num_distinct_sets;
   size_t unique_hsl = 0;
   std::string marker = "fill=\"hsl(";
   std::vector<std::string> seen;
@@ -80,10 +81,35 @@ TEST(RenderSvgTest, SubcellDiagramRenders) {
   const Dataset ds = RandomDataset(8, 12, 7);
   const SkylineDiagram built = testing::BuildDiagram(
       ds, SkylineQueryType::kDynamic, BuildAlgorithm::kScanning);
-  const std::string svg =
-      RenderSubcellDiagramSvg(ds, *built.subcell_diagram());
+  const std::string svg = RenderDiagramSvg(built);
   EXPECT_NE(svg.find("<svg xmlns"), std::string::npos);
   EXPECT_EQ(CountOccurrences(svg, "<circle"), ds.size());
+  // The subcell grid is too dense for grid lines; only cells carry them.
+  EXPECT_EQ(CountOccurrences(svg, "<line"), 0u);
+}
+
+// A loaded blob renders byte for byte like the built diagram it was saved
+// from: the renderer reads only what the blob stores.
+TEST(RenderSvgTest, LoadedBlobRendersLikeTheBuiltDiagram) {
+  const Dataset ds = RandomDataset(12, 24, 13);
+  for (const SkylineQueryType type :
+       {SkylineQueryType::kQuadrant, SkylineQueryType::kGlobal,
+        SkylineQueryType::kDynamic}) {
+    SCOPED_TRACE(SkylineQueryTypeName(type));
+    const SkylineDiagram built =
+        testing::BuildDiagram(ds, type, BuildAlgorithm::kAuto);
+    const std::string path = ::testing::TempDir() + "/skydia_render_" +
+                             SkylineQueryTypeName(type) + ".skd";
+    ASSERT_TRUE(built.Save(path).ok());
+    StatusOr<SkylineDiagram> loaded = SkylineDiagram::Load(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    SvgOptions with_labels;
+    with_labels.draw_labels = true;
+    EXPECT_EQ(RenderDiagramSvg(*loaded), RenderDiagramSvg(built));
+    EXPECT_EQ(RenderDiagramSvg(*loaded, with_labels),
+              RenderDiagramSvg(built, with_labels));
+  }
 }
 
 TEST(RenderSvgTest, SweepingDiagramRendersEveryPolyomino) {
@@ -98,9 +124,8 @@ TEST(RenderSvgTest, WriteSvgFileRoundTrip) {
   const Dataset ds = RandomDataset(5, 8, 11);
   const SkylineDiagram built = testing::BuildDiagram(
       ds, SkylineQueryType::kQuadrant, BuildAlgorithm::kScanning);
-  const CellDiagram& diagram = *built.cell_diagram();
   const std::string path = ::testing::TempDir() + "/skydia_render.svg";
-  ASSERT_TRUE(WriteSvgFile(path, RenderCellDiagramSvg(ds, diagram)).ok());
+  ASSERT_TRUE(WriteSvgFile(path, RenderDiagramSvg(built)).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string first_line;

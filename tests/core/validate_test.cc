@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "src/core/diagram.h"
 #include "src/core/dynamic_scanning.h"
 #include "src/core/merge.h"
@@ -199,6 +202,32 @@ TEST(ValidateCorruptionTest, DetectsCorruptedSubcellPool) {
   diagram.pool().Append(
       std::vector<PointId>(existing.begin(), existing.end()));
   EXPECT_FALSE(ValidateDiagram(ds, diagram).ok());
+}
+
+TEST(ValidateCorruptionTest, DiagramEntryRunsTheChecksOfEitherKind) {
+  // A duplicate pool entry, unreferenced, leaves every cell (the corner the
+  // semantics rule reads included) intact, so both tables can be wrapped.
+  const Dataset ds = RandomDataset(10, 16, 11);
+  auto cells = std::make_shared<CellDiagram>(
+      internal::BuildQuadrantScanning(ds));
+  auto subcells = std::make_shared<SubcellDiagram>(
+      internal::BuildDynamicScanning(ds));
+  for (SkylineSetPool* pool : {&cells->pool(), &subcells->pool()}) {
+    const auto existing = pool->Get(1);
+    pool->Append(std::vector<PointId>(existing.begin(), existing.end()));
+  }
+  const auto dataset = std::make_shared<const Dataset>(ds);
+  ValidateOptions relaxed;
+  relaxed.require_canonical_pool = false;
+  const auto expect_caught = [&](const SkylineDiagram& wrapped) {
+    SCOPED_TRACE(SkylineQueryTypeName(wrapped.type()));
+    EXPECT_EQ(ValidateDiagram(wrapped).code(), StatusCode::kCorruption);
+    EXPECT_TRUE(ValidateDiagram(wrapped, relaxed).ok());
+  };
+  expect_caught(SkylineDiagram::Wrap(
+      dataset, std::shared_ptr<const CellDiagram>(std::move(cells))));
+  expect_caught(SkylineDiagram::Wrap(
+      dataset, std::shared_ptr<const SubcellDiagram>(std::move(subcells))));
 }
 
 TEST(ValidateCorruptionTest, MutatedDiagramNeedsRelaxedOptions) {

@@ -1,6 +1,8 @@
 #include "src/datagen/distributions.h"
 
 #include <cmath>
+#include <cstddef>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +125,19 @@ TEST(DistributionsTest, InvalidOptionsRejected) {
   EXPECT_FALSE(GenerateDataset(options).ok());
   options.domain_size = 10;
   EXPECT_FALSE(GenerateDatasetNd(options, 0).ok());
+}
+
+// A count no PointId can address fails before anything is reserved: n *
+// dims would wrap, and the reservation would throw std::length_error.
+TEST(DistributionsTest, PointCountsBeyondPointIdAreRejected) {
+  DataGenOptions options;
+  options.n = std::numeric_limits<size_t>::max();
+  const StatusOr<Dataset> dataset = GenerateDataset(options);
+  ASSERT_FALSE(dataset.ok());
+  EXPECT_EQ(dataset.status().code(), StatusCode::kInvalidArgument);
+  const StatusOr<DatasetNd> nd = GenerateDatasetNd(options, 3);
+  ASSERT_FALSE(nd.ok());
+  EXPECT_EQ(nd.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DistributionsTest, DistributionNames) {

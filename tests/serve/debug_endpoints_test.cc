@@ -134,6 +134,20 @@ TEST_F(DebugEndpointsTest, MissingOrInvalidRidGetsServerGeneratedId) {
   EXPECT_NE(rejected.find(",\"rid\":\"s"), std::string::npos) << rejected;
 }
 
+TEST_F(DebugEndpointsTest, ControlCharacterRidGetsServerGeneratedId) {
+  StartServer("debug_control_rid.skd");
+  // The parser rejects the raw ESC inside the string; the batch context
+  // must not adopt the rejected id either, so the error reply carries a
+  // server id.
+  ASSERT_TRUE(client_.SendLine("{\"q\":[1,2],\"rid\":\"a\x1b" "b\"}"));
+  const std::string reply = client_.ReadLine();
+  EXPECT_EQ(reply.rfind("{\"error\":", 0), 0u) << reply;
+  EXPECT_NE(reply.find("\"code\":\"parse_error\""), std::string::npos)
+      << reply;
+  EXPECT_EQ(reply.find("\"rid\":\"a"), std::string::npos) << reply;
+  EXPECT_NE(reply.find(",\"rid\":\"s"), std::string::npos) << reply;
+}
+
 TEST_F(DebugEndpointsTest, MultiLineBatchSuffixesTheSharedRid) {
   StartServer("debug_batch_rid.skd");
   // Three lines delivered as one batch (the range line sends it to a

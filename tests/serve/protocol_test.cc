@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "tests/testing/util.h"
 
@@ -194,6 +195,24 @@ TEST(RenderTest, RangeReply) {
   out.clear();
   AppendRangeReply(std::nullopt, 1, "[]", "[]", 1, &out);
   EXPECT_EQ(out, "{\"gen\":1,\"union\":[],\"intersection\":[],\"distinct\":1}\n");
+}
+
+// One request-id rule (RidError) for the parser and the server's raw scan:
+// 1 to 64 bytes, no control character even via an escape.
+TEST(ParseRequestTest, RidRule) {
+  EXPECT_EQ(RidError("X-req-1"), "");
+  EXPECT_EQ(RidError(std::string(kMaxRidBytes, 'r')), "");
+  EXPECT_NE(RidError(""), "");
+  EXPECT_NE(RidError(std::string(kMaxRidBytes + 1, 'r')), "");
+  EXPECT_NE(RidError("a\x1b" "b"), "");
+
+  auto kept = ParseRequest(R"({"q":[1,2],"rid":"X-req-1"})");
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(kept->rid, "X-req-1");
+  auto escaped = ParseRequest(R"({"q":[1,2],"rid":"a\tb"})");
+  ASSERT_FALSE(escaped.ok());
+  EXPECT_EQ(escaped.status().message(), RidError("a\tb"));
+  EXPECT_FALSE(ParseRequest(R"({"q":[1,2],"rid":""})").ok());
 }
 
 TEST(ParseRequestTest, UnicodeEscapesRejected) {

@@ -831,5 +831,21 @@ TEST(ServerStartTest, MissingBlobFailsCleanly) {
   EXPECT_FALSE(server.running());
 }
 
+// A port outside [0, 65535] is refused, not narrowed to 16 bits (70000
+// would serve on 4464 and -1 on 65535).
+TEST(ServerStartTest, PortOutsideTheRangeIsInvalidArgument) {
+  const std::string path = FixturePath("server_port_range.skd");
+  SaveQuadrantFixture(16, 64, /*seed=*/3, path);
+  for (const int port : {70000, -1}) {
+    SCOPED_TRACE(port);
+    ServerOptions options;
+    options.port = port;
+    SkylineServer server(options);
+    const Status s = server.Start(path);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+    EXPECT_FALSE(server.running());
+  }
+}
+
 }  // namespace
 }  // namespace skydia::serve

@@ -16,22 +16,20 @@
 //   skydia check   diagram.skd [--samples 64] [--seed 1]
 //   skydia render  --diagram diagram.skd --out diagram.svg [--labels]
 //
-// Each command accepts only the flags it reads: an unknown flag, or an
-// integer flag whose value does not parse, exits 1. Exit code 0 on success;
-// errors print to stderr.
+// Each command accepts only the flags it reads: an unknown flag, an integer
+// flag whose value does not parse, or a negative count or size exits 1. Exit
+// code 0 on success; errors print to stderr.
 #include <algorithm>
 #include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "src/common/csv.h"
@@ -43,7 +41,6 @@
 #include "src/core/merge.h"
 #include "src/core/query_engine.h"
 #include "src/core/render_svg.h"
-#include "src/core/serialize.h"
 #include "src/core/validate.h"
 #include "src/datagen/distributions.h"
 #include "src/datagen/real_data.h"
@@ -55,8 +52,9 @@ namespace {
 
 // --- tiny flag parser --------------------------------------------------------
 
-/// How a command reads a flag: kInt values must be whole decimal integers.
-enum class FlagType { kText, kInt };
+/// How a command reads a flag: kInt values must be whole decimal integers,
+/// and kCount values (a count or a size) non-negative ones.
+enum class FlagType { kText, kInt, kCount };
 /// The flags one command reads, by name (without the leading "--").
 using FlagSpec = std::map<std::string, FlagType>;
 
@@ -69,13 +67,20 @@ std::optional<int64_t> ParseInt(const std::string& text) {
 }
 
 /// The error for `--name value` given to `command`, or "" when `spec` reads
-/// the flag and, for an integer flag, the value parses.
+/// the flag and, for an integer flag, the value parses (and, for a count, is
+/// not negative).
 std::string FlagError(const std::string& command, const FlagSpec& spec,
                       const std::string& name, const std::string& value) {
   const auto it = spec.find(name);
   if (it == spec.end()) return "unknown flag --" + name + " for " + command;
-  if (it->second == FlagType::kInt && !ParseInt(value).has_value()) {
+  if (it->second == FlagType::kText) return "";
+  const std::optional<int64_t> parsed = ParseInt(value);
+  if (!parsed.has_value()) {
     return "--" + name + " expects an integer, got \"" + value + "\"";
+  }
+  if (it->second == FlagType::kCount && *parsed < 0) {
+    return "--" + name + " expects a non-negative integer, got \"" + value +
+           "\"";
   }
   return "";
 }
@@ -104,7 +109,8 @@ class Flags {
   const std::string& error() const { return error_; }
 
   /// "" when every given flag is one `command` reads (`spec`) and every
-  /// integer flag parses; else the first error (FlagError) to print.
+  /// integer flag parses in its range; else the first error (FlagError) to
+  /// print.
   std::string Check(const std::string& command, const FlagSpec& spec) const {
     for (const auto& [name, value] : values_) {
       std::string error = FlagError(command, spec, name, value);
@@ -212,7 +218,10 @@ void PrintUsage() {
          "  hotels   (print the paper's Figure 1 example)\n\n"
          "A cell blob serves the semantics its table states (quadrant or\n"
          "global), a subcell blob dynamic. A command rejects any flag it\n"
-         "does not list above, and any integer flag that does not parse.\n";
+         "does not list above, any integer flag that does not parse, and a\n"
+         "negative count or size (--n, --samples, --repeat, --threads,\n"
+         "--workers, --cache-entries, --max-connections,\n"
+         "--mutation-max-pending). serve takes a --port from 0 to 65535.\n";
 }
 
 // --- commands ----------------------------------------------------------------
@@ -293,20 +302,21 @@ int CmdBuild(const Flags& flags) {
   return FinishTrace(trace_path);
 }
 
-// Loads the blob at `path` (either kind) and runs the matching callback.
-int WithLoadedDiagram(const std::string& path,
-                      const std::function<int(const LoadedCellDiagram*)>& cell,
-                      const std::function<int(const LoadedSubcellDiagram*)>&
-                          subcell) {
-  if (path.empty()) return Fail("--diagram is required");
-  auto loaded = LoadDiagram(path);
-  if (!loaded.ok()) {
-    return Fail("cannot load " + path + ": " + loaded.status().ToString());
+// Loads the blob at `path` (either kind) for `stats`, `check` and `render`.
+// On failure the status message is the line to print.
+StatusOr<SkylineDiagram> LoadBlob(const std::string& path) {
+  if (path.empty()) return Status::InvalidArgument("--diagram is required");
+  StatusOr<SkylineDiagram> diagram = SkylineDiagram::Load(path);
+  if (!diagram.ok()) {
+    return Status(diagram.status().code(),
+                  "cannot load " + path + ": " + diagram.status().ToString());
   }
-  if (const auto* as_cell = std::get_if<LoadedCellDiagram>(&*loaded)) {
-    return cell(as_cell);
-  }
-  return subcell(&std::get<LoadedSubcellDiagram>(*loaded));
+  return diagram;
+}
+
+// "cell" or "subcell": what a stored region of the diagram is called.
+const char* RegionName(const SkylineDiagram& diagram) {
+  return diagram.cell_diagram() != nullptr ? "cell" : "subcell";
 }
 
 // Loads query points from a CSV with a header row naming columns `x_column`
@@ -486,43 +496,32 @@ int CmdQuery(const Flags& flags,
 }
 
 int CmdStats(const Flags& flags) {
-  return WithLoadedDiagram(
-      flags.GetString("diagram"),
-      [&](const LoadedCellDiagram* loaded) {
-        const auto stats = loaded->diagram.ComputeStats();
-        const MergedPolyominoes merged = MergeCells(loaded->diagram);
-        const char* semantics =
-            SkylineQueryTypeName(DiagramSemantics(loaded->diagram));
-        std::cout << "kind: " << semantics << " cell diagram\n"
-                  << "points: " << loaded->dataset.size() << "\n"
-                  << "domain: " << loaded->dataset.domain_size() << "\n"
-                  << "cells: " << stats.num_cells << "\n"
-                  << "polyominoes: " << merged.num_polyominoes() << "\n"
-                  << "distinct results: " << stats.num_distinct_sets << "\n"
-                  << "result elements: " << stats.total_set_elements << "\n"
-                  << "pool bytes: " << stats.pool_bytes << "\n"
-                  << "approx bytes: " << stats.approx_bytes << "\n";
-        return 0;
-      },
-      [&](const LoadedSubcellDiagram* loaded) {
-        const auto stats = loaded->diagram.ComputeStats();
-        std::cout << "kind: dynamic subcell diagram\n"
-                  << "points: " << loaded->dataset.size() << "\n"
-                  << "domain: " << loaded->dataset.domain_size() << "\n"
-                  << "subcells: " << stats.num_subcells << "\n"
-                  << "distinct results: " << stats.num_distinct_sets << "\n"
-                  << "result elements: " << stats.total_set_elements << "\n"
-                  << "pool bytes: " << stats.pool_bytes << "\n"
-                  << "approx bytes: " << stats.approx_bytes << "\n";
-        return 0;
-      });
+  const StatusOr<SkylineDiagram> diagram =
+      LoadBlob(flags.GetString("diagram"));
+  if (!diagram.ok()) return Fail(diagram.status().message());
+  const DiagramStats stats = diagram->ComputeStats();
+  const char* region = RegionName(*diagram);
+  std::cout << "kind: " << SkylineQueryTypeName(diagram->type()) << " "
+            << region << " diagram\n"
+            << "points: " << diagram->dataset().size() << "\n"
+            << "domain: " << diagram->dataset().domain_size() << "\n"
+            << region << "s: " << stats.num_cells << "\n";
+  if (const CellDiagram* cells = diagram->cell_diagram()) {
+    std::cout << "polyominoes: " << MergeCells(*cells).num_polyominoes()
+              << "\n";
+  }
+  std::cout << "distinct results: " << stats.num_distinct_sets << "\n"
+            << "result elements: " << stats.total_set_elements << "\n"
+            << "pool bytes: " << stats.pool_bytes << "\n"
+            << "approx bytes: " << stats.approx_bytes << "\n";
+  return 0;
 }
 
 // Validates every invariant of a stored diagram (src/core/validate.h) and
 // exits non-zero on the first violation. The file's checksum and field-level
 // structure are already verified by the loader; `check` additionally proves
 // the decoded diagram is a well-formed skyline diagram and spot-checks stored
-// results against brute-force queries.
+// results against brute-force queries of the semantics its table states.
 int CmdCheck(const Flags& flags, const std::string& positional_path) {
   std::string path = flags.GetString("diagram");
   if (path.empty()) path = positional_path;
@@ -533,62 +532,35 @@ int CmdCheck(const Flags& flags, const std::string& positional_path) {
   validate.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   validate.require_canonical_pool = !flags.GetBool("allow-duplicate-sets");
 
-  return WithLoadedDiagram(
-      path,
-      [&](const LoadedCellDiagram* loaded) {
-        if (Status s =
-                ValidateDiagram(loaded->dataset, loaded->diagram, validate);
-            !s.ok()) {
-          return Fail(path + ": " + s.ToString());
-        }
-        // The validator samples against the semantics the table states.
-        const char* semantics =
-            SkylineQueryTypeName(DiagramSemantics(loaded->diagram));
-        std::cout << "ok: " << semantics << " cell diagram, "
-                  << loaded->dataset.size() << " points, "
-                  << loaded->diagram.grid().num_cells() << " cells, "
-                  << loaded->diagram.pool().size() << " result sets, "
-                  << validate.sample_queries << " sampled " << semantics
-                  << " queries verified\n";
-        return 0;
-      },
-      [&](const LoadedSubcellDiagram* loaded) {
-        if (Status s =
-                ValidateDiagram(loaded->dataset, loaded->diagram, validate);
-            !s.ok()) {
-          return Fail(path + ": " + s.ToString());
-        }
-        std::cout << "ok: dynamic subcell diagram, " << loaded->dataset.size()
-                  << " points, " << loaded->diagram.grid().num_subcells()
-                  << " subcells, " << loaded->diagram.pool().size()
-                  << " result sets, " << validate.sample_queries
-                  << " sampled dynamic queries verified\n";
-        return 0;
-      });
+  const StatusOr<SkylineDiagram> diagram = LoadBlob(path);
+  if (!diagram.ok()) return Fail(diagram.status().message());
+  if (Status s = ValidateDiagram(*diagram, validate); !s.ok()) {
+    return Fail(path + ": " + s.ToString());
+  }
+  const DiagramStats stats = diagram->ComputeStats();
+  const char* semantics = SkylineQueryTypeName(diagram->type());
+  const char* region = RegionName(*diagram);
+  std::cout << "ok: " << semantics << " " << region << " diagram, "
+            << diagram->dataset().size() << " points, " << stats.num_cells
+            << " " << region << "s, " << stats.num_distinct_sets
+            << " result sets, " << validate.sample_queries << " sampled "
+            << semantics << " queries verified\n";
+  return 0;
 }
 
 int CmdRender(const Flags& flags) {
   const std::string out = flags.GetString("out");
   if (out.empty()) return Fail("--out is required");
+  const StatusOr<SkylineDiagram> diagram =
+      LoadBlob(flags.GetString("diagram"));
+  if (!diagram.ok()) return Fail(diagram.status().message());
   SvgOptions svg;
   svg.draw_labels = flags.GetBool("labels");
-  return WithLoadedDiagram(
-      flags.GetString("diagram"),
-      [&](const LoadedCellDiagram* loaded) {
-        const Status s = WriteSvgFile(
-            out, RenderCellDiagramSvg(loaded->dataset, loaded->diagram, svg));
-        if (!s.ok()) return Fail(s.ToString());
-        std::cout << "rendered " << out << "\n";
-        return 0;
-      },
-      [&](const LoadedSubcellDiagram* loaded) {
-        const Status s = WriteSvgFile(
-            out,
-            RenderSubcellDiagramSvg(loaded->dataset, loaded->diagram, svg));
-        if (!s.ok()) return Fail(s.ToString());
-        std::cout << "rendered " << out << "\n";
-        return 0;
-      });
+  if (Status s = WriteSvgFile(out, RenderDiagramSvg(*diagram, svg)); !s.ok()) {
+    return Fail(s.ToString());
+  }
+  std::cout << "rendered " << out << "\n";
+  return 0;
 }
 
 // Serves a built diagram blob over TCP until SIGINT/SIGTERM; SIGHUP
@@ -721,29 +693,30 @@ int Main(int argc, char** argv) {
   // or misspelled flag cannot run on unnoticed.
   constexpr FlagType kText = FlagType::kText;
   constexpr FlagType kInt = FlagType::kInt;
+  constexpr FlagType kCount = FlagType::kCount;
   const std::map<std::string, FlagSpec> commands = {
       {"generate",
-       {{"n", kInt}, {"domain", kInt}, {"seed", kInt}, {"dist", kText},
+       {{"n", kCount}, {"domain", kInt}, {"seed", kInt}, {"dist", kText},
         {"distinct", kText}, {"out", kText}}},
       {"build",
        {{"in", kText}, {"out", kText}, {"x", kText}, {"y", kText},
-        {"type", kText}, {"algo", kText}, {"threads", kInt},
+        {"type", kText}, {"algo", kText}, {"threads", kCount},
         {"report", kText}, {"trace", kText}}},
       {"query",
        {{"diagram", kText}, {"points", kText}, {"x", kText}, {"y", kText},
-        {"qx", kInt}, {"qy", kInt}, {"exact", kText}, {"threads", kInt},
-        {"bench", kText}, {"repeat", kInt}, {"stats", kText},
+        {"qx", kInt}, {"qy", kInt}, {"exact", kText}, {"threads", kCount},
+        {"bench", kText}, {"repeat", kCount}, {"stats", kText},
         {"trace", kText}}},
       {"stats", {{"diagram", kText}}},
       {"check",
-       {{"diagram", kText}, {"samples", kInt}, {"seed", kInt},
+       {{"diagram", kText}, {"samples", kCount}, {"seed", kInt},
         {"allow-duplicate-sets", kText}}},
       {"serve",
        {{"diagram", kText}, {"host", kText}, {"port", kInt},
-        {"workers", kInt}, {"cache-entries", kInt},
-        {"idle-timeout-ms", kInt}, {"max-connections", kInt},
+        {"workers", kCount}, {"cache-entries", kCount},
+        {"idle-timeout-ms", kInt}, {"max-connections", kCount},
         {"slow-query-ms", kInt}, {"mutation-window-ms", kInt},
-        {"mutation-max-pending", kInt}, {"trace", kText},
+        {"mutation-max-pending", kCount}, {"trace", kText},
         {"trace-sample", kInt}, {"trace-window-ms", kInt},
         {"crash-trace", kText}}},
       {"render", {{"diagram", kText}, {"out", kText}, {"labels", kText}}},
